@@ -340,7 +340,13 @@ def read_matrix_csv(path) -> CompatibilityMatrix:
     )
     if header.get("schema") != MATRIX_SCHEMA:
         raise DataError(f"{path}: unsupported matrix schema {header.get('schema')!r}")
-    far = None if header.get("far_target") == "none" else float(header["far_target"])
+    for key in ("metric", "far_target"):
+        if key not in header:
+            raise DataError(f"{path}: matrix header has no {key}")
+    try:
+        far = None if header["far_target"] == "none" else float(header["far_target"])
+    except ValueError as exc:
+        raise DataError(f"{path}: far_target {header['far_target']!r} is not a number") from exc
     try:
         values = np.array(
             [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=np.float64

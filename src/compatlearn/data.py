@@ -199,7 +199,8 @@ def generate_pairs(
 
     Half the pairs are genuine (two distinct samples of one class), half are
     impostor (samples of two different classes). Pair identities are sample
-    index pairs; no unordered pair repeats.
+    index pairs into ``dataset.inputs``, which the pair set shares without
+    copying; no unordered pair repeats.
     """
     if num_pairs < 2 or num_pairs % 2 != 0:
         raise DataError(
@@ -229,11 +230,10 @@ def generate_pairs(
     ids_b = np.concatenate([gen_pick[:, 1], imp_pick[:, 1]])
     genuine = np.concatenate([np.ones(want, dtype=bool), np.zeros(want, dtype=bool)])
     return VerificationPairSet(
-        inputs_a=dataset.inputs[ids_a],
-        inputs_b=dataset.inputs[ids_b],
-        genuine=genuine,
+        inputs=dataset.inputs,
         ids_a=ids_a,
         ids_b=ids_b,
+        genuine=genuine,
         provenance=provenance,
     )
 
@@ -248,8 +248,12 @@ def save_pairs(pairs: VerificationPairSet, path) -> None:
 
 
 def load_pairs(path, dataset: LabeledDataset, provenance: str = "csv") -> VerificationPairSet:
-    """Rebuild a pair set from its CSV against the dataset it indexes into."""
+    """Rebuild a pair set from its CSV against the dataset it indexes into.
+
+    The pair set shares ``dataset.inputs``; no input row is copied.
+    """
     ids_a, ids_b, genuine = [], [], []
+    n = len(dataset)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -260,7 +264,7 @@ def load_pairs(path, dataset: LabeledDataset, provenance: str = "csv") -> Verifi
                 a, b, g = int(row[0]), int(row[1]), int(row[2])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{line_no}: malformed pair row {row}") from exc
-            if not (0 <= a < len(dataset) and 0 <= b < len(dataset)):
+            if not (0 <= a < n and 0 <= b < n):
                 raise DataError(f"{path}:{line_no}: pair index out of range")
             ids_a.append(a)
             ids_b.append(b)
@@ -269,11 +273,10 @@ def load_pairs(path, dataset: LabeledDataset, provenance: str = "csv") -> Verifi
     ids_b = np.asarray(ids_b, dtype=np.int64)
     genuine = np.asarray(genuine, dtype=bool)
     return VerificationPairSet(
-        inputs_a=dataset.inputs[ids_a],
-        inputs_b=dataset.inputs[ids_b],
-        genuine=genuine,
+        inputs=dataset.inputs,
         ids_a=ids_a,
         ids_b=ids_b,
+        genuine=genuine,
         provenance=provenance,
     )
 

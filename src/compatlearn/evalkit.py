@@ -1,16 +1,20 @@
 """Verification metrics and cross-model compatibility summaries.
 
-A pair set is scored by extracting the first image of every pair with the
-query-side model and the second image with the gallery-side model, then taking
-the cosine similarity per pair. From the scored pairs two metrics are
-available: best-threshold verification accuracy and the true acceptance rate
-at a false acceptance rate target.
+A pair set holds indices into the held-out inputs, not copies of them: pair
+``i`` compares sample ``ids_a[i]`` with sample ``ids_b[i]``. Scoring extracts
+each model's features once per distinct sample the pairs touch, computes each
+feature's norm once, then gathers both by pair index: the first sample of
+every pair is seen by the query-side model, the second by the gallery-side
+model, and the score is their cosine similarity. From the scored pairs two
+metrics are available: best-threshold verification accuracy and the true
+acceptance rate at a false acceptance rate target.
 
 Scoring every (newer model, older model) combination of a training timeline
 on one static pair set fills the lower triangle of the compatibility matrix:
 diagonal cells are self-tests, cells below the diagonal are cross-tests, and
 cells above the diagonal are fixed to zero because evaluating an older model
-against a newer gallery has no reliable interpretation. The summary report
+against a newer gallery has no reliable interpretation. Every checkpoint is
+extracted once, however many cells it takes part in. The summary report
 condenses the matrix into the average, backward, and forward compatibility
 numbers plus the per-task backward series.
 """
@@ -23,35 +27,42 @@ from .errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from .network import FeatureExtractorState, extract_features
 
 METRIC_KINDS = ("accuracy", "tar_at_far")
-SIMILARITIES = ("cosine", "euclidean")
 
 
 @dataclass(frozen=True)
 class VerificationPairSet:
-    """Static set of (A, B, genuine) verification pairs over held-out classes."""
+    """Static (A, B, genuine) verification pairs over held-out classes.
 
-    inputs_a: np.ndarray
-    inputs_b: np.ndarray
-    genuine: np.ndarray
+    ``inputs`` is the held-out input array itself (never a gathered copy);
+    pair ``i`` compares rows ``ids_a[i]`` and ``ids_b[i]`` of it.
+    """
+
+    inputs: np.ndarray
     ids_a: np.ndarray
     ids_b: np.ndarray
+    genuine: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs_a", np.asarray(self.inputs_a, dtype=np.float64))
-        object.__setattr__(self, "inputs_b", np.asarray(self.inputs_b, dtype=np.float64))
-        object.__setattr__(self, "genuine", np.asarray(self.genuine, dtype=bool))
+        object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
         object.__setattr__(self, "ids_a", np.asarray(self.ids_a, dtype=np.int64))
         object.__setattr__(self, "ids_b", np.asarray(self.ids_b, dtype=np.int64))
+        object.__setattr__(self, "genuine", np.asarray(self.genuine, dtype=bool))
+        if self.inputs.ndim != 2:
+            raise DataError(f"pair inputs must be a 2-d array, got shape {self.inputs.shape}")
         n = len(self.genuine)
         if n == 0:
             raise DataError("verification pair set is empty")
-        if not (len(self.inputs_a) == len(self.inputs_b) == len(self.ids_a) == len(self.ids_b) == n):
+        if not self.genuine.shape == self.ids_a.shape == self.ids_b.shape == (n,):
             raise DataError("pair set fields have inconsistent lengths")
-        if self.inputs_a.shape != self.inputs_b.shape:
-            raise DataError(
-                f"pair sides have different shapes: {self.inputs_a.shape} vs {self.inputs_b.shape}"
-            )
+        rows = len(self.inputs)
+        for side, ids in (("a", self.ids_a), ("b", self.ids_b)):
+            bad = np.flatnonzero((ids < 0) | (ids >= rows))
+            if bad.size:
+                raise DataError(
+                    f"pair {bad[0]} side {side} indexes row {ids[bad[0]]}, "
+                    f"but the inputs have {rows} rows"
+                )
         if not self.genuine.any() or self.genuine.all():
             raise DataError("pair set needs at least one genuine and one impostor pair")
 
@@ -106,42 +117,54 @@ class CompatibilityReport:
     bc_series: tuple[float, ...]
 
 
-def _row_cosine(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    norms_a = np.linalg.norm(a, axis=1)
-    norms_b = np.linalg.norm(b, axis=1)
-    for norms, side in ((norms_a, "query"), (norms_b, "gallery")):
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateFeatureError(
-                f"zero-norm {side}-side feature at {what} index {zero[0]}"
+class _SampleRows:
+    """The distinct samples a pair set touches, and each pair side's row among them."""
+
+    def __init__(self, pairs: VerificationPairSet):
+        n = len(pairs)
+        distinct, rows = np.unique(
+            np.concatenate((pairs.ids_a, pairs.ids_b)), return_inverse=True
+        )
+        self.inputs = pairs.inputs[distinct]
+        self.rows_a = rows[:n]
+        self.rows_b = rows[n:]
+
+    def features(self, model: FeatureExtractorState) -> tuple[np.ndarray, np.ndarray]:
+        """One model's features for every distinct sample, with their norms."""
+        feats = extract_features(model, self.inputs)
+        return feats, np.linalg.norm(feats, axis=1)
+
+    def cell_scores(self, query, gallery) -> np.ndarray:
+        """Cosine per pair: query features on side A, gallery features on side B.
+
+        ``query`` and ``gallery`` are ``features()`` results.
+        """
+        (feats_q, norms_q), (feats_g, norms_g) = query, gallery
+        if feats_q.shape[1] != feats_g.shape[1]:
+            raise DataError(
+                f"models have different feature dimensions: "
+                f"{feats_q.shape[1]} vs {feats_g.shape[1]}"
             )
-    return np.clip(np.sum(a * b, axis=1) / (norms_a * norms_b), -1.0, 1.0)
+        norms_a = norms_q[self.rows_a]
+        norms_b = norms_g[self.rows_b]
+        for norms, side in ((norms_a, "query"), (norms_b, "gallery")):
+            zero = np.flatnonzero(norms == 0.0)
+            if zero.size:
+                raise DegenerateFeatureError(
+                    f"zero-norm {side}-side feature at pair index {zero[0]}"
+                )
+        dots = np.sum(feats_q[self.rows_a] * feats_g[self.rows_b], axis=1)
+        return np.clip(dots / (norms_a * norms_b), -1.0, 1.0)
 
 
 def pair_scores(
     pairs: VerificationPairSet,
     query_model: FeatureExtractorState,
     gallery_model: FeatureExtractorState,
-    similarity: str = "cosine",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every pair: query model on side A, gallery model on side B.
-
-    Cosine similarity by default; ``similarity="euclidean"`` scores with the
-    negated distance so that larger still means more similar.
-    """
-    if similarity not in SIMILARITIES:
-        raise DataError(f"similarity must be one of {SIMILARITIES}, got {similarity!r}")
-    if query_model.config.feature_dim != gallery_model.config.feature_dim:
-        raise DataError(
-            f"models have different feature dimensions: "
-            f"{query_model.config.feature_dim} vs {gallery_model.config.feature_dim}"
-        )
-    feats_a = extract_features(query_model, pairs.inputs_a)
-    feats_b = extract_features(gallery_model, pairs.inputs_b)
-    if similarity == "cosine":
-        scores = _row_cosine(feats_a, feats_b, "pair")
-    else:
-        scores = -np.linalg.norm(feats_a - feats_b, axis=1)
+    """Cosine score of every pair: query model on side A, gallery model on side B."""
+    samples = _SampleRows(pairs)
+    scores = samples.cell_scores(samples.features(query_model), samples.features(gallery_model))
     return scores, pairs.genuine.copy()
 
 
@@ -157,19 +180,12 @@ def _threshold_sweep(scores: np.ndarray, genuine: np.ndarray):
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     g = genuine[order]
-    n = len(s)
     cum_genuine = np.concatenate(([0], np.cumsum(g)))
     cum_impostor = np.concatenate(([0], np.cumsum(~g)))
-    positions = [0]
-    thresholds = [-np.inf]
-    for i in range(1, n):
-        if s[i - 1] != s[i]:
-            positions.append(i)
-            thresholds.append((s[i - 1] + s[i]) / 2.0)
-    positions.append(n)
-    thresholds.append(np.inf)
-    positions = np.asarray(positions)
-    return np.asarray(thresholds), cum_genuine[positions], cum_impostor[positions]
+    cuts = np.flatnonzero(s[1:] != s[:-1]) + 1
+    positions = np.concatenate(([0], cuts, [len(s)]))
+    thresholds = np.concatenate(([-np.inf], (s[cuts - 1] + s[cuts]) / 2.0, [np.inf]))
+    return thresholds, cum_genuine[positions], cum_impostor[positions]
 
 
 def verification_accuracy(scores, genuine) -> MetricResult:
@@ -228,14 +244,14 @@ def build_compatibility_matrix(
     pairs: VerificationPairSet,
     metric: str = "accuracy",
     far_target: float | None = None,
-    similarity: str = "cosine",
 ) -> CompatibilityMatrix:
     """Score every (query model, gallery model) combination on one pair set.
 
     ``models`` are the frozen per-task checkpoints in training order. Cell
     (t, k) with t > k scores queries from the newer model against galleries
     from the older one; the diagonal holds self-tests; cells above the
-    diagonal stay zero. The same static pair set is used for every cell.
+    diagonal stay zero. The same static pair set is used for every cell, and
+    each model is extracted once over the distinct samples it touches.
     """
     models = list(models)
     if len(models) < 1:
@@ -245,16 +261,13 @@ def build_compatibility_matrix(
     if metric == "tar_at_far" and far_target is None:
         raise DataError("tar_at_far requires a far_target")
     t_count = len(models)
-    feats_a = [extract_features(m, pairs.inputs_a) for m in models]
-    feats_b = [extract_features(m, pairs.inputs_b) for m in models]
+    samples = _SampleRows(pairs)
+    features = [samples.features(m) for m in models]
     values = np.zeros((t_count, t_count), dtype=np.float64)
     thresholds = np.full((t_count, t_count), np.nan, dtype=np.float64)
     for t in range(t_count):
         for k in range(t + 1):
-            if similarity == "cosine":
-                scores = _row_cosine(feats_a[t], feats_b[k], "pair")
-            else:
-                scores = -np.linalg.norm(feats_a[t] - feats_b[k], axis=1)
+            scores = samples.cell_scores(features[t], features[k])
             result = _cell_metric(scores, pairs.genuine, metric, far_target)
             values[t, k] = result.value
             thresholds[t, k] = result.threshold

@@ -28,6 +28,7 @@ from .network import FeatureExtractorState, extract_features
 
 GALLERY_MAGIC = b"FGALLERY"
 GALLERY_VERSION = 1
+MAX_ID_BYTES = 0xFFFF  # id lengths are stored as unsigned 16-bit integers
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,13 @@ def recall_at_1(
 
 def save_gallery(gallery: Gallery, path) -> None:
     """Write the gallery file: header, id table, float32 features, SHA-256."""
+    raw_ids = [item_id.encode("utf-8") for item_id in gallery.ids]
+    for item_id, raw in zip(gallery.ids, raw_ids):
+        if len(raw) > MAX_ID_BYTES:
+            raise DataError(
+                f"gallery id {item_id[:32]!r}... is {len(raw)} UTF-8 bytes; "
+                f"the format stores at most {MAX_ID_BYTES}"
+            )
     parts = [GALLERY_MAGIC]
     has_labels = gallery.labels is not None
     parts.append(
@@ -154,8 +162,7 @@ def save_gallery(gallery: Gallery, path) -> None:
         )
     )
     parts.append(struct.pack("<q", gallery.indexed_by))
-    for item_id in gallery.ids:
-        raw = item_id.encode("utf-8")
+    for raw in raw_ids:
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
     if has_labels:

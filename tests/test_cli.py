@@ -15,7 +15,7 @@ from compatlearn.cli import (
 )
 from compatlearn.checkpoint import load_model
 from compatlearn.data import load_csv, make_synthetic, SyntheticSpec
-from compatlearn.errors import ConfigError
+from compatlearn.errors import ConfigError, DataError
 from compatlearn.gallery import index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
 
@@ -169,6 +169,23 @@ def test_report_recomputes_from_matrix(tmp_path):
     recomputed = json.loads(out.read_text())
     for key in ("ac", "bc", "fc", "bc_series", "metric", "tasks"):
         assert recomputed[key] == full[key]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# schema=compat-matrix/1 far_target=none tasks=1",
+        "# schema=compat-matrix/1 metric=accuracy tasks=1",
+        "# schema=compat-matrix/1 metric=tar_at_far far_target=abc tasks=1",
+    ],
+)
+def test_report_rejects_a_malformed_matrix_header(tmp_path, header):
+    path = tmp_path / "matrix.csv"
+    path.write_text(header + "\n0.5\n")
+    with pytest.raises(DataError):
+        read_matrix_csv(path)
+    assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_search_reads_only_the_gallery(tmp_path):

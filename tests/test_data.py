@@ -152,7 +152,26 @@ def test_pair_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.ids_a, pairs.ids_a)
     assert np.array_equal(loaded.ids_b, pairs.ids_b)
     assert np.array_equal(loaded.genuine, pairs.genuine)
-    assert np.array_equal(loaded.inputs_a, pairs.inputs_a)
+    assert np.array_equal(loaded.inputs[loaded.ids_a], pairs.inputs[pairs.ids_a])
+    assert np.array_equal(loaded.inputs[loaded.ids_b], pairs.inputs[pairs.ids_b])
+
+
+def test_pair_sets_share_the_dataset_inputs(tmp_path):
+    ds = eval_dataset()
+    pairs = generate_pairs(ds, 100, seed=3)
+    path = tmp_path / "pairs.csv"
+    save_pairs(pairs, path)
+    for pair_set in (pairs, load_pairs(path, ds)):
+        assert np.shares_memory(pair_set.inputs, ds.inputs)
+        assert pair_set.inputs.shape == ds.inputs.shape
+
+
+def test_load_pairs_rejects_out_of_range_ids(tmp_path):
+    ds = eval_dataset()
+    path = tmp_path / "pairs.csv"
+    path.write_text(f"id_a,id_b,genuine\n0,1,1\n2,{len(ds)},0\n")
+    with pytest.raises(DataError, match=":3"):
+        load_pairs(path, ds)
 
 
 def test_dataset_csv_round_trip(tmp_path):

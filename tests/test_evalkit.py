@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compatlearn import evalkit
 from compatlearn.errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from compatlearn.evalkit import (
     CompatibilityMatrix,
     VerificationPairSet,
+    _threshold_sweep,
     build_compatibility_matrix,
     compatibility_report,
     pair_scores,
     tar_at_far,
     verification_accuracy,
 )
-from compatlearn.network import ModelConfig, init_model
+from compatlearn.network import ModelConfig, extract_features, init_model
 
 
 def brute_force_accuracy(scores, genuine):
@@ -61,13 +63,13 @@ def identity_model(dim=3):
 
 
 def make_pairs(inputs_a, inputs_b, genuine):
+    """Pair i compares row i of inputs_a with row i of inputs_b, as indices."""
     n = len(genuine)
     return VerificationPairSet(
-        inputs_a=np.asarray(inputs_a, dtype=float),
-        inputs_b=np.asarray(inputs_b, dtype=float),
-        genuine=np.asarray(genuine, dtype=bool),
+        inputs=np.concatenate([inputs_a, inputs_b]).astype(float),
         ids_a=np.arange(n),
-        ids_b=np.arange(n),
+        ids_b=np.arange(n, 2 * n),
+        genuine=np.asarray(genuine, dtype=bool),
         provenance="test",
     )
 
@@ -100,6 +102,63 @@ def test_pair_scores_zero_norm_feature_reports_index():
     b = np.ones((2, 3))
     with pytest.raises(DegenerateFeatureError, match="index 1"):
         pair_scores(make_pairs(a, b, [True, False]), model, model)
+
+
+def test_pair_set_rejects_ids_outside_the_inputs():
+    inputs = np.eye(3)
+    for ids_a, ids_b, where in (([0, 3], [1, 2], "pair 1 side a"), ([0, 1], [-1, 2], "pair 0 side b")):
+        with pytest.raises(DataError, match=where):
+            VerificationPairSet(inputs=inputs, ids_a=ids_a, ids_b=ids_b, genuine=[True, False])
+    with pytest.raises(DataError, match="inconsistent"):
+        VerificationPairSet(inputs=inputs, ids_a=[0, 1], ids_b=[1], genuine=[True, False])
+
+
+def test_pair_scores_rejects_models_of_different_feature_dimensions():
+    pairs = make_pairs(np.eye(3)[:2], np.eye(3)[1:], [True, False])
+    narrow = init_model(ModelConfig(input_dim=3, hidden_layers=(), feature_dim=2, seed=0))
+    with pytest.raises(DataError, match="feature dimensions"):
+        pair_scores(pairs, identity_model(), narrow)
+
+
+def loop_threshold_sweep(scores, genuine):
+    """Reference: the sweep written as a plain loop over the sorted scores."""
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    g = genuine[order]
+    cum_genuine = np.concatenate(([0], np.cumsum(g)))
+    cum_impostor = np.concatenate(([0], np.cumsum(~g)))
+    positions = [0]
+    thresholds = [-np.inf]
+    for i in range(1, len(s)):
+        if s[i - 1] != s[i]:
+            positions.append(i)
+            thresholds.append((s[i - 1] + s[i]) / 2.0)
+    positions.append(len(s))
+    thresholds.append(np.inf)
+    positions = np.asarray(positions)
+    return np.asarray(thresholds), cum_genuine[positions], cum_impostor[positions]
+
+
+sweep_scores = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60),
+    st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.3, 1.0]), min_size=1, max_size=60),
+    st.integers(1, 60).map(lambda n: [0.125] * n),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_scores, st.data())
+def test_threshold_sweep_matches_the_loop_bitwise(scores, data):
+    scores = np.asarray(scores, dtype=np.float64)
+    genuine = np.asarray(
+        data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores))),
+        dtype=bool,
+    )
+    got = _threshold_sweep(scores, genuine)
+    want = loop_threshold_sweep(scores, genuine)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 def test_accuracy_perfect_separation():
@@ -204,6 +263,66 @@ def test_matrix_with_copied_checkpoint_repeats_the_self_test():
     matrix = build_compatibility_matrix([model, clone], random_pairs(rng))
     assert matrix.values[1, 0] == matrix.values[0, 0]
     assert matrix.values[1, 1] == matrix.values[0, 0]
+
+
+def shared_sample_pairs(rng, samples=12, n=40, dim=3):
+    """Pairs that reuse a few samples many times, as a held-out pair set does."""
+    ids = rng.integers(0, samples, size=(2, n))
+    genuine = rng.random(n) < 0.5
+    genuine[0], genuine[1] = True, False
+    inputs = rng.standard_normal((samples + 5, dim)) + 0.5
+    return VerificationPairSet(inputs=inputs, ids_a=ids[0], ids_b=ids[1], genuine=genuine)
+
+
+def tanh_models(count):
+    return [
+        init_model(ModelConfig(input_dim=3, hidden_layers=(4,), feature_dim=3, nonlinearity="tanh", seed=s))
+        for s in range(count)
+    ]
+
+
+def test_matrix_extracts_each_distinct_sample_once_per_checkpoint(monkeypatch):
+    pairs = shared_sample_pairs(np.random.default_rng(8))
+    models = tanh_models(3)
+    extracted = []
+    original = evalkit.extract_features
+
+    def counting(model, batch):
+        extracted.append(len(batch))
+        return original(model, batch)
+
+    monkeypatch.setattr(evalkit, "extract_features", counting)
+    build_compatibility_matrix(models, pairs)
+    distinct = len(np.union1d(pairs.ids_a, pairs.ids_b))
+    assert distinct < len(pairs.inputs)  # some input rows are in no pair
+    assert extracted == [distinct] * len(models)
+
+
+@pytest.mark.parametrize("metric, far", [("accuracy", None), ("tar_at_far", 0.2)])
+def test_pair_scores_reproduce_every_matrix_cell_bitwise(metric, far):
+    pairs = shared_sample_pairs(np.random.default_rng(9))
+    models = tanh_models(3)
+    matrix = build_compatibility_matrix(models, pairs, metric=metric, far_target=far)
+    for t in range(3):
+        for k in range(t + 1):
+            scores, genuine = pair_scores(pairs, models[t], models[k])
+            if metric == "accuracy":
+                result = verification_accuracy(scores, genuine)
+            else:
+                result = tar_at_far(scores, genuine, far)
+            assert result.value == matrix.values[t, k]
+            assert result.threshold == matrix.thresholds[t, k]
+
+
+def test_pair_scores_match_scoring_each_pair_on_its_own():
+    pairs = shared_sample_pairs(np.random.default_rng(10))
+    query, gallery = tanh_models(2)
+    scores, _ = pair_scores(pairs, query, gallery)
+    for i, (a, b) in enumerate(zip(pairs.ids_a, pairs.ids_b)):
+        fa = extract_features(query, pairs.inputs[a : a + 1])[0]
+        fb = extract_features(gallery, pairs.inputs[b : b + 1])[0]
+        cosine = fa @ fb / (np.linalg.norm(fa) * np.linalg.norm(fb))
+        assert scores[i] == pytest.approx(cosine, abs=1e-12)
 
 
 def lower_triangular(rng, t):

@@ -142,6 +142,18 @@ def test_save_load_without_labels(tmp_path):
     assert loaded.indexed_by == 7
 
 
+def test_save_rejects_an_id_too_long_for_the_format(tmp_path):
+    model = identity_model()
+    g = index_gallery(["a", "é" * 32768], np.eye(3)[:2], model, 1)  # 65,536 UTF-8 bytes
+    path = tmp_path / "g.gal"
+    with pytest.raises(DataError, match="65536"):
+        save_gallery(g, path)
+    assert not path.exists()
+    fits = index_gallery(["a", "x" * 65535], np.eye(3)[:2], model, 1)
+    save_gallery(fits, path)
+    assert load_gallery(path).ids == fits.ids
+
+
 def test_truncated_file_rejected(tmp_path):
     g = one_hot_gallery()
     path = tmp_path / "g.gal"
