@@ -9,6 +9,12 @@
 * Their weighted sum, with the weight scaled per task from the new-to-old
   class ratio.
 
+Both classifier modes read their distillation targets through one helper,
+``add_distillation``. A batch may carry the frozen previous model's features
+for its rows (``LabeledBatch.teacher``); the trainer computes them once per
+task, since neither that model nor the memory changes within a task. A batch
+without them has its targets extracted from the previous model on the spot.
+
 All functions are pure; logits use raw dot products by default (an optional
 normalization switch exists for ablation) and the log-sum-exp trick keeps
 large logits finite.
@@ -32,11 +38,16 @@ from .network import (
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """Inputs, class labels, and a per-sample flag marking rehearsal samples."""
+    """Inputs, class labels, and a per-sample flag marking rehearsal samples.
+
+    ``teacher``, when present, holds the previous model's features row for
+    row; rows outside the distillation scope are NaN and are never read.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
     from_memory: np.ndarray
+    teacher: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
@@ -47,12 +58,22 @@ class LabeledBatch:
                 f"batch field lengths differ: {len(self.inputs)} inputs, "
                 f"{len(self.labels)} labels, {len(self.from_memory)} flags"
             )
+        if self.teacher is not None:
+            object.__setattr__(self, "teacher", np.asarray(self.teacher, dtype=np.float64))
+            if self.teacher.ndim != 2 or len(self.teacher) != len(self.labels):
+                raise DataError(
+                    f"teacher features of shape {self.teacher.shape} do not match "
+                    f"{len(self.labels)} batch rows"
+                )
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def take(self, indices) -> "LabeledBatch":
-        return LabeledBatch(self.inputs[indices], self.labels[indices], self.from_memory[indices])
+        teacher = None if self.teacher is None else self.teacher[indices]
+        return LabeledBatch(
+            self.inputs[indices], self.labels[indices], self.from_memory[indices], teacher
+        )
 
 
 @dataclass(frozen=True)
@@ -94,7 +115,7 @@ def _softmax_core(
 ):
     """Mean cross-entropy of logits ``f @ W.T`` with gradients.
 
-    Returns (loss, dloss/dfeatures, dloss/dW or None, probabilities).
+    Returns (loss, dloss/dfeatures, dloss/dW or None).
     """
     n = len(features)
     if n == 0:
@@ -115,11 +136,10 @@ def _softmax_core(
     shift = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - shift)
     denom = exp.sum(axis=1, keepdims=True)
-    probs = exp / denom
     log_probs = (logits - shift) - np.log(denom)
     loss = -float(np.mean(log_probs[np.arange(n), labels]))
 
-    dlogits = probs.copy()
+    dlogits = exp / denom
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     deffective = dlogits @ weight_matrix
@@ -131,7 +151,7 @@ def _softmax_core(
         dfeatures = (deffective - radial * effective) / norms[:, None]
     else:
         dfeatures = deffective
-    return loss, dfeatures, dweights, probs
+    return loss, dfeatures, dweights
 
 
 def ce_simplex_loss(
@@ -148,7 +168,7 @@ def ce_simplex_loss(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    loss, dfeatures, _, _ = _softmax_core(
+    loss, dfeatures, _ = _softmax_core(
         features, labels, prototypes.vertices, normalize_features, want_weight_grads=False
     )
     return loss, dfeatures
@@ -167,22 +187,10 @@ def ce_trainable_loss(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    loss, dfeatures, dweights, _ = _softmax_core(
+    loss, dfeatures, dweights = _softmax_core(
         features, labels, class_weights, normalize_features, want_weight_grads=True
     )
     return loss, dfeatures, dweights
-
-
-def softmax_probabilities(
-    features, prototypes: SimplexPrototypes, normalize_features: bool = False
-) -> np.ndarray:
-    """Per-sample class probabilities implied by the fixed-prototype logits."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.zeros(len(features), dtype=np.int64)
-    _, _, _, probs = _softmax_core(
-        features, labels, prototypes.vertices, normalize_features, want_weight_grads=False
-    )
-    return probs
 
 
 def feature_distillation_loss(new_features, old_features) -> tuple[float, np.ndarray]:
@@ -227,6 +235,44 @@ def lambda_for_task(lambda_base: float, new_class_count: int, old_class_count: i
     return lambda_base * math.sqrt(new_class_count / old_class_count)
 
 
+def distillation_mask(batch: LabeledBatch, fd_scope: str) -> np.ndarray:
+    """Rows the distillation term covers: rehearsal samples, or every row."""
+    return batch.from_memory if fd_scope == "memory" else np.ones(len(batch), dtype=bool)
+
+
+def add_distillation(
+    batch: LabeledBatch,
+    features: np.ndarray,
+    dfeatures: np.ndarray,
+    previous_model: FeatureExtractorState | None,
+    lambda_weight: float,
+    fd_scope: str,
+) -> tuple[float, int]:
+    """Add ``lambda_weight`` times the distillation gradient to ``dfeatures``.
+
+    The targets are the batch's ``teacher`` rows when it carries them, else
+    the previous model's features computed here. Updates ``dfeatures`` in
+    place over the scope rows and returns (distillation value, rows covered);
+    (0.0, 0) when the weight is zero or the batch has no row in scope.
+    """
+    if lambda_weight <= 0:
+        return 0.0, 0
+    mask = distillation_mask(batch, fd_scope)
+    if not mask.any():
+        return 0.0, 0
+    if batch.teacher is not None:
+        old = batch.teacher[mask]
+    else:
+        # Reference path for batches built without cached targets. It runs the
+        # previous model on the whole batch, the same matmul shape as the
+        # current model's forward pass, so identical models give bitwise
+        # identical rows and a distillation value of exactly zero.
+        old = extract_features(previous_model, batch.inputs)[mask]
+    fd_value, dfd = feature_distillation_loss(features[mask], old)
+    dfeatures[mask] += lambda_weight * dfd
+    return fd_value, int(mask.sum())
+
+
 def combined_loss(
     batch: LabeledBatch,
     current_model: FeatureExtractorState,
@@ -253,19 +299,9 @@ def combined_loss(
     ce_value, dfeatures = ce_simplex_loss(
         features, batch.labels, prototypes, normalize_features=normalize_features
     )
-
-    fd_value = 0.0
-    fd_count = 0
-    if lambda_weight > 0:
-        mask = batch.from_memory if fd_scope == "memory" else np.ones(len(batch), dtype=bool)
-        if mask.any():
-            # Extract on the full batch, then subset: this keeps the old and new
-            # features bitwise comparable (same matmul shape on both sides).
-            old = extract_features(previous_model, batch.inputs)[mask]
-            fd_value, dfd = feature_distillation_loss(features[mask], old)
-            fd_count = int(mask.sum())
-            dfeatures[mask] += lambda_weight * dfd
-
+    fd_value, fd_count = add_distillation(
+        batch, features, dfeatures, previous_model, lambda_weight, fd_scope
+    )
     grads = backprop_feature_grads(current_model, cache, dfeatures)
     report = LossReport(
         ce_value=ce_value,

@@ -246,12 +246,17 @@ def sgd_update(
 ) -> None:
     """One in-place SGD step: v <- momentum*v + (g + wd*p); p <- p - lr*v.
 
-    Weight decay is applied here rather than inside the loss.
+    Weight decay is applied here rather than inside the loss. The step makes
+    one temporary the size of ``param`` and reuses it for ``lr*v``; it runs
+    the formula's operations in the formula's order, so the result is
+    bitwise that of the formula.
     """
-    g = grad + weight_decay * param
+    step = np.multiply(param, weight_decay)
+    step += grad
     velocity *= momentum
-    velocity += g
-    param -= lr * velocity
+    velocity += step
+    np.multiply(velocity, lr, out=step)
+    param -= step
 
 
 def apply_gradients(

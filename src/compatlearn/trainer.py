@@ -6,6 +6,11 @@ against the frozen previous checkpoint. When the task finishes, the model is
 snapshotted into an immutable checkpoint, the memory absorbs a sample of the
 task's data, and the next task warm-starts from the current parameters.
 
+The frozen previous checkpoint and the memory stay fixed for a whole task, so
+the checkpoint's features for the rows in the distillation scope are computed
+once when the task starts, and every mini-batch gathers its targets from
+them. Both classifier modes distill through the same ``add_distillation``.
+
 Two ablation axes are exposed: the classifier can be the fixed simplex (the
 proper procedure) or a trainable per-class weight matrix grown at every task
 (the plain experience-replay baseline), and the distillation term can cover
@@ -14,7 +19,7 @@ memory samples only, the whole batch, or be switched off.
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +29,12 @@ from .data import Task, TaskSequence
 from .errors import ConfigError, DataError, DivergenceError
 from .geometry import SimplexPrototypes, build_simplex
 from .losses import (
+    LabeledBatch,
     LossReport,
+    add_distillation,
     ce_trainable_loss,
     combined_loss,
-    feature_distillation_loss,
+    distillation_mask,
     lambda_for_task,
 )
 from .memory import EpisodicMemory, build_training_set, iter_minibatches, update_memory
@@ -107,6 +114,9 @@ class TrainableClassifier:
             [self.velocity, np.zeros((new_class_count, self.feature_dim))]
         )
 
+    def reset_optimizer(self) -> None:
+        self.velocity = np.zeros_like(self.weights)
+
     def apply_gradients(self, grads: np.ndarray, hyperparams: TrainingHyperparams, epoch: int):
         if not np.all(np.isfinite(grads)):
             raise DivergenceError("non-finite gradient in classifier weights")
@@ -153,15 +163,9 @@ def _train_batch_trainable(
     ce_value, dfeatures, dweights = ce_trainable_loss(
         features, batch.labels, classifier.weights, normalize_features=normalize_features
     )
-    fd_value = 0.0
-    fd_count = 0
-    if lambda_weight > 0:
-        mask = batch.from_memory if fd_scope == "memory" else np.ones(len(batch), dtype=bool)
-        if mask.any():
-            old = extract_features(previous, batch.inputs[mask])
-            fd_value, dfd = feature_distillation_loss(features[mask], old)
-            fd_count = int(mask.sum())
-            dfeatures[mask] += lambda_weight * dfd
+    fd_value, fd_count = add_distillation(
+        batch, features, dfeatures, previous, lambda_weight, fd_scope
+    )
     grads = backprop_feature_grads(state, cache, dfeatures)
     report = LossReport(
         ce_value=ce_value,
@@ -172,6 +176,16 @@ def _train_batch_trainable(
         fd_count=fd_count,
     )
     return report, grads, dweights
+
+
+def with_teacher(
+    training_set: LabeledBatch, previous: FeatureExtractorState, fd_scope: str
+) -> LabeledBatch:
+    """The training set carrying the previous model's features for its scope rows."""
+    scope = distillation_mask(training_set, fd_scope)
+    teacher = np.full((len(training_set), previous.config.feature_dim), np.nan)
+    teacher[scope] = extract_features(previous, training_set.inputs[scope])
+    return replace(training_set, teacher=teacher)
 
 
 def run_task(
@@ -198,6 +212,8 @@ def run_task(
     else:
         lambda_weight = lambda_for_task(hp.lambda_base, new_class_count, old_class_count)
     fd_scope = "all" if config.fd_mode == "full_batch" else "memory"
+    if lambda_weight > 0:
+        training_set = with_teacher(training_set, previous, fd_scope)
     fixed_mode = isinstance(classifier, SimplexPrototypes)
 
     rows: list[EpochLog] = []
@@ -303,6 +319,8 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
                     f"({classifier.num_classes} rows)"
                 )
         state.reset_optimizer()
+        if not fixed_mode:
+            classifier.reset_optimizer()
         checkpoint, memory, rows = run_task(state, task, previous, memory, classifier, config)
         timeline.checkpoints.append(checkpoint)
         timeline.logs.append(rows)

@@ -14,7 +14,6 @@ from compatlearn.losses import (
     combined_loss,
     feature_distillation_loss,
     lambda_for_task,
-    softmax_probabilities,
 )
 from compatlearn.network import ModelConfig, extract_features, init_model
 
@@ -77,12 +76,17 @@ def test_empty_batch_rejected():
         ce_simplex_loss(np.zeros((0, 2)), [], prototypes)
 
 
-def test_probabilities_sum_to_one():
+def test_large_logits_stay_finite():
     prototypes = build_simplex(6)
     rng = np.random.default_rng(0)
-    probs = softmax_probabilities(rng.standard_normal((20, 5)) * 50.0, prototypes)
-    assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
-    assert np.all(probs >= 0.0)
+    features = rng.standard_normal((20, 5))
+    labels = rng.integers(0, 6, size=20)
+    # At x1000 the logits reach about 2,300, past where exp overflows
+    # without the log-sum-exp shift.
+    for scale in (50.0, 1000.0):
+        loss, grad = ce_simplex_loss(features * scale, labels, prototypes)
+        assert np.isfinite(loss) and loss >= 0.0
+        assert np.all(np.isfinite(grad))
 
 
 def finite_diff_feature_grad(loss_of_features, features, eps=1e-6):
@@ -259,6 +263,16 @@ def test_distillation_ignores_current_task_samples():
     perturbed = LabeledBatch(perturbed_inputs, batch.labels, batch.from_memory)
     report2, _ = combined_loss(perturbed, current, previous, prototypes, 1.5)
     assert report2.fd_value == report.fd_value  # exactly unchanged
+
+
+def test_batch_teacher_rows_follow_take_and_must_match_the_rows():
+    batch = make_batch(np.random.default_rng(8))
+    teacher = np.arange(len(batch) * 3, dtype=np.float64).reshape(len(batch), 3)
+    taken = LabeledBatch(batch.inputs, batch.labels, batch.from_memory, teacher).take([4, 1])
+    assert np.array_equal(taken.teacher, teacher[[4, 1]])
+    assert batch.take([4, 1]).teacher is None
+    with pytest.raises(DataError):
+        LabeledBatch(batch.inputs, batch.labels, batch.from_memory, teacher[:-1])
 
 
 def test_full_batch_scope_covers_everything():

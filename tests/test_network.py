@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compatlearn.errors import ConfigError, DataError, DivergenceError
 from compatlearn.geometry import build_simplex
@@ -14,6 +16,7 @@ from compatlearn.network import (
     forward_features,
     gradient_check,
     init_model,
+    sgd_update,
 )
 
 
@@ -117,6 +120,27 @@ def test_single_step_matches_definition():
     # biases are exempt from weight decay
     for b, b0, g in zip(state.biases, bias_theta, grads.biases):
         assert np.allclose(b, b0 - 0.2 * g, atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    st.floats(1e-6, 10.0),
+    st.floats(0.0, 0.99),
+    st.one_of(st.just(0.0), st.floats(1e-8, 1.0)),
+)
+def test_sgd_update_is_bitwise_the_textbook_step(seed, shape, lr, momentum, weight_decay):
+    rng = np.random.default_rng(seed)
+    param, grad, velocity = (rng.standard_normal(shape) * 10.0 for _ in range(3))
+    g = grad + weight_decay * param
+    expected_v = momentum * velocity + g
+    expected_p = param - lr * expected_v
+    grad_before = grad.copy()
+    sgd_update(param, grad, velocity, lr, momentum, weight_decay)
+    assert param.tobytes() == expected_p.tobytes()
+    assert velocity.tobytes() == expected_v.tobytes()
+    assert grad.tobytes() == grad_before.tobytes()
 
 
 def test_milestone_schedule():

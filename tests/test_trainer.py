@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
+from compatlearn import losses, trainer
 from compatlearn.data import SyntheticSpec, make_synthetic, split_tasks
 from compatlearn.errors import ConfigError, DivergenceError
-from compatlearn.network import ModelConfig, TrainingHyperparams
+from compatlearn.geometry import build_simplex
+from compatlearn.losses import combined_loss
+from compatlearn.memory import (
+    EpisodicMemory,
+    build_training_set,
+    iter_minibatches,
+    update_memory,
+)
+from compatlearn.network import ModelConfig, TrainingHyperparams, extract_features, init_model
 from compatlearn.trainer import ExperimentConfig, run_sequence
 
 DIM = 8
@@ -194,3 +205,96 @@ def test_persistence_writes_the_training_log(tmp_path):
     log = (out / "training_log.csv").read_text().splitlines()
     assert log[0] == "task,epoch,ce,fd,lambda,total"
     assert len(log) == 1 + 2 * 4  # header + tasks * epochs
+
+
+@pytest.mark.parametrize("classifier_mode", ["fixed_simplex", "trainable"])
+@pytest.mark.parametrize("fd_mode", ["memory_only", "full_batch"])
+def test_teacher_runs_once_per_task_over_the_scope(monkeypatch, classifier_mode, fd_mode):
+    sequence, _ = tiny_sequence(num_tasks=3)
+    calls = []
+    original = trainer.extract_features
+
+    def counting(state, batch):
+        calls.append(len(batch))
+        return original(state, batch)
+
+    def per_batch(state, batch):
+        raise AssertionError("the teacher ran on a mini-batch")
+
+    monkeypatch.setattr(trainer, "extract_features", counting)
+    monkeypatch.setattr(losses, "extract_features", per_batch)
+    config = tiny_config(sequence.total_classes, classifier_mode=classifier_mode, fd_mode=fd_mode)
+    timeline = run_sequence(config, sequence)
+    memory_rows = np.cumsum([3 * len(t.classes) for t in sequence.tasks])
+    if fd_mode == "memory_only":
+        expected = [int(memory_rows[0]), int(memory_rows[1])]
+    else:
+        expected = [
+            int(memory_rows[i - 1]) + len(sequence.tasks[i].data) for i in (1, 2)
+        ]
+    assert calls == expected
+    assert all(row.fd > 0.0 for rows in timeline.logs[1:] for row in rows)
+
+
+@pytest.mark.parametrize("num_tasks, fd_mode", [(1, "memory_only"), (3, "off")])
+def test_no_teacher_without_distillation(monkeypatch, num_tasks, fd_mode):
+    sequence, _ = tiny_sequence(num_tasks=num_tasks)
+    calls = []
+    monkeypatch.setattr(trainer, "extract_features", lambda *a: calls.append(a))
+    run_sequence(tiny_config(sequence.total_classes, fd_mode=fd_mode), sequence)
+    assert calls == []
+
+
+@pytest.mark.parametrize("classifier_mode", ["fixed_simplex", "trainable"])
+@pytest.mark.parametrize("fd_scope", ["memory", "all"])
+def test_cached_teacher_matches_the_per_batch_reference(classifier_mode, fd_scope):
+    sequence, _ = tiny_sequence(num_tasks=2)
+    first, second = sequence.tasks
+    config = ModelConfig(input_dim=DIM, hidden_layers=(10,), feature_dim=sequence.total_classes - 1)
+    previous = init_model(dataclasses.replace(config, seed=1)).freeze()
+    current = init_model(dataclasses.replace(config, seed=2))
+    memory = update_memory(EpisodicMemory(per_class_budget=3, rng_seed=0), first.data, 1)
+    training_set = trainer.with_teacher(
+        build_training_set(memory, second.data), previous, fd_scope
+    )
+    batch = next(iter_minibatches(training_set, 16, np.random.default_rng(0)))
+    mask = batch.from_memory if fd_scope == "memory" else np.ones(len(batch), dtype=bool)
+    assert mask.any()
+    reference = extract_features(previous, batch.inputs)[mask]
+    assert np.allclose(batch.teacher[mask], reference, rtol=0.0, atol=1e-12)
+
+    uncached = dataclasses.replace(batch, teacher=None)
+    if classifier_mode == "fixed_simplex":
+        prototypes = build_simplex(sequence.total_classes)
+        cached_report, cached_grads = combined_loss(batch, current, previous, prototypes, 2.0, fd_scope)
+        report, grads = combined_loss(uncached, current, previous, prototypes, 2.0, fd_scope)
+    else:
+        classifier = trainer.TrainableClassifier(config.feature_dim)
+        classifier.grow(sequence.total_classes, np.random.default_rng(3))
+        cached_report, cached_grads, _ = trainer._train_batch_trainable(
+            current, batch, previous, classifier, 2.0, fd_scope, False
+        )
+        report, grads, _ = trainer._train_batch_trainable(
+            current, uncached, previous, classifier, 2.0, fd_scope, False
+        )
+    assert cached_report.fd_count == report.fd_count == int(mask.sum())
+    assert cached_report.fd_value == pytest.approx(report.fd_value, rel=0.0, abs=1e-12)
+    for a, b in zip(cached_grads.weights + cached_grads.biases, grads.weights + grads.biases):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def test_trainable_classifier_momentum_resets_at_task_boundaries(monkeypatch):
+    sequence, _ = tiny_sequence(num_tasks=3)
+    seen = []
+    original = trainer.run_task
+
+    def recording(state, task, previous, memory, classifier, config):
+        seen.append(classifier.velocity.copy())
+        return original(state, task, previous, memory, classifier, config)
+
+    monkeypatch.setattr(trainer, "run_task", recording)
+    config = tiny_config(sequence.total_classes, classifier_mode="trainable")
+    timeline = run_sequence(config, sequence)
+    assert len(seen) == 3
+    assert [v.shape[0] for v in seen] == [s.shape[0] for s in timeline.classifier_snapshots]
+    assert all(not v.any() for v in seen)
