@@ -26,7 +26,7 @@ from .data import (
     generate_pairs,
     load_csv,
     load_pairs,
-    make_synthetic,
+    make_synthetic_tasks,
     save_csv,
     save_pairs,
     split_tasks,
@@ -213,26 +213,24 @@ def _sha256_file(path: Path) -> str:
 def experiment_components(config: dict):
     """Build (sequence, eval dataset, pairs, experiment config) from a config."""
     data_cfg = config["data"]
-    if data_cfg["source"] == "csv":
-        dataset = load_csv(data_cfg["csv_path"])
-    else:
-        dataset = make_synthetic(
-            SyntheticSpec(
-                num_classes=data_cfg["num_classes"],
-                samples_per_class=data_cfg["samples_per_class"],
-                input_dim=data_cfg["input_dim"],
-                cluster_sigma=data_cfg["sigma"],
-                intrinsic_dim=data_cfg["intrinsic_dim"],
-                mean_seed=data_cfg["mean_seed"],
-                noise_seed=data_cfg["noise_seed"],
-            )
-        )
-    sequence, eval_dataset = split_tasks(
-        dataset,
+    split = dict(
         num_tasks=data_cfg["num_tasks"],
         eval_class_count=data_cfg["eval_classes"],
         seed=data_cfg["split_seed"],
     )
+    if data_cfg["source"] == "csv":
+        sequence, eval_dataset = split_tasks(load_csv(data_cfg["csv_path"]), **split)
+    else:
+        spec = SyntheticSpec(
+            num_classes=data_cfg["num_classes"],
+            samples_per_class=data_cfg["samples_per_class"],
+            input_dim=data_cfg["input_dim"],
+            cluster_sigma=data_cfg["sigma"],
+            intrinsic_dim=data_cfg["intrinsic_dim"],
+            mean_seed=data_cfg["mean_seed"],
+            noise_seed=data_cfg["noise_seed"],
+        )
+        sequence, eval_dataset = make_synthetic_tasks(spec, **split)
     pairs = generate_pairs(
         eval_dataset,
         num_pairs=config["pairs"]["num_pairs"],
@@ -243,7 +241,7 @@ def experiment_components(config: dict):
     if feature_dim is None:
         feature_dim = sequence.total_classes - 1
     model_cfg = ModelConfig(
-        input_dim=dataset.input_dim,
+        input_dim=eval_dataset.input_dim,
         hidden_layers=tuple(config["model"]["hidden_layers"]),
         feature_dim=feature_dim,
         nonlinearity=config["model"]["nonlinearity"],

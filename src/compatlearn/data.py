@@ -117,8 +117,14 @@ class SyntheticSpec:
             )
 
 
-def make_synthetic(spec: SyntheticSpec) -> LabeledDataset:
-    """Clustered samples: unit-sphere class means plus Gaussian noise, seeded."""
+def _draw_classes(spec: SyntheticSpec, parts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(inputs, labels) of each part, a list of classes, its rows in class order.
+
+    Class ``c``'s rows are its unit-sphere mean plus ``cluster_sigma`` times
+    the ``c``-th block of ``samples_per_class`` rows of the one noise stream,
+    whichever part the class lands in. Each block is drawn straight into its
+    part, so no array holds the classes of more than one part.
+    """
     mean_rng = np.random.default_rng(spec.mean_seed)
     if spec.intrinsic_dim is None:
         means = mean_rng.standard_normal((spec.num_classes, spec.input_dim))
@@ -129,12 +135,72 @@ def make_synthetic(spec: SyntheticSpec) -> LabeledDataset:
         coords = mean_rng.standard_normal((spec.num_classes, spec.intrinsic_dim))
         means = coords @ basis.T
     means /= np.linalg.norm(means, axis=1, keepdims=True)
+
+    n = spec.samples_per_class
+    drawn = []
+    block_of = {}  # class -> (part, row where its block starts)
+    for classes in parts:
+        ordered = np.sort(np.asarray(classes, dtype=np.int64))
+        for k, c in enumerate(ordered.tolist()):
+            block_of[c] = (len(drawn), k * n)
+        drawn.append((np.empty((len(ordered) * n, spec.input_dim)), np.repeat(ordered, n)))
     noise_rng = np.random.default_rng(spec.noise_seed)
-    n_total = spec.num_classes * spec.samples_per_class
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
-    noise = noise_rng.standard_normal((n_total, spec.input_dim))
-    inputs = means[labels] + spec.cluster_sigma * noise
+    for c in range(spec.num_classes):
+        part, row = block_of[c]
+        block = drawn[part][0][row : row + n]
+        noise_rng.standard_normal(out=block)
+        block *= spec.cluster_sigma
+        block += means[c]
+    return drawn
+
+
+def make_synthetic(spec: SyntheticSpec) -> LabeledDataset:
+    """Clustered samples: unit-sphere class means plus Gaussian noise, seeded."""
+    ((inputs, labels),) = _draw_classes(spec, [range(spec.num_classes)])
     return LabeledDataset(inputs=inputs, labels=labels)
+
+
+def _split_plan(all_classes, num_tasks: int, eval_class_count: int, seed: int):
+    """Training class groups in arrival order, and the held-out classes ascending."""
+    if num_tasks < 1:
+        raise DataError(f"num_tasks must be >= 1, got {num_tasks}")
+    if eval_class_count < 2:
+        raise DataError(f"eval_class_count must be >= 2, got {eval_class_count}")
+    train_count = len(all_classes) - eval_class_count
+    if train_count < num_tasks:
+        raise DataError(
+            f"{len(all_classes)} classes cannot supply {eval_class_count} evaluation "
+            f"classes and {num_tasks} nonempty tasks"
+        )
+    rng = np.random.default_rng(seed)
+    shuffled = rng.permutation(all_classes)
+    eval_classes = sorted(int(c) for c in shuffled[:eval_class_count])
+    train_order = [int(c) for c in shuffled[eval_class_count:]]
+
+    base, extra = divmod(train_count, num_tasks)
+    groups = []
+    cursor = 0
+    for t in range(num_tasks):
+        size = base + (1 if t < extra else 0)
+        groups.append(train_order[cursor : cursor + size])
+        cursor += size
+    return groups, eval_classes
+
+
+def _task_sequence(groups, parts) -> TaskSequence:
+    """Tasks from each group's (inputs, original labels), labels remapped by arrival."""
+    remap = {c: i for i, c in enumerate(c for group in groups for c in group)}
+    tasks = []
+    for t, (group, (inputs, labels)) in enumerate(zip(groups, parts)):
+        new_labels = np.array([remap[int(c)] for c in labels], dtype=np.int64)
+        tasks.append(
+            Task(
+                index=t + 1,
+                data=LabeledDataset(inputs=inputs, labels=new_labels),
+                classes=tuple(remap[c] for c in group),
+            )
+        )
+    return TaskSequence(tasks=tuple(tasks), total_classes=len(remap))
 
 
 def split_tasks(
@@ -151,42 +217,35 @@ def split_tasks(
     remapped to contiguous ids in arrival order, so task 1 owns the lowest
     ids; the held-out dataset keeps its original labels.
     """
-    if num_tasks < 1:
-        raise DataError(f"num_tasks must be >= 1, got {num_tasks}")
-    if eval_class_count < 2:
-        raise DataError(f"eval_class_count must be >= 2, got {eval_class_count}")
-    all_classes = np.unique(dataset.labels)
-    train_count = len(all_classes) - eval_class_count
-    if train_count < num_tasks:
-        raise DataError(
-            f"{len(all_classes)} classes cannot supply {eval_class_count} evaluation "
-            f"classes and {num_tasks} nonempty tasks"
-        )
-    rng = np.random.default_rng(seed)
-    shuffled = rng.permutation(all_classes)
-    eval_classes = set(int(c) for c in shuffled[:eval_class_count])
-    train_order = [int(c) for c in shuffled[eval_class_count:]]
+    groups, eval_classes = _split_plan(
+        np.unique(dataset.labels), num_tasks, eval_class_count, seed
+    )
+    parts = []
+    for classes in groups + [eval_classes]:
+        mask = np.isin(dataset.labels, classes)
+        parts.append((dataset.inputs[mask], dataset.labels[mask]))
+    eval_inputs, eval_labels = parts.pop()
+    return _task_sequence(groups, parts), LabeledDataset(inputs=eval_inputs, labels=eval_labels)
 
-    remap = {c: i for i, c in enumerate(train_order)}
-    base, extra = divmod(train_count, num_tasks)
-    tasks = []
-    cursor = 0
-    for t in range(num_tasks):
-        size = base + (1 if t < extra else 0)
-        group = train_order[cursor : cursor + size]
-        cursor += size
-        mask = np.isin(dataset.labels, group)
-        new_labels = np.array([remap[int(c)] for c in dataset.labels[mask]], dtype=np.int64)
-        tasks.append(
-            Task(
-                index=t + 1,
-                data=LabeledDataset(inputs=dataset.inputs[mask], labels=new_labels),
-                classes=tuple(remap[c] for c in group),
-            )
-        )
-    eval_mask = np.isin(dataset.labels, sorted(eval_classes))
-    eval_dataset = LabeledDataset(inputs=dataset.inputs[eval_mask], labels=dataset.labels[eval_mask])
-    return TaskSequence(tasks=tuple(tasks), total_classes=train_count), eval_dataset
+
+def make_synthetic_tasks(
+    spec: SyntheticSpec,
+    num_tasks: int,
+    eval_class_count: int,
+    seed: int = 0,
+) -> tuple[TaskSequence, LabeledDataset]:
+    """``split_tasks(make_synthetic(spec), ...)`` without the whole dataset in memory.
+
+    Every class is drawn straight into its task or into the held-out set,
+    from the same noise stream, so the arrays are bitwise those of the
+    two-step route.
+    """
+    groups, eval_classes = _split_plan(
+        np.arange(spec.num_classes, dtype=np.int64), num_tasks, eval_class_count, seed
+    )
+    parts = _draw_classes(spec, groups + [eval_classes])
+    eval_inputs, eval_labels = parts.pop()
+    return _task_sequence(groups, parts), LabeledDataset(inputs=eval_inputs, labels=eval_labels)
 
 
 def generate_pairs(
@@ -211,10 +270,12 @@ def generate_pairs(
         raise DataError("pair generation needs at least two classes")
     want = num_pairs // 2
 
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    same = dataset.labels[i_idx] == dataset.labels[j_idx]
-    genuine_candidates = np.stack([i_idx[same], j_idx[same]], axis=1)
-    impostor_candidates = np.stack([i_idx[~same], j_idx[~same]], axis=1)
+    # Candidates are the pairs (i, j) with i < j in row-major order, held as
+    # flat positions i * n + j in the n x n grid: one integer per candidate.
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = dataset.labels[:, None] == dataset.labels[None, :]
+    genuine_candidates = np.flatnonzero(upper & same)
+    impostor_candidates = np.flatnonzero(upper & ~same)
     if len(genuine_candidates) < want:
         raise DataError(
             f"cannot draw {want} genuine pairs: only {len(genuine_candidates)} exist"
@@ -226,8 +287,7 @@ def generate_pairs(
     rng = np.random.default_rng(seed)
     gen_pick = genuine_candidates[rng.choice(len(genuine_candidates), size=want, replace=False)]
     imp_pick = impostor_candidates[rng.choice(len(impostor_candidates), size=want, replace=False)]
-    ids_a = np.concatenate([gen_pick[:, 0], imp_pick[:, 0]])
-    ids_b = np.concatenate([gen_pick[:, 1], imp_pick[:, 1]])
+    ids_a, ids_b = np.divmod(np.concatenate([gen_pick, imp_pick]), n)
     genuine = np.concatenate([np.ones(want, dtype=bool), np.zeros(want, dtype=bool)])
     return VerificationPairSet(
         inputs=dataset.inputs,

@@ -27,6 +27,7 @@ from .errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from .network import FeatureExtractorState, extract_features
 
 METRIC_KINDS = ("accuracy", "tar_at_far")
+SCORE_BLOCK = 4096  # pairs whose gathered feature rows a cell holds at once
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,14 @@ class _SampleRows:
                 raise DegenerateFeatureError(
                     f"zero-norm {side}-side feature at pair index {zero[0]}"
                 )
-        dots = np.sum(feats_q[self.rows_a] * feats_g[self.rows_b], axis=1)
+        # Gathered feature rows go block by block, so a cell holds a block of
+        # them at a time rather than two copies the size of the pair set.
+        dots = np.empty(len(norms_a))
+        for start in range(0, len(dots), SCORE_BLOCK):
+            block = slice(start, start + SCORE_BLOCK)
+            rows = feats_q[self.rows_a[block]]
+            rows *= feats_g[self.rows_b[block]]
+            np.sum(rows, axis=1, out=dots[block])
         return np.clip(dots / (norms_a * norms_b), -1.0, 1.0)
 
 

@@ -8,6 +8,7 @@ from compatlearn.data import (
     load_csv,
     load_pairs,
     make_synthetic,
+    make_synthetic_tasks,
     save_csv,
     save_pairs,
     split_tasks,
@@ -46,6 +47,24 @@ def test_vanishing_sigma_collapses_to_the_mean():
         rows = ds.inputs[ds.labels == cls]
         assert np.array_equal(rows, np.tile(rows[0], (len(rows), 1)))
     assert np.allclose(np.linalg.norm(ds.inputs[::8], axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("intrinsic_dim", [None, 2])
+def test_synthetic_is_bitwise_the_means_plus_scaled_noise(intrinsic_dim):
+    s = spec(num_classes=5, samples_per_class=7, input_dim=4, intrinsic_dim=intrinsic_dim)
+    mean_rng = np.random.default_rng(s.mean_seed)
+    if intrinsic_dim is None:
+        means = mean_rng.standard_normal((5, 4))
+    else:
+        basis, _ = np.linalg.qr(mean_rng.standard_normal((4, intrinsic_dim)))
+        means = mean_rng.standard_normal((5, intrinsic_dim)) @ basis.T
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    labels = np.repeat(np.arange(5), 7)
+    noise = np.random.default_rng(s.noise_seed).standard_normal((35, 4))
+    expected = means[labels] + s.cluster_sigma * noise
+    ds = make_synthetic(s)
+    assert ds.inputs.tobytes() == expected.tobytes()
+    assert np.array_equal(ds.labels, labels)
 
 
 def test_split_sizes_and_disjointness():
@@ -102,6 +121,37 @@ def test_split_is_seeded():
     )
 
 
+@pytest.mark.parametrize(
+    "overrides, num_tasks, eval_classes, seed",
+    [
+        (dict(num_classes=30, samples_per_class=3), 3, 10, 0),
+        (dict(num_classes=11, samples_per_class=5, intrinsic_dim=2), 4, 3, 7),
+        (dict(num_classes=4, samples_per_class=1), 1, 2, 2),
+    ],
+)
+def test_synthetic_tasks_equal_the_split_of_the_whole_dataset(
+    overrides, num_tasks, eval_classes, seed
+):
+    s = spec(**overrides)
+    seq_a, eval_a = split_tasks(make_synthetic(s), num_tasks, eval_classes, seed=seed)
+    seq_b, eval_b = make_synthetic_tasks(s, num_tasks, eval_classes, seed=seed)
+    assert seq_a.total_classes == seq_b.total_classes
+    assert len(seq_a.tasks) == len(seq_b.tasks) == num_tasks
+    for a, b in zip(seq_a.tasks, seq_b.tasks):
+        assert (a.index, a.classes) == (b.index, b.classes)
+        assert a.data.inputs.tobytes() == b.data.inputs.tobytes()
+        assert np.array_equal(a.data.labels, b.data.labels)
+    assert eval_a.inputs.tobytes() == eval_b.inputs.tobytes()
+    assert np.array_equal(eval_a.labels, eval_b.labels)
+
+
+def test_synthetic_tasks_reject_what_split_rejects():
+    with pytest.raises(DataError, match="cannot supply"):
+        make_synthetic_tasks(spec(), num_tasks=5, eval_class_count=2)
+    with pytest.raises(DataError, match="eval_class_count"):
+        make_synthetic_tasks(spec(), num_tasks=2, eval_class_count=1)
+
+
 def eval_dataset():
     return make_synthetic(
         SyntheticSpec(
@@ -132,6 +182,33 @@ def test_pair_generation_is_seeded_and_without_replacement():
     assert np.array_equal(a.ids_a, b.ids_a) and np.array_equal(a.ids_b, b.ids_b)
     keys = set(zip(a.ids_a.tolist(), a.ids_b.tolist()))
     assert len(keys) == 500
+
+
+def triu_reference_pairs(ds, num_pairs, seed):
+    """Oracle: list every (i < j) candidate as a row, then draw from the lists."""
+    i_idx, j_idx = np.triu_indices(len(ds), k=1)
+    same = ds.labels[i_idx] == ds.labels[j_idx]
+    genuine = np.stack([i_idx[same], j_idx[same]], axis=1)
+    impostor = np.stack([i_idx[~same], j_idx[~same]], axis=1)
+    rng = np.random.default_rng(seed)
+    want = num_pairs // 2
+    picks = np.concatenate([
+        genuine[rng.choice(len(genuine), size=want, replace=False)],
+        impostor[rng.choice(len(impostor), size=want, replace=False)],
+    ])
+    return picks[:, 0], picks[:, 1]
+
+
+@pytest.mark.parametrize("num_pairs, seed", [(2, 0), (400, 3), (6000, 11)])
+def test_pair_generation_matches_the_listed_candidates(num_pairs, seed):
+    ds = eval_dataset()
+    # uneven class sizes and interleaved labels, so candidate order matters
+    uneven = LabeledDataset(inputs=ds.inputs[:250], labels=ds.labels[:250][::-1] % 7)
+    for data in (ds, uneven):
+        pairs = generate_pairs(data, num_pairs, seed=seed)
+        ids_a, ids_b = triu_reference_pairs(data, num_pairs, seed)
+        assert pairs.ids_a.dtype == ids_a.dtype and pairs.ids_b.dtype == ids_b.dtype
+        assert np.array_equal(pairs.ids_a, ids_a) and np.array_equal(pairs.ids_b, ids_b)
 
 
 def test_pair_generation_rejects_impossible_requests():

@@ -325,6 +325,20 @@ def test_pair_scores_match_scoring_each_pair_on_its_own():
         assert scores[i] == pytest.approx(cosine, abs=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 7, 40, 41, 4096])
+def test_pair_scores_do_not_depend_on_the_score_block(monkeypatch, block):
+    pairs = shared_sample_pairs(np.random.default_rng(11), n=41)
+    query, gallery = tanh_models(2)
+    samples = evalkit._SampleRows(pairs)
+    (fq, nq), (fg, ng) = samples.features(query), samples.features(gallery)
+    a, b = samples.rows_a, samples.rows_b
+    # the whole pair set gathered at once
+    expected = np.clip(np.sum(fq[a] * fg[b], axis=1) / (nq[a] * ng[b]), -1.0, 1.0)
+    monkeypatch.setattr(evalkit, "SCORE_BLOCK", block)
+    scores, _ = pair_scores(pairs, query, gallery)
+    assert scores.tobytes() == expected.tobytes()
+
+
 def lower_triangular(rng, t):
     values = np.tril(rng.random((t, t)))
     return CompatibilityMatrix(values=values, metric="accuracy")
