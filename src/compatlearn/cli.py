@@ -175,12 +175,12 @@ def validate_config(user: dict) -> dict:
 
 def load_config(path) -> dict:
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         user = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return validate_config(user)
 
@@ -330,7 +330,10 @@ def write_matrix_csv(matrix: CompatibilityMatrix, path) -> None:
 
 
 def read_matrix_csv(path) -> CompatibilityMatrix:
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: unreadable matrix CSV ({exc})") from exc
     if not lines or not lines[0].startswith("# schema="):
         raise DataError(f"{path}: missing matrix header line")
     header = dict(

@@ -5,10 +5,14 @@ cluster around a mean drawn on the unit sphere. Classes are split into a
 held-out evaluation set (never trained on, mirroring the open-set protocol)
 and a sequence of disjoint tasks. Externally prepared vectors come in through
 a small CSV schema: a header row, then one label column followed by the input
-columns.
+columns. The readers parse all data rows of a CSV in one numpy pass
+(``np.loadtxt``) and check them as whole arrays; a file is read again line by
+line only to name the first bad line of a file that fails.
 """
 
 import csv
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,56 +303,52 @@ def generate_pairs(
 
 
 def save_pairs(pairs: VerificationPairSet, path) -> None:
-    """Write a pair set as CSV rows of (id_a, id_b, genuine)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id_a", "id_b", "genuine"])
-        for a, b, g in zip(pairs.ids_a, pairs.ids_b, pairs.genuine):
-            writer.writerow([int(a), int(b), int(g)])
+    """Write a pair set as CSV rows of (id_a, id_b, genuine), CRLF line ends."""
+    columns = (pairs.ids_a.tolist(), pairs.ids_b.tolist(), pairs.genuine.astype(np.int8).tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("id_a,id_b,genuine\r\n")
+        fh.writelines(f"{a},{b},{g}\r\n" for a, b, g in zip(*columns))
 
 
 def load_pairs(path, dataset: LabeledDataset, provenance: str = "csv") -> VerificationPairSet:
     """Rebuild a pair set from its CSV against the dataset it indexes into.
 
-    The pair set shares ``dataset.inputs``; no input row is copied.
+    Every data row must hold exactly three integers, and both ids must index
+    into ``dataset``; the first offending row is reported with its line
+    number. A nonzero ``genuine`` cell marks a genuine pair. The pair set
+    shares ``dataset.inputs``; no input row is copied.
     """
-    ids_a, ids_b, genuine = [], [], []
-    n = len(dataset)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _open_csv(path) as (fh, header, first_line):
         if header != ["id_a", "id_b", "genuine"]:
             raise DataError(f"unexpected pair CSV header in {path}: {header}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                a, b, g = int(row[0]), int(row[1]), int(row[2])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{line_no}: malformed pair row {row}") from exc
-            if not (0 <= a < n and 0 <= b < n):
-                raise DataError(f"{path}:{line_no}: pair index out of range")
-            ids_a.append(a)
-            ids_b.append(b)
-            genuine.append(bool(g))
-    ids_a = np.asarray(ids_a, dtype=np.int64)
-    ids_b = np.asarray(ids_b, dtype=np.int64)
-    genuine = np.asarray(genuine, dtype=bool)
+        rows = _parse_rows(path, fh, first_line, _PAIR_ROW, 3, "malformed pair row")["cells"]
+    ids = rows[:, :2]
+    outside = (ids < 0) | (ids >= len(dataset))
+    if outside.any():
+        line_no = first_line + int(np.flatnonzero(outside.any(axis=1))[0])
+        raise DataError(f"{path}:{line_no}: pair index out of range")
     return VerificationPairSet(
         inputs=dataset.inputs,
-        ids_a=ids_a,
-        ids_b=ids_b,
-        genuine=genuine,
+        ids_a=np.ascontiguousarray(rows[:, 0]),
+        ids_b=np.ascontiguousarray(rows[:, 1]),
+        genuine=rows[:, 2] != 0,
         provenance=provenance,
     )
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
-    """Write a dataset in the label-then-features CSV schema."""
-    d = dataset.input_dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"x{i}" for i in range(d)])
-        for label, row in zip(dataset.labels, dataset.inputs):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+    """Write a dataset in the label-then-features CSV schema.
+
+    Floats are written as their shortest ``repr``, which reads back
+    bitwise, and lines end in CRLF, as ``csv.writer`` writes them.
+    """
+    header = ",".join(["label"] + [f"x{i}" for i in range(dataset.input_dim)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n")
+        # Row by row: one whole-array tolist() would hold every cell as a
+        # Python float at once.
+        for label, row in zip(dataset.labels.tolist(), dataset.inputs):
+            fh.write(f"{label},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def load_csv(path, input_dim: int | None = None) -> LabeledDataset:
@@ -358,11 +358,7 @@ def load_csv(path, input_dim: int | None = None) -> LabeledDataset:
     followed by the same number of finite feature values; the first offending
     row is reported with its line number.
     """
-    inputs: list[list[float]] = []
-    labels: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _open_csv(path) as (fh, header, first_line):
         if header is None:
             raise DataError(f"{path}: empty file, header required")
         if len(header) < 2 or header[0] != "label":
@@ -372,23 +368,73 @@ def load_csv(path, input_dim: int | None = None) -> LabeledDataset:
         width = len(header) - 1
         if input_dim is not None and width != input_dim:
             raise DataError(f"{path}: expected {input_dim} feature columns, header has {width}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != width + 1:
-                raise DataError(
-                    f"{path}:{line_no}: expected {width + 1} columns, got {len(row)}"
-                )
-            try:
-                label = int(row[0])
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: non-numeric cell") from exc
-            if not all(np.isfinite(values)):
-                raise DataError(f"{path}:{line_no}: non-finite value")
-            labels.append(label)
-            inputs.append(values)
-    if not inputs:
+        row_dtype = np.dtype([("label", np.int64), ("x", np.float64, (width,))])
+        rows = _parse_rows(path, fh, first_line, row_dtype, width + 1, "non-numeric cell")
+    inputs = np.ascontiguousarray(rows["x"])
+    labels = np.ascontiguousarray(rows["label"])
+    if not np.isfinite(inputs).all():
+        bad_row = np.flatnonzero(~np.isfinite(inputs).all(axis=1))[0]
+        raise DataError(f"{path}:{first_line + int(bad_row)}: non-finite value")
+    return LabeledDataset(inputs=inputs, labels=labels)
+
+
+@contextmanager
+def _open_csv(path):
+    """Yield the open file, its header row and the line number of the first data row.
+
+    Undecodable bytes and cells past the ``csv`` field limit become a
+    ``DataError``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            yield fh, header, reader.line_num + 1
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV ({exc})") from exc
+
+
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
+_PAIR_ROW = np.dtype([("cells", np.int64, (3,))])
+_LINE_ENDS = frozenset({"\n", "\r\n", "\r"})
+
+
+def _parse_rows(path, fh, first_line: int, dtype, columns: int, bad_cell: str):
+    """The rest of ``fh``, at least one line, parsed by one ``np.loadtxt`` call.
+
+    ``dtype`` is a structured row of ``columns`` cells, so the parse yields
+    one record per line and rejects a line with another column count. A
+    blank line, which ``np.loadtxt`` would skip, is rejected too. When the
+    parse fails, the file is read again line by line to report the first bad
+    line (``bad_cell`` names a line with the right number of columns that
+    does not parse).
+    """
+
+    def lines():
+        for line_no, line in enumerate(fh, start=first_line):
+            if line in _LINE_ENDS:
+                raise DataError(f"{path}:{line_no}: expected {columns} columns, got 0")
+            yield line
+
+    data = lines()
+    first = next(data, None)
+    if first is None:
         raise DataError(f"{path}: no data rows")
-    return LabeledDataset(
-        inputs=np.asarray(inputs, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    try:
+        return np.loadtxt(itertools.chain([first], data), dtype=dtype, **_LOADTXT)
+    except ValueError as exc:
+        _raise_first_bad_line(path, first_line, dtype, columns, bad_cell)
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _raise_first_bad_line(path, first_line: int, dtype, columns: int, bad_cell: str) -> None:
+    """Raise the ``DataError`` of the first data line of ``path`` that does not parse alone."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, line in enumerate(itertools.islice(fh, first_line - 1, None), first_line):
+            row = next(csv.reader([line]), [])
+            if len(row) != columns:
+                raise DataError(f"{path}:{line_no}: expected {columns} columns, got {len(row)}")
+            try:
+                np.loadtxt([line], dtype=dtype, **_LOADTXT)
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: {bad_cell}") from exc

@@ -103,6 +103,61 @@ def test_train_cli_exit_codes(tmp_path):
     assert missing == 2
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"data": {"sigma": 0.2\xff}}', b"[" * 100_000], ids=["undecodable", "deep"]
+)
+def test_unreadable_config_is_a_config_error(tmp_path, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 2
+    assert not (tmp_path / "exp").exists()
+
+
+def small_experiment(tmp_path):
+    """An experiment directory with one checkpoint and valid eval inputs."""
+    from compatlearn.checkpoint import save_model
+    from compatlearn.data import generate_pairs, save_csv, save_pairs
+
+    exp = tmp_path / "exp"
+    exp.mkdir()
+    model = init_model(
+        ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3, nonlinearity="tanh", seed=0)
+    )
+    save_model(model, exp / "checkpoint_task_001.ckpt")
+    held_out = make_synthetic(
+        SyntheticSpec(num_classes=3, samples_per_class=4, input_dim=4, cluster_sigma=0.1)
+    )
+    save_csv(held_out, exp / "eval_data.csv")
+    save_pairs(generate_pairs(held_out, 10, seed=0), exp / "pairs.csv")
+    return exp
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("eval_data.csv", b"label,x0,x1,x2,x3\n0,1,2,3,\xff\n"),
+        ("eval_data.csv", b"label,x0,x1,x2,x3\n0,1,2,3," + b"9" * 200_000 + b"\n"),
+        ("eval_data.csv", b"label,x0,x1,x2,x" + b"3" * 200_000 + b"\n0,1,2,3,4\n"),
+        ("eval_data.csv", b"label,x0,x1,x2,x3\n0,1,2,3,4\n1,1,2,3," + b"a" * 200_000 + b"\n"),
+        ("pairs.csv", b"id_a,id_b,genuine\n0,1,\xff\n"),
+    ],
+    ids=["undecodable-data", "long-number", "long-header-cell", "long-bad-cell", "undecodable-pairs"],
+)
+def test_unreadable_eval_inputs_are_data_errors(tmp_path, name, content):
+    exp = small_experiment(tmp_path)
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "ok")]) == 0
+    (exp / name).write_bytes(content)
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert not (tmp_path / "bad").exists()
+
+
+def test_undecodable_matrix_is_a_data_error(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(b"# schema=compat-matrix/1 metric=accuracy far_target=none tasks=1\n0.\xff\n")
+    assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_train_refuses_nonempty_output(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "exp"

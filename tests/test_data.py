@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from compatlearn.data import (
     LabeledDataset,
@@ -13,7 +19,8 @@ from compatlearn.data import (
     save_pairs,
     split_tasks,
 )
-from compatlearn.errors import DataError
+from compatlearn.errors import CompatLearnError, DataError
+from compatlearn.evalkit import VerificationPairSet
 
 
 def spec(**overrides):
@@ -282,3 +289,166 @@ def test_load_csv_checks_expected_width(tmp_path):
     assert load_csv(path, input_dim=2).input_dim == 2
     with pytest.raises(DataError):
         load_csv(path, input_dim=3)
+
+
+def test_load_pairs_rejects_rows_without_three_columns(tmp_path):
+    ds = eval_dataset()
+    path = tmp_path / "pairs.csv"
+    for bad_row in ("0,1,1,junk", "0,1,1,0", "0,1"):
+        path.write_text(f"id_a,id_b,genuine\n0,1,1\n2,3,0\n{bad_row}\n")
+        with pytest.raises(DataError, match=r"pairs\.csv:4: "):
+            load_pairs(path, ds)
+    path.write_text("id_a,id_b,genuine\n0,1,1,7\n2,3,0,7\n")
+    with pytest.raises(DataError, match=r"pairs\.csv:2: expected 3 columns, got 4"):
+        load_pairs(path, ds)
+
+
+# Reference codecs: the csv-module writers and per-cell readers the numpy
+# codecs in compatlearn.data must match byte for byte and bit for bit.
+
+
+def reference_save_csv(dataset, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"x{i}" for i in range(dataset.input_dim)])
+        for label, row in zip(dataset.labels, dataset.inputs):
+            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+
+
+def reference_load_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [(int(row[0]), [float(v) for v in row[1:]]) for row in reader]
+    labels = np.array([label for label, _ in rows], dtype=np.int64)
+    return labels, np.array([values for _, values in rows], dtype=np.float64)
+
+
+def reference_save_pairs(pairs, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id_a", "id_b", "genuine"])
+        for a, b, g in zip(pairs.ids_a, pairs.ids_b, pairs.genuine):
+            writer.writerow([int(a), int(b), int(g)])
+
+
+def reference_load_pairs(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [(int(a), int(b), bool(int(g))) for a, b, g in reader]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, -1e-5,
+    0.1, 1 / 3, 1e16, -1e16, 1e22, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+@st.composite
+def datasets_and_pairs(draw):
+    rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 5))
+    cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    inputs = np.array(draw(st.lists(cells, min_size=rows * width, max_size=rows * width)))
+    labels = draw(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    dataset = LabeledDataset(inputs=inputs.reshape(rows, width), labels=np.array(labels))
+    count = draw(st.integers(2, 12))
+    ids = st.lists(st.integers(0, rows - 1), min_size=count, max_size=count)
+    genuine = [True, False] + draw(st.lists(st.booleans(), min_size=count - 2, max_size=count - 2))
+    pairs = VerificationPairSet(
+        inputs=dataset.inputs, ids_a=draw(ids), ids_b=draw(ids), genuine=genuine
+    )
+    return dataset, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets_and_pairs())
+def test_codecs_match_the_csv_module_references(case):
+    dataset, pairs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
+        save_csv(dataset, ours)
+        reference_save_csv(dataset, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        loaded = load_csv(ours)
+        ref_labels, ref_inputs = reference_load_csv(ref)
+        for got in (loaded.inputs, ref_inputs):
+            assert got.tobytes() == dataset.inputs.tobytes()
+        assert loaded.labels.tobytes() == ref_labels.tobytes() == dataset.labels.tobytes()
+
+        save_pairs(pairs, ours)
+        reference_save_pairs(pairs, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        got = load_pairs(ours, dataset)
+        ref_a, ref_b, ref_genuine = reference_load_pairs(ref)
+        assert got.ids_a.tobytes() == ref_a.tobytes() == pairs.ids_a.tobytes()
+        assert got.ids_b.tobytes() == ref_b.tobytes() == pairs.ids_b.tobytes()
+        assert got.genuine.tobytes() == ref_genuine.tobytes() == pairs.genuine.tobytes()
+
+
+EDGE_ROWS = ([0, -3], [[1.5, 2.0], [-0.0, 1e-5]])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param("label,x0,x1\n0,1.5,2\n-3,-0.0,1e-5\n", EDGE_ROWS, id="lf"),
+        pytest.param("label,x0,x1\r\n0,1.5,2\r\n-3,-0.0,1e-5\r\n", EDGE_ROWS, id="crlf"),
+        pytest.param('"label","x0","x1"\n"0","1.5",2\n-3,"-0.0","1e-5"\n', EDGE_ROWS, id="quoted"),
+        pytest.param("label,x0,x1\n 0 , 1.5 ,2\n-3\t,-0.0, 1e-5 \n", EDGE_ROWS, id="padded"),
+        pytest.param("label,x0,x1\n0,1,2", ([0], [[1.0, 2.0]]), id="no-final-newline"),
+        pytest.param("label,x0,x1\n0,1,2\n\n1,3,4\n", ":3: expected 3 columns, got 0", id="blank"),
+        pytest.param("label,x0,x1\n0,1,2\n1,3,4\n\n", ":4: expected 3 columns, got 0", id="blank-last"),
+        pytest.param("label,x0,x1\n0,1,2\n1.0,3,4\n", ":3: non-numeric cell", id="float-label"),
+        pytest.param("label,x0,x1\n0,1,2\n1,3\n", ":3: expected 3 columns, got 2", id="short"),
+        pytest.param("label,x0,x1\n0,1,2\n1,3,4,5\n", ":3: expected 3 columns, got 4", id="long"),
+        pytest.param("label,x0,x1\n0,1,2\n1,3,x\n", ":3: non-numeric cell", id="non-numeric"),
+        pytest.param("label,x0,x1\n0,1,2\n1,3,inf\n", ":3: non-finite value", id="inf"),
+        pytest.param("label,x0,x1\n0,1,2\n1,3,4\n2,nan,5\n", ":4: non-finite value", id="nan"),
+        pytest.param("label,x0,x1\n0,1,2\n1,3,1e400\n", ":3: non-finite value", id="overflow"),
+        # float() and int() accept digit separators; the numpy parser does not.
+        pytest.param("label,x0,x1\n0,1,2\n1,3,1_0\n", ":3: non-numeric cell", id="underscore"),
+        pytest.param("label,x0,x1\n0,1,2\n1_0,3,4\n", ":3: non-numeric cell", id="underscore-label"),
+        pytest.param("label,x0,x1\n", "no data rows", id="header-only"),
+        pytest.param("label,x0,x1\r\n", "no data rows", id="header-only-crlf"),
+    ],
+)
+def test_load_csv_edge_cases(tmp_path, text, expected):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match=expected):
+            load_csv(path)
+    else:
+        labels, inputs = expected
+        loaded = load_csv(path)
+        assert loaded.labels.tolist() == labels
+        assert loaded.inputs.tobytes() == np.array(inputs).tobytes()
+
+
+CSV_ISH = st.text(alphabet='label,x0123456789.-+e_"inf \t\r\n\x00\xa0\xff', max_size=80).map(
+    lambda text: text.encode("utf-8", "surrogatepass")
+)
+CSV_HEADS = [b"", b"label,x0,x1\n", b"label,x0\r\n", b"id_a,id_b,genuine\n", b'"id_a",id_b,genuine\r\n']
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(CSV_HEADS), st.one_of(st.binary(max_size=80), CSV_ISH))
+def test_csv_readers_raise_only_package_errors(head, body):
+    dataset = LabeledDataset(inputs=np.eye(4), labels=np.array([0, 0, 1, 1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "fuzz.csv")
+        path.write_bytes(head + body)
+        for read in (load_csv, lambda p: load_pairs(p, dataset)):
+            try:
+                read(path)
+            except CompatLearnError:
+                pass
