@@ -1,16 +1,14 @@
 """Serialization of models, prototypes, and memory snapshots.
 
-Everything rides on the section container from ``container.py`` with a JSON
-"meta" section describing shapes and little-endian float64 blobs for the
-numeric payloads, which makes round trips bit-exact.
+Each artifact is a container from ``container.py`` with a JSON "meta" section
+describing shapes and little-endian float64 blobs for the numeric payloads,
+which makes round trips bit-exact. Writes are atomic and malformed meta
+becomes a ``CorruptFileError`` (``container.read_artifact``).
 """
-
-import json
 
 import numpy as np
 
-from .container import read_container, write_container
-from .errors import CorruptFileError
+from .container import read_artifact, write_artifact
 from .geometry import SimplexPrototypes
 from .memory import EpisodicMemory, MemoryEntry
 from .network import FeatureExtractorState, ModelConfig
@@ -28,9 +26,7 @@ def _array_bytes(arr: np.ndarray) -> bytes:
 
 
 def _array_from(payload: bytes, shape) -> np.ndarray:
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-    arr.setflags(write=True)
-    return arr
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def save_model(state: FeatureExtractorState, path) -> None:
@@ -48,7 +44,7 @@ def save_model(state: FeatureExtractorState, path) -> None:
         "weight_shapes": [list(w.shape) for w in state.weights],
         "bias_shapes": [list(b.shape) for b in state.biases],
     }
-    sections = [("meta", json.dumps(meta, sort_keys=True).encode("utf-8"))]
+    sections = []
     for i, w in enumerate(state.weights):
         sections.append((f"w{i}", _array_bytes(w)))
     for i, b in enumerate(state.biases):
@@ -57,13 +53,11 @@ def save_model(state: FeatureExtractorState, path) -> None:
         sections.append((f"vw{i}", _array_bytes(v)))
     for i, v in enumerate(state.velocity_b):
         sections.append((f"vb{i}", _array_bytes(v)))
-    write_container(path, MODEL_MAGIC, MODEL_VERSION, sections)
+    write_artifact(path, MODEL_MAGIC, MODEL_VERSION, meta, sections)
 
 
 def load_model(path) -> FeatureExtractorState:
-    _, sections = read_container(path, MODEL_MAGIC, MODEL_VERSION)
-    try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
+    with read_artifact(path, MODEL_MAGIC, MODEL_VERSION, "model checkpoint") as (meta, sections):
         cfg = meta["config"]
         config = ModelConfig(
             input_dim=cfg["input_dim"],
@@ -78,9 +72,7 @@ def load_model(path) -> FeatureExtractorState:
         vel_w = [_array_from(sections[f"vw{i}"], meta["weight_shapes"][i]) for i in range(n)]
         vel_b = [_array_from(sections[f"vb{i}"], meta["bias_shapes"][i]) for i in range(n)]
         step = int(meta["step"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CorruptFileError(f"{path}: malformed model checkpoint ({exc})") from exc
-    return FeatureExtractorState(config, weights, biases, vel_w, vel_b, step=step)
+        return FeatureExtractorState(config, weights, biases, vel_w, vel_b, step=step)
 
 
 def save_prototypes(prototypes: SimplexPrototypes, path) -> None:
@@ -88,30 +80,21 @@ def save_prototypes(prototypes: SimplexPrototypes, path) -> None:
         "num_vertices": prototypes.num_vertices,
         "dim": prototypes.dim,
         "alpha": prototypes.alpha,
-        "centered": prototypes.centered,
     }
-    sections = [
-        ("meta", json.dumps(meta, sort_keys=True).encode("utf-8")),
-        ("vertices", _array_bytes(prototypes.vertices)),
-    ]
-    write_container(path, PROTO_MAGIC, PROTO_VERSION, sections)
+    sections = [("vertices", _array_bytes(prototypes.vertices))]
+    write_artifact(path, PROTO_MAGIC, PROTO_VERSION, meta, sections)
 
 
 def load_prototypes(path) -> SimplexPrototypes:
-    _, sections = read_container(path, PROTO_MAGIC, PROTO_VERSION)
-    try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
+    with read_artifact(path, PROTO_MAGIC, PROTO_VERSION, "prototype file") as (meta, sections):
         vertices = _array_from(sections["vertices"], (meta["num_vertices"], meta["dim"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CorruptFileError(f"{path}: malformed prototype file ({exc})") from exc
-    vertices.setflags(write=False)
-    return SimplexPrototypes(
-        num_vertices=int(meta["num_vertices"]),
-        dim=int(meta["dim"]),
-        vertices=vertices,
-        alpha=float(meta["alpha"]),
-        centered=bool(meta["centered"]),
-    )
+        vertices.setflags(write=False)
+        return SimplexPrototypes(
+            num_vertices=int(meta["num_vertices"]),
+            dim=int(meta["dim"]),
+            vertices=vertices,
+            alpha=float(meta["alpha"]),
+        )
 
 
 def save_memory(memory: EpisodicMemory, path) -> None:
@@ -128,17 +111,12 @@ def save_memory(memory: EpisodicMemory, path) -> None:
         inputs = np.stack([e.input for e in memory.entries])
     else:
         inputs = np.empty((0, 0), dtype=np.float64)
-    sections = [
-        ("meta", json.dumps(meta, sort_keys=True).encode("utf-8")),
-        ("inputs", _array_bytes(inputs)),
-    ]
-    write_container(path, MEMORY_MAGIC, MEMORY_VERSION, sections)
+    sections = [("inputs", _array_bytes(inputs))]
+    write_artifact(path, MEMORY_MAGIC, MEMORY_VERSION, meta, sections)
 
 
 def load_memory(path) -> EpisodicMemory:
-    _, sections = read_container(path, MEMORY_MAGIC, MEMORY_VERSION)
-    try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
+    with read_artifact(path, MEMORY_MAGIC, MEMORY_VERSION, "memory snapshot") as (meta, sections):
         count = int(meta["count"])
         dim = int(meta["input_dim"])
         inputs = _array_from(sections["inputs"], (count, dim) if count else (0, 0))
@@ -151,10 +129,8 @@ def load_memory(path) -> EpisodicMemory:
             )
             for i in range(count)
         )
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise CorruptFileError(f"{path}: malformed memory snapshot ({exc})") from exc
-    return EpisodicMemory(
-        per_class_budget=int(meta["per_class_budget"]),
-        rng_seed=int(meta["rng_seed"]),
-        entries=entries,
-    )
+        return EpisodicMemory(
+            per_class_budget=int(meta["per_class_budget"]),
+            rng_seed=int(meta["rng_seed"]),
+            entries=entries,
+        )

@@ -11,6 +11,7 @@ divergence.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -301,17 +302,7 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     config_text = canonical_json(config)
     (out / "config.json").write_text(config_text)
-    experiment = ExperimentConfig(
-        model=experiment.model,
-        hyperparams=experiment.hyperparams,
-        memory_per_class=experiment.memory_per_class,
-        classifier_mode=experiment.classifier_mode,
-        fd_mode=experiment.fd_mode,
-        train_seed=experiment.train_seed,
-        normalize_features=experiment.normalize_features,
-        output_dir=out,
-    )
-    timeline = run_sequence(experiment, sequence)
+    timeline = run_sequence(dataclasses.replace(experiment, output_dir=out), sequence)
     save_csv(eval_dataset, out / "eval_data.csv")
     save_pairs(pairs, out / "pairs.csv")
     write_manifest(out, config_text, timeline.task_seconds)

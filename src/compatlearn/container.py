@@ -1,6 +1,8 @@
-"""Self-describing binary container used by checkpoint files.
+"""Self-describing binary container used by every binary artifact.
 
-Layout, all little-endian:
+Checkpoints, prototypes, memory snapshots (``checkpoint.py``) and gallery
+files (``gallery.py``) are all containers; only their magic, version and
+sections differ. Layout, all little-endian:
 
     magic            8 bytes
     format version   u32
@@ -13,33 +15,48 @@ Layout, all little-endian:
         checksum     u32 (CRC-32 of the payload)
 
 Readers refuse wrong magic, truncated data, checksum mismatches, trailing
-garbage, and versions newer than they understand.
+garbage, and any version other than the one they read. Writers go through a
+``<path>.tmp`` file that is renamed onto ``path`` only once complete, so a
+write that fails leaves the old file (or none), never half a file.
 """
 
+import json
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import CorruptFileError, UnsupportedVersionError
 
 MAGIC_LEN = 8
 
+# Raised by malformed meta or sections: missing keys, wrong types or shapes,
+# undecodable text, numbers too large, JSON nested past the recursion limit.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError)
+
 
 def write_container(path, magic: bytes, version: int, sections: list[tuple[str, bytes]]) -> None:
     if len(magic) != MAGIC_LEN:
         raise ValueError(f"magic must be exactly {MAGIC_LEN} bytes, got {len(magic)}")
-    parts = [magic, struct.pack("<II", version, len(sections))]
-    for name, payload in sections:
-        name_bytes = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<Q", len(payload)))
-        parts.append(payload)
-        parts.append(struct.pack("<I", zlib.crc32(payload)))
-    Path(path).write_bytes(b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + struct.pack("<II", version, len(sections)))
+            for name, payload in sections:
+                name_bytes = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(name_bytes)) + name_bytes)
+                fh.write(struct.pack("<Q", len(payload)))
+                fh.write(payload)
+                fh.write(struct.pack("<I", zlib.crc32(payload)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def read_container(path, magic: bytes, max_version: int) -> tuple[int, dict[str, bytes]]:
+def read_container(path, magic: bytes, version: int) -> dict[str, bytes]:
     blob = Path(path).read_bytes()
     offset = 0
 
@@ -53,10 +70,10 @@ def read_container(path, magic: bytes, max_version: int) -> tuple[int, dict[str,
 
     if take(MAGIC_LEN, "magic") != magic:
         raise CorruptFileError(f"{path}: bad magic, not a {magic!r} file")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version > max_version:
+    found, count = struct.unpack("<II", take(8, "header"))
+    if found != version:
         raise UnsupportedVersionError(
-            f"{path}: format version {version} is newer than supported ({max_version})"
+            f"{path}: format version {found}, this build reads only version {version}"
         )
     sections: dict[str, bytes] = {}
     for _ in range(count):
@@ -73,4 +90,23 @@ def read_container(path, magic: bytes, max_version: int) -> tuple[int, dict[str,
         sections[name] = payload
     if offset != len(blob):
         raise CorruptFileError(f"{path}: {len(blob) - offset} trailing bytes")
-    return version, sections
+    return sections
+
+
+def write_artifact(path, magic: bytes, version: int, meta: dict, sections) -> None:
+    """Write a container whose first section, "meta", is ``meta`` as sorted-key JSON."""
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    write_container(path, magic, version, [("meta", meta_bytes), *sections])
+
+
+@contextmanager
+def read_artifact(path, magic: bytes, version: int, kind: str):
+    """Read a container; yield its decoded "meta" JSON and its sections.
+
+    Malformed meta or sections met in the ``with`` body become a CorruptFileError.
+    """
+    sections = read_container(path, magic, version)
+    try:
+        yield json.loads(sections["meta"].decode("utf-8")), sections
+    except _MALFORMED as exc:
+        raise CorruptFileError(f"{path}: malformed {kind} ({exc!r})") from exc

@@ -34,7 +34,7 @@ class CorruptFileError(DataError):
 
 
 class UnsupportedVersionError(DataError):
-    """A serialized artifact declares a format version newer than this build."""
+    """A serialized artifact declares a format version this build does not read."""
 
 
 class MetricUndefinedError(CompatLearnError):

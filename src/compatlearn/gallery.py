@@ -9,26 +9,27 @@ exact; galleries at this scale are small and oracle tests need exactness.
 On disk features are float32; in memory and in all similarity computations
 they are float64. Stored features are quantized to the float32 grid at index
 time so a save/load cycle is bit-exact.
+
+A gallery file is a ``container.py`` container (magic ``FGALLERY``, format
+version 2) with these sections:
+
+    meta      JSON: indexed_by, dim, count, has_labels
+    ids       UTF-8 JSON array of the ids, as strings
+    labels    little-endian int64, one per id; present only with labels
+    features  little-endian float32, count x dim, row-major
 """
 
-import hashlib
-import struct
+import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorruptFileError,
-    DataError,
-    DegenerateFeatureError,
-    UnsupportedVersionError,
-)
+from .container import read_artifact, write_artifact
+from .errors import DataError, DegenerateFeatureError
 from .network import FeatureExtractorState, extract_features
 
 GALLERY_MAGIC = b"FGALLERY"
-GALLERY_VERSION = 1
-MAX_ID_BYTES = 0xFFFF  # id lengths are stored as unsigned 16-bit integers
+GALLERY_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -142,73 +143,34 @@ def recall_at_1(
 
 
 def save_gallery(gallery: Gallery, path) -> None:
-    """Write the gallery file: header, id table, float32 features, SHA-256."""
-    raw_ids = [item_id.encode("utf-8") for item_id in gallery.ids]
-    for item_id, raw in zip(gallery.ids, raw_ids):
-        if len(raw) > MAX_ID_BYTES:
-            raise DataError(
-                f"gallery id {item_id[:32]!r}... is {len(raw)} UTF-8 bytes; "
-                f"the format stores at most {MAX_ID_BYTES}"
-            )
-    parts = [GALLERY_MAGIC]
+    """Write the gallery file (format version 2, see the module docstring)."""
     has_labels = gallery.labels is not None
-    parts.append(
-        struct.pack(
-            "<IIIQ",
-            GALLERY_VERSION,
-            1 if has_labels else 0,
-            gallery.feature_dim,
-            len(gallery),
-        )
-    )
-    parts.append(struct.pack("<q", gallery.indexed_by))
-    for raw in raw_ids:
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
+    meta = {
+        "indexed_by": gallery.indexed_by,
+        "dim": gallery.feature_dim,
+        "count": len(gallery),
+        "has_labels": has_labels,
+    }
+    sections = [("ids", json.dumps(gallery.ids).encode("utf-8"))]
     if has_labels:
-        parts.append(np.asarray(gallery.labels, dtype="<i8").tobytes())
-    parts.append(np.ascontiguousarray(gallery.features, dtype="<f4").tobytes())
-    body = b"".join(parts)
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+        sections.append(("labels", np.asarray(gallery.labels, dtype="<i8").tobytes()))
+    sections.append(("features", np.ascontiguousarray(gallery.features, dtype="<f4").tobytes()))
+    write_artifact(path, GALLERY_MAGIC, GALLERY_VERSION, meta, sections)
 
 
 def load_gallery(path) -> Gallery:
-    blob = Path(path).read_bytes()
-    if len(blob) < 32:
-        raise CorruptFileError(f"{path}: too short to be a gallery file")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CorruptFileError(f"{path}: checksum mismatch")
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(body):
-            raise CorruptFileError(f"{path}: truncated while reading {what}")
-        piece = body[offset : offset + n]
-        offset += n
-        return piece
-
-    if take(8, "magic") != GALLERY_MAGIC:
-        raise CorruptFileError(f"{path}: not a gallery file")
-    version, has_labels, dim, count = struct.unpack("<IIIQ", take(20, "header"))
-    if version > GALLERY_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: gallery format version {version} is newer than supported "
-            f"({GALLERY_VERSION})"
+    with read_artifact(path, GALLERY_MAGIC, GALLERY_VERSION, "gallery file") as (meta, sections):
+        count, dim = meta["count"], meta["dim"]
+        ids = json.loads(sections["ids"].decode("utf-8"))
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise ValueError("ids section is not a list of strings")
+        labels = None
+        if meta["has_labels"]:
+            labels = tuple(np.frombuffer(sections["labels"], dtype="<i8").reshape(count).tolist())
+        features = np.frombuffer(sections["features"], dtype="<f4").reshape(count, dim)
+        return Gallery(
+            ids=tuple(ids),
+            features=features.astype(np.float64),
+            indexed_by=int(meta["indexed_by"]),
+            labels=labels,
         )
-    (indexed_by,) = struct.unpack("<q", take(8, "model version"))
-    ids = []
-    for _ in range(count):
-        (id_len,) = struct.unpack("<H", take(2, "id length"))
-        ids.append(take(id_len, "id").decode("utf-8"))
-    labels = None
-    if has_labels:
-        labels = tuple(
-            int(v) for v in np.frombuffer(take(8 * count, "labels"), dtype="<i8")
-        )
-    feats = np.frombuffer(take(4 * count * dim, "features"), dtype="<f4")
-    if offset != len(body):
-        raise CorruptFileError(f"{path}: {len(body) - offset} trailing bytes")
-    features = feats.astype(np.float64).reshape(count, dim)
-    return Gallery(ids=tuple(ids), features=features, indexed_by=indexed_by, labels=labels)

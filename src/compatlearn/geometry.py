@@ -27,27 +27,15 @@ class SimplexPrototypes:
     dim: int
     vertices: np.ndarray
     alpha: float
-    centered: bool = False
-
-    def row(self, class_id: int) -> np.ndarray:
-        """Prototype vector for one class slot."""
-        return self.vertices[class_id]
-
-    def checksum_bytes(self) -> bytes:
-        return self.vertices.tobytes()
 
 
-def build_simplex(total_classes: int, centered: bool = False) -> SimplexPrototypes:
+def build_simplex(total_classes: int) -> SimplexPrototypes:
     """Construct the prototype matrix for ``total_classes`` class slots.
 
     The vertices are the ``n - 1`` standard basis vectors plus the constant
     vector ``alpha * (1, ..., 1)`` with ``alpha = (1 - sqrt(n)) / (n - 1)``.
     This makes every pairwise vertex distance equal to sqrt(2), the regularity
     property the training objective relies on.
-
-    With ``centered=True`` the vertex mean is subtracted and each vertex is
-    rescaled to unit norm. Pairwise distances then stay equal to each other
-    but are no longer sqrt(2). Off by default; provided for experimentation.
     """
     n = int(total_classes)
     if n < 2:
@@ -57,10 +45,5 @@ def build_simplex(total_classes: int, centered: bool = False) -> SimplexPrototyp
     vertices = np.zeros((n, dim), dtype=np.float64)
     vertices[:dim, :] = np.eye(dim, dtype=np.float64)
     vertices[dim, :] = alpha
-    if centered:
-        vertices -= vertices.mean(axis=0, keepdims=True)
-        vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)
     vertices.setflags(write=False)
-    return SimplexPrototypes(
-        num_vertices=n, dim=dim, vertices=vertices, alpha=alpha, centered=centered
-    )
+    return SimplexPrototypes(num_vertices=n, dim=dim, vertices=vertices, alpha=alpha)

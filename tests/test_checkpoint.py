@@ -1,8 +1,24 @@
+import json
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from compatlearn.checkpoint import (
+    MEMORY_MAGIC,
+    MEMORY_VERSION,
     MODEL_MAGIC,
+    MODEL_VERSION,
+    PROTO_MAGIC,
+    PROTO_VERSION,
     load_memory,
     load_model,
     load_prototypes,
@@ -12,7 +28,8 @@ from compatlearn.checkpoint import (
 )
 from compatlearn.container import read_container, write_container
 from compatlearn.data import LabeledDataset
-from compatlearn.errors import CorruptFileError, UnsupportedVersionError
+from compatlearn.errors import CompatLearnError, CorruptFileError, UnsupportedVersionError
+from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, load_gallery
 from compatlearn.geometry import build_simplex
 from compatlearn.memory import EpisodicMemory, update_memory
 from compatlearn.network import ModelConfig, TrainingHyperparams, ParamGrads, apply_gradients, init_model
@@ -137,6 +154,16 @@ def test_newer_version_refused(tmp_path):
         load_model(path)
 
 
+def test_older_version_refused(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(trained_state(), path)
+    blob = bytearray(path.read_bytes())
+    blob[8] = 0  # the version field is the first u32 after the 8-byte magic
+    path.write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedVersionError):
+        load_model(path)
+
+
 def test_trailing_garbage_detected(tmp_path):
     path = tmp_path / "box.bin"
     write_container(path, b"CONTAIN1", 1, [("x", b"abc")])
@@ -149,6 +176,107 @@ def test_container_preserves_sections(tmp_path):
     path = tmp_path / "box.bin"
     sections = [("alpha", b"\x00\x01\x02"), ("beta", b""), ("gamma", b"hello")]
     write_container(path, b"CONTAIN1", 1, sections)
-    version, loaded = read_container(path, b"CONTAIN1", 1)
-    assert version == 1
-    assert loaded == dict(sections)
+    assert read_container(path, b"CONTAIN1", 1) == dict(sections)
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    """A write that fails partway through (here: the file size limit) changes nothing."""
+    path = tmp_path / "box.bin"
+    write_container(path, b"CONTAIN1", 1, [("old", b"previous contents")])
+    before = path.read_bytes()
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        from compatlearn.container import write_container
+
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+        write_container(sys.argv[1], b"CONTAIN1", 1, [("new", bytes(100_000))])
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode != 0
+    assert "File too large" in result.stderr
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["box.bin"]
+
+
+LOADERS = {
+    "model": (load_model, MODEL_MAGIC, MODEL_VERSION),
+    "prototypes": (load_prototypes, PROTO_MAGIC, PROTO_VERSION),
+    "memory": (load_memory, MEMORY_MAGIC, MEMORY_VERSION),
+    "gallery": (load_gallery, GALLERY_MAGIC, GALLERY_VERSION),
+}
+SECTION_NAMES = [
+    "meta", "w0", "b0", "vw0", "vb0", "vertices", "inputs", "ids", "labels", "features",
+]
+META_KEYS = [
+    "config", "input_dim", "hidden_layers", "feature_dim", "nonlinearity", "seed", "step",
+    "num_layers", "weight_shapes", "bias_shapes", "num_vertices", "dim", "alpha",
+    "per_class_budget", "rng_seed", "count", "labels", "source_tasks", "sample_indices",
+    "indexed_by", "has_labels",
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(META_KEYS) | st.text(max_size=8), children, max_size=6),
+    max_leaves=20,
+)
+# Every key present, with values near what the readers expect, so shape and type
+# checks past the key lookups are reached.
+SMALL_INTS = st.integers(-1, 4)
+SMALL_VALUES = st.one_of(
+    SMALL_INTS,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(SMALL_INTS, max_size=3),
+    st.lists(st.lists(SMALL_INTS, max_size=3), max_size=2),
+)
+META_PAYLOADS = st.one_of(
+    JSON_VALUES.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.fixed_dictionaries({key: SMALL_VALUES for key in META_KEYS}).map(
+        lambda meta: json.dumps(meta).encode("utf-8")
+    ),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth),
+    st.binary(max_size=40),
+)
+SECTIONS = st.lists(
+    st.tuples(st.sampled_from(SECTION_NAMES) | st.text(max_size=8), st.binary(max_size=96)),
+    max_size=6,
+)
+
+
+def assert_only_package_errors(kind, write):
+    """Write a file with ``write(path)``; loading it may raise only package errors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "fuzz.bin")
+        write(path)
+        try:
+            LOADERS[kind][0](path)
+        except CompatLearnError:
+            pass
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(LOADERS)), st.booleans(), st.binary(max_size=200))
+def test_readers_raise_only_package_errors_on_arbitrary_bytes(kind, with_header, tail):
+    _, magic, version = LOADERS[kind]
+    head = magic + struct.pack("<I", version) if with_header else b""
+    assert_only_package_errors(kind, lambda path: path.write_bytes(head + tail))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(LOADERS)), META_PAYLOADS, SECTIONS)
+def test_readers_raise_only_package_errors_on_well_formed_containers(kind, meta, sections):
+    _, magic, version = LOADERS[kind]
+    assert_only_package_errors(
+        kind, lambda path: write_container(path, magic, version, [("meta", meta), *sections])
+    )

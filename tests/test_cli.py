@@ -13,7 +13,8 @@ from compatlearn.cli import (
     read_matrix_csv,
     validate_config,
 )
-from compatlearn.checkpoint import load_model
+from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model
+from compatlearn.container import write_container
 from compatlearn.data import load_csv, make_synthetic, SyntheticSpec
 from compatlearn.errors import ConfigError, DataError
 from compatlearn.gallery import index_gallery, save_gallery
@@ -148,6 +149,15 @@ def test_unreadable_eval_inputs_are_data_errors(tmp_path, name, content):
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "ok")]) == 0
     (exp / name).write_bytes(content)
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert not (tmp_path / "bad").exists()
+
+
+def test_checkpoint_meta_nested_too_deep_is_a_data_error(tmp_path, capsys):
+    exp = small_experiment(tmp_path)
+    meta = b"[" * 100_000
+    write_container(exp / "checkpoint_task_001.ckpt", MODEL_MAGIC, MODEL_VERSION, [("meta", meta)])
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err.startswith("error[data]: ")
     assert not (tmp_path / "bad").exists()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from compatlearn.errors import (
     UnsupportedVersionError,
 )
 from compatlearn.gallery import (
+    GALLERY_MAGIC,
     index_gallery,
     load_gallery,
     recall_at_1,
@@ -142,16 +144,12 @@ def test_save_load_without_labels(tmp_path):
     assert loaded.indexed_by == 7
 
 
-def test_save_rejects_an_id_too_long_for_the_format(tmp_path):
+def test_save_load_round_trips_a_65536_byte_id(tmp_path):
     model = identity_model()
     g = index_gallery(["a", "é" * 32768], np.eye(3)[:2], model, 1)  # 65,536 UTF-8 bytes
     path = tmp_path / "g.gal"
-    with pytest.raises(DataError, match="65536"):
-        save_gallery(g, path)
-    assert not path.exists()
-    fits = index_gallery(["a", "x" * 65535], np.eye(3)[:2], model, 1)
-    save_gallery(fits, path)
-    assert load_gallery(path).ids == fits.ids
+    save_gallery(g, path)
+    assert load_gallery(path).ids == g.ids
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -175,22 +173,57 @@ def test_flipped_byte_rejected(tmp_path):
         load_gallery(path)
 
 
+def test_every_single_byte_corruption_is_rejected(tmp_path):
+    path = tmp_path / "g.gal"
+    save_gallery(one_hot_gallery(), path)
+    blob = path.read_bytes()
+    corrupt = tmp_path / "corrupt.gal"
+    for offset in range(len(blob)):
+        for mask in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF):
+            flipped = bytearray(blob)
+            flipped[offset] ^= mask
+            corrupt.write_bytes(bytes(flipped))
+            with pytest.raises((CorruptFileError, UnsupportedVersionError)):
+                load_gallery(corrupt)
+
+
 def test_newer_version_rejected(tmp_path):
     g = one_hot_gallery()
     path = tmp_path / "g.gal"
     save_gallery(g, path)
     blob = bytearray(path.read_bytes())
-    # bump the version field (first u32 after the 8-byte magic) and re-seal
-    blob[8] = 99
-    body = bytes(blob[:-32])
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    blob[8] = 99  # the version field is the first u32 after the 8-byte magic
+    path.write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersionError):
+        load_gallery(path)
+
+
+def version_1_gallery_blob(ids, labels, features, indexed_by):
+    """The retired version-1 layout, byte for byte: header, id table, features, SHA-256."""
+    features = np.asarray(features, dtype="<f4")
+    count, dim = features.shape
+    parts = [GALLERY_MAGIC, struct.pack("<IIIQ", 1, labels is not None, dim, count)]
+    parts.append(struct.pack("<q", indexed_by))
+    for item_id in ids:
+        raw = item_id.encode("utf-8")
+        parts.append(struct.pack("<H", len(raw)) + raw)
+    if labels is not None:
+        parts.append(np.asarray(labels, dtype="<i8").tobytes())
+    parts.append(features.tobytes())
+    body = b"".join(parts)
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 2), None], ids=["labels", "no-labels"])
+def test_version_1_gallery_is_rejected(tmp_path, labels):
+    path = tmp_path / "v1.gal"
+    path.write_bytes(version_1_gallery_blob(["a", "b", "c"], labels, np.eye(3), indexed_by=1))
+    with pytest.raises(UnsupportedVersionError, match="version 1"):
         load_gallery(path)
 
 
 def test_not_a_gallery_file_rejected(tmp_path):
     path = tmp_path / "junk.gal"
-    body = b"NOTAGALL" + b"\x00" * 30
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    path.write_bytes(b"NOTAGALL" + b"\x00" * 30)
     with pytest.raises(CorruptFileError):
         load_gallery(path)

@@ -70,12 +70,3 @@ def test_capacity_below_two_rejected():
         build_simplex(1)
     with pytest.raises(ConfigError):
         build_simplex(0)
-
-
-def test_centered_variant_is_equidistant_unit_norm():
-    p = build_simplex(6, centered=True)
-    norms = np.linalg.norm(p.vertices, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
-    assert np.allclose(p.vertices.mean(axis=0), 0.0, atol=1e-9)
-    distances = brute_force_distances(p.vertices)
-    assert np.allclose(distances, distances[0], atol=1e-9)
