@@ -44,7 +44,6 @@ from .geometry import SimplexPrototypes, build_simplex
 from .losses import (
     LabeledBatch,
     LossReport,
-    ce_simplex_loss,
     combined_loss,
     feature_distillation_loss,
     lambda_for_task,
@@ -98,7 +97,6 @@ __all__ = [
     "build_simplex",
     "LabeledBatch",
     "LossReport",
-    "ce_simplex_loss",
     "combined_loss",
     "feature_distillation_loss",
     "lambda_for_task",

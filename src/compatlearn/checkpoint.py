@@ -10,7 +10,8 @@ import numpy as np
 
 from .container import read_artifact, write_artifact
 from .geometry import SimplexPrototypes
-from .memory import EpisodicMemory, MemoryEntry
+from .errors import CorruptFileError
+from .memory import EpisodicMemory
 from .network import FeatureExtractorState, ModelConfig
 
 MODEL_MAGIC = b"MODLCKPT"
@@ -19,6 +20,8 @@ PROTO_MAGIC = b"PROTOSET"
 PROTO_VERSION = 1
 MEMORY_MAGIC = b"MEMSNAPS"
 MEMORY_VERSION = 1
+# The per-row metadata of a memory snapshot, stored as JSON lists in "meta".
+_MEMORY_COLUMNS = ("labels", "source_tasks", "sample_indices")
 
 
 def _array_bytes(arr: np.ndarray) -> bytes:
@@ -66,7 +69,14 @@ def load_model(path) -> FeatureExtractorState:
             nonlinearity=cfg["nonlinearity"],
             seed=cfg["seed"],
         )
-        n = meta["num_layers"]
+        sizes = config.layer_sizes()
+        n = len(sizes) - 1
+        if (
+            meta["num_layers"] != n
+            or meta["weight_shapes"] != [list(shape) for shape in zip(sizes, sizes[1:])]
+            or meta["bias_shapes"] != [[size] for size in sizes[1:]]
+        ):
+            raise CorruptFileError(f"{path}: stored layer shapes do not match layer sizes {sizes}")
         weights = [_array_from(sections[f"w{i}"], meta["weight_shapes"][i]) for i in range(n)]
         biases = [_array_from(sections[f"b{i}"], meta["bias_shapes"][i]) for i in range(n)]
         vel_w = [_array_from(sections[f"vw{i}"], meta["weight_shapes"][i]) for i in range(n)]
@@ -102,17 +112,12 @@ def save_memory(memory: EpisodicMemory, path) -> None:
         "per_class_budget": memory.per_class_budget,
         "rng_seed": memory.rng_seed,
         "count": len(memory),
-        "input_dim": int(memory.entries[0].input.shape[0]) if memory.entries else 0,
-        "labels": [e.label for e in memory.entries],
-        "source_tasks": [e.source_task for e in memory.entries],
-        "sample_indices": [e.sample_index for e in memory.entries],
+        "input_dim": memory.inputs.shape[1] if len(memory) else 0,
+        **{column: getattr(memory, column).tolist() for column in _MEMORY_COLUMNS},
     }
-    if memory.entries:
-        inputs = np.stack([e.input for e in memory.entries])
-    else:
-        inputs = np.empty((0, 0), dtype=np.float64)
-    sections = [("inputs", _array_bytes(inputs))]
-    write_artifact(path, MEMORY_MAGIC, MEMORY_VERSION, meta, sections)
+    write_artifact(
+        path, MEMORY_MAGIC, MEMORY_VERSION, meta, [("inputs", _array_bytes(memory.inputs))]
+    )
 
 
 def load_memory(path) -> EpisodicMemory:
@@ -120,17 +125,12 @@ def load_memory(path) -> EpisodicMemory:
         count = int(meta["count"])
         dim = int(meta["input_dim"])
         inputs = _array_from(sections["inputs"], (count, dim) if count else (0, 0))
-        entries = tuple(
-            MemoryEntry(
-                input=inputs[i],
-                label=int(meta["labels"][i]),
-                source_task=int(meta["source_tasks"][i]),
-                sample_index=int(meta["sample_indices"][i]),
-            )
-            for i in range(count)
-        )
+        columns = {name: np.asarray(meta[name], dtype=np.int64) for name in _MEMORY_COLUMNS}
+        if any(column.shape != (count,) for column in columns.values()):
+            raise CorruptFileError(f"{path}: memory columns do not all hold {count} rows")
         return EpisodicMemory(
             per_class_budget=int(meta["per_class_budget"]),
             rng_seed=int(meta["rng_seed"]),
-            entries=entries,
+            inputs=inputs,
+            **columns,
         )

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -63,7 +64,8 @@ def _is_int(v):
 
 
 def _is_num(v):
-    return _is_int(v) or isinstance(v, float)
+    # False for NaN, infinity and integers too large to become a float.
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 def _int_list(v):
@@ -181,7 +183,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         user = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return validate_config(user)
 
@@ -339,6 +341,8 @@ def read_matrix_csv(path) -> CompatibilityMatrix:
         far = None if header["far_target"] == "none" else float(header["far_target"])
     except ValueError as exc:
         raise DataError(f"{path}: far_target {header['far_target']!r} is not a number") from exc
+    if far is not None and not math.isfinite(far):
+        raise DataError(f"{path}: far_target {header['far_target']!r} is not finite")
     try:
         values = np.array(
             [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=np.float64

@@ -93,7 +93,8 @@ class CompatibilityMatrix:
         if np.any(np.triu(values, k=1) != 0.0):
             raise DataError("compatibility matrix must be zero above the diagonal")
         tril = values[np.tril_indices(values.shape[0])]
-        if np.any((tril < 0.0) | (tril > 1.0)):
+        # Written so that NaN, which fails every comparison, fails the check.
+        if not np.all((tril >= 0.0) & (tril <= 1.0)):
             raise DataError("compatibility matrix entries must lie in [0, 1]")
         if self.metric not in METRIC_KINDS:
             raise DataError(f"unknown metric kind {self.metric!r}")

@@ -4,7 +4,8 @@ The classifier weight matrix used for global feature stationarity is the set
 of vertices of a regular simplex: ``n`` maximally separated vectors living in
 ``n - 1`` dimensions, one row per class slot (already seen classes and slots
 reserved for future ones). The matrix is built once in closed form, is never
-trained, and is shared by every model in a training sequence.
+trained, and is shared by every model in a training sequence. Its ``loss``
+is the softmax cross-entropy the trainable baseline classifier also uses.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .losses import softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,15 @@ class SimplexPrototypes:
     dim: int
     vertices: np.ndarray
     alpha: float
+
+    def loss(self, features, labels, normalize_features: bool):
+        """Cross-entropy against every prototype row: (loss, dloss/dfeatures, None).
+
+        Samples are also pushed away from slots that no task has used yet.
+        """
+        return softmax_cross_entropy(
+            features, labels, self.vertices, normalize_features, want_weight_grads=False
+        )
 
 
 def build_simplex(total_classes: int) -> SimplexPrototypes:

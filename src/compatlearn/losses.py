@@ -1,19 +1,21 @@
 """The three quantities of the training objective.
 
-* Cross-entropy against the fixed simplex prototypes, with the softmax
-  denominator ranging over the full class capacity: slots already assigned to
-  seen classes and slots still unassigned both contribute.
+* Cross-entropy from the classifier's own ``loss`` method, which is
+  ``softmax_cross_entropy`` over its rows. For the fixed simplex prototypes
+  the denominator ranges over the full class capacity: slots already
+  assigned to seen classes and slots still unassigned both contribute.
 * Feature distillation restricted to rehearsal samples: one minus the cosine
   between the current and the previous model's features, averaged over the
   memory samples present.
 * Their weighted sum, with the weight scaled per task from the new-to-old
   class ratio.
 
-Both classifier modes read their distillation targets through one helper,
-``add_distillation``. A batch may carry the frozen previous model's features
-for its rows (``LabeledBatch.teacher``); the trainer computes them once per
-task, since neither that model nor the memory changes within a task. A batch
-without them has its targets extracted from the previous model on the spot.
+``combined_loss`` is the one training step of both classifier modes. It
+reads the distillation targets through ``add_distillation``. A batch may
+carry the frozen previous model's features for its rows
+(``LabeledBatch.teacher``); the trainer computes them once per task, since
+neither that model nor the memory changes within a task. A batch without
+them has its targets extracted from the previous model on the spot.
 
 All functions are pure; logits use raw dot products by default (an optional
 normalization switch exists for ablation) and the log-sum-exp trick keeps
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateFeatureError
-from .geometry import SimplexPrototypes
 from .network import (
     FeatureExtractorState,
     ParamGrads,
@@ -106,9 +107,9 @@ def _normalize_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return features / norms[:, None], norms
 
 
-def _softmax_core(
-    features: np.ndarray,
-    labels: np.ndarray,
+def softmax_cross_entropy(
+    features,
+    labels,
     weight_matrix: np.ndarray,
     normalize_features: bool,
     want_weight_grads: bool,
@@ -117,6 +118,8 @@ def _softmax_core(
 
     Returns (loss, dloss/dfeatures, dloss/dW or None).
     """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     n = len(features)
     if n == 0:
         raise ValueError("cross-entropy mean over an empty batch is undefined")
@@ -151,45 +154,6 @@ def _softmax_core(
         dfeatures = (deffective - radial * effective) / norms[:, None]
     else:
         dfeatures = deffective
-    return loss, dfeatures, dweights
-
-
-def ce_simplex_loss(
-    features,
-    labels,
-    prototypes: SimplexPrototypes,
-    normalize_features: bool = False,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy against the full fixed prototype matrix.
-
-    The denominator covers every prototype row, so samples are also pushed
-    away from class slots that no task has used yet. Returns the mean loss
-    and its gradient with respect to each feature vector.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    loss, dfeatures, _ = _softmax_core(
-        features, labels, prototypes.vertices, normalize_features, want_weight_grads=False
-    )
-    return loss, dfeatures
-
-
-def ce_trainable_loss(
-    features,
-    labels,
-    class_weights: np.ndarray,
-    normalize_features: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy for a trainable classifier covering only seen classes.
-
-    Unlike the fixed-prototype loss there are no rows for future classes.
-    Returns (loss, dloss/dfeatures, dloss/dclass_weights).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    loss, dfeatures, dweights = _softmax_core(
-        features, labels, class_weights, normalize_features, want_weight_grads=True
-    )
     return loss, dfeatures, dweights
 
 
@@ -277,18 +241,21 @@ def combined_loss(
     batch: LabeledBatch,
     current_model: FeatureExtractorState,
     previous_model: FeatureExtractorState | None,
-    prototypes: SimplexPrototypes,
+    classifier,
     lambda_weight: float,
     fd_scope: str = "memory",
     normalize_features: bool = False,
 ) -> tuple[LossReport, ParamGrads]:
     """Cross-entropy over the whole batch plus weighted distillation.
 
-    The distillation term covers only the samples flagged as rehearsal memory
+    ``classifier`` is the fixed ``SimplexPrototypes`` or the trainer's
+    ``TrainableClassifier``; its ``loss`` gives the cross-entropy term. The
+    distillation term covers only the samples flagged as rehearsal memory
     (``fd_scope="memory"``, the default) or every sample (``fd_scope="all"``,
     the traditional variant kept for ablation). A batch that happens to carry
     no eligible samples contributes a zero distillation term. Gradients flow
-    through the current model only.
+    through the current model and, when it is trainable, the classifier's
+    rows (``ParamGrads.classifier``); the previous model stays untouched.
     """
     if fd_scope not in ("memory", "all"):
         raise ConfigError(f"fd_scope must be 'memory' or 'all', got {fd_scope!r}")
@@ -296,13 +263,12 @@ def combined_loss(
         raise ConfigError("distillation weight is positive but no previous model was given")
 
     features, cache = forward_features(current_model, batch.inputs)
-    ce_value, dfeatures = ce_simplex_loss(
-        features, batch.labels, prototypes, normalize_features=normalize_features
-    )
+    ce_value, dfeatures, dweights = classifier.loss(features, batch.labels, normalize_features)
     fd_value, fd_count = add_distillation(
         batch, features, dfeatures, previous_model, lambda_weight, fd_scope
     )
     grads = backprop_feature_grads(current_model, cache, dfeatures)
+    grads.classifier = dweights
     report = LossReport(
         ce_value=ce_value,
         fd_value=fd_value,

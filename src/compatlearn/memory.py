@@ -1,12 +1,16 @@
 """Episodic rehearsal memory: a bounded per-class store of past-task samples.
 
 After a task finishes, a seeded uniform sample of its data (without
-replacement, at most the per-class budget) is appended. Existing entries are
+replacement, at most the per-class budget) is appended. Existing rows are
 never touched, so the store only grows and earlier tasks stay represented by
 the exact samples first drawn for them.
+
+The store is columnar: row ``i`` of ``inputs``, ``labels``, ``source_tasks``
+and ``sample_indices`` together describe one stored sample, so building a
+training set or a snapshot reads whole arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -16,34 +20,40 @@ from .errors import DisjointnessError
 from .losses import LabeledBatch
 
 
-@dataclass(frozen=True)
-class MemoryEntry:
-    input: np.ndarray
-    label: int
-    source_task: int
-    sample_index: int
+def _no_rows() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class EpisodicMemory:
+    """Stored samples as four row-aligned columns.
+
+    An empty memory has ``inputs`` of shape (0, 0): it has no input width yet.
+    """
+
     per_class_budget: int
     rng_seed: int
-    entries: tuple[MemoryEntry, ...] = ()
+    inputs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    labels: np.ndarray = field(default_factory=_no_rows)
+    source_tasks: np.ndarray = field(default_factory=_no_rows)
+    sample_indices: np.ndarray = field(default_factory=_no_rows)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
 
     def classes(self) -> tuple[int, ...]:
-        return tuple(sorted({e.label for e in self.entries}))
+        return tuple(np.unique(self.labels).tolist())
 
     def class_count(self) -> int:
-        return len({e.label for e in self.entries})
+        return len(np.unique(self.labels))
 
     def per_class_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for e in self.entries:
-            sizes[e.label] = sizes.get(e.label, 0) + 1
-        return sizes
+        classes, sizes = np.unique(self.labels, return_counts=True)
+        return dict(zip(classes.tolist(), sizes.tolist()))
+
+    def input_rows(self, input_dim: int) -> np.ndarray:
+        """``inputs`` with ``input_dim`` columns, also when the memory is empty."""
+        return self.inputs.reshape(len(self), input_dim)
 
 
 def update_memory(
@@ -60,32 +70,26 @@ def update_memory(
     index), so identical runs store identical sample ids.
     """
     budget = memory.per_class_budget if per_class is None else int(per_class)
-    stored = set(e.label for e in memory.entries)
-    new_classes = sorted(int(c) for c in np.unique(task_data.labels))
-    overlap = stored.intersection(new_classes)
-    if overlap:
+    new_classes = np.unique(task_data.labels)
+    overlap = np.intersect1d(memory.labels, new_classes)
+    if overlap.size:
         raise DisjointnessError(
-            f"task {task_index} classes {sorted(overlap)} already present in memory"
+            f"task {task_index} classes {overlap.tolist()} already present in memory"
         )
     rng = np.random.default_rng([memory.rng_seed, task_index])
-    added: list[MemoryEntry] = []
+    picked = [_no_rows()]
     for cls in new_classes:
         candidates = np.flatnonzero(task_data.labels == cls)
         take = min(budget, len(candidates))
-        picked = np.sort(rng.choice(candidates, size=take, replace=False))
-        for idx in picked:
-            added.append(
-                MemoryEntry(
-                    input=task_data.inputs[idx],
-                    label=cls,
-                    source_task=task_index,
-                    sample_index=int(idx),
-                )
-            )
+        picked.append(np.sort(rng.choice(candidates, size=take, replace=False)))
+    picked = np.concatenate(picked)
     return EpisodicMemory(
         per_class_budget=memory.per_class_budget,
         rng_seed=memory.rng_seed,
-        entries=memory.entries + tuple(added),
+        inputs=np.concatenate([memory.input_rows(task_data.input_dim), task_data.inputs[picked]]),
+        labels=np.concatenate([memory.labels, task_data.labels[picked]]),
+        source_tasks=np.concatenate([memory.source_tasks, np.full(len(picked), task_index)]),
+        sample_indices=np.concatenate([memory.sample_indices, picked]),
     )
 
 
@@ -95,18 +99,12 @@ def build_training_set(memory: EpisodicMemory, task_data: LabeledDataset) -> Lab
     Memory rows come first with the memory flag set; the epoch loop is
     responsible for seeded shuffling.
     """
-    if len(memory) == 0:
-        mem_inputs = np.empty((0, task_data.input_dim), dtype=np.float64)
-        mem_labels = np.empty(0, dtype=np.int64)
-    else:
-        mem_inputs = np.stack([e.input for e in memory.entries])
-        mem_labels = np.asarray([e.label for e in memory.entries], dtype=np.int64)
-    inputs = np.concatenate([mem_inputs, task_data.inputs])
-    labels = np.concatenate([mem_labels, task_data.labels])
-    flags = np.concatenate(
-        [np.ones(len(mem_labels), dtype=bool), np.zeros(len(task_data), dtype=bool)]
+    labels = np.concatenate([memory.labels, task_data.labels])
+    return LabeledBatch(
+        inputs=np.concatenate([memory.input_rows(task_data.input_dim), task_data.inputs]),
+        labels=labels,
+        from_memory=np.arange(len(labels)) < len(memory),
     )
-    return LabeledBatch(inputs=inputs, labels=labels, from_memory=flags)
 
 
 def iter_minibatches(

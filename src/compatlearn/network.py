@@ -95,10 +95,14 @@ class TrainingHyperparams:
 
 @dataclass
 class ParamGrads:
-    """Gradients shaped like the parameters of a FeatureExtractorState."""
+    """Gradients shaped like the parameters of a FeatureExtractorState.
+
+    ``classifier`` is the gradient of a trainable classifier's rows, or None.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    classifier: np.ndarray | None = None
 
 
 class FeatureExtractorState:
@@ -223,12 +227,12 @@ def backprop_feature_grads(
     dbiases = [None] * len(state.biases)
     delta = np.asarray(dfeatures, dtype=np.float64)
     for i in range(last, -1, -1):
-        h_in, z, _ = cache[i]
+        h_in, z, a = cache[i]
         if i < last:
             if nl == "relu":
                 delta = delta * (z > 0.0)
             else:
-                delta = delta * (1.0 - np.tanh(z) ** 2)
+                delta = delta * (1.0 - a**2)
         dweights[i] = h_in.T @ delta
         dbiases[i] = delta.sum(axis=0)
         if i > 0:

@@ -9,7 +9,11 @@ task's data, and the next task warm-starts from the current parameters.
 The frozen previous checkpoint and the memory stay fixed for a whole task, so
 the checkpoint's features for the rows in the distillation scope are computed
 once when the task starts, and every mini-batch gathers its targets from
-them. Both classifier modes distill through the same ``add_distillation``.
+them.
+
+Both classifier modes run the same step, ``losses.combined_loss``, through
+the classifier's ``loss`` method. Only the trainable classifier returns a
+gradient for its rows, which it then applies to itself.
 
 Two ablation axes are exposed: the classifier can be the fixed simplex (the
 proper procedure) or a trainable per-class weight matrix grown at every task
@@ -30,12 +34,10 @@ from .errors import ConfigError, DataError, DivergenceError
 from .geometry import SimplexPrototypes, build_simplex
 from .losses import (
     LabeledBatch,
-    LossReport,
-    add_distillation,
-    ce_trainable_loss,
     combined_loss,
     distillation_mask,
     lambda_for_task,
+    softmax_cross_entropy,
 )
 from .memory import EpisodicMemory, build_training_set, iter_minibatches, update_memory
 from .network import (
@@ -43,9 +45,7 @@ from .network import (
     ModelConfig,
     TrainingHyperparams,
     apply_gradients,
-    backprop_feature_grads,
     extract_features,
-    forward_features,
     init_model,
     sgd_update,
 )
@@ -117,6 +117,15 @@ class TrainableClassifier:
     def reset_optimizer(self) -> None:
         self.velocity = np.zeros_like(self.weights)
 
+    def loss(self, features, labels, normalize_features: bool):
+        """Cross-entropy over the seen classes: (loss, dloss/dfeatures, dloss/dweights).
+
+        Unlike the fixed prototypes there are no rows for future classes.
+        """
+        return softmax_cross_entropy(
+            features, labels, self.weights, normalize_features, want_weight_grads=True
+        )
+
     def apply_gradients(self, grads: np.ndarray, hyperparams: TrainingHyperparams, epoch: int):
         if not np.all(np.isfinite(grads)):
             raise DivergenceError("non-finite gradient in classifier weights")
@@ -148,34 +157,6 @@ class ModelTimeline:
 
     def all_log_rows(self) -> list[EpochLog]:
         return [row for task_rows in self.logs for row in task_rows]
-
-
-def _train_batch_trainable(
-    state: FeatureExtractorState,
-    batch,
-    previous: FeatureExtractorState | None,
-    classifier: TrainableClassifier,
-    lambda_weight: float,
-    fd_scope: str,
-    normalize_features: bool,
-):
-    features, cache = forward_features(state, batch.inputs)
-    ce_value, dfeatures, dweights = ce_trainable_loss(
-        features, batch.labels, classifier.weights, normalize_features=normalize_features
-    )
-    fd_value, fd_count = add_distillation(
-        batch, features, dfeatures, previous, lambda_weight, fd_scope
-    )
-    grads = backprop_feature_grads(state, cache, dfeatures)
-    report = LossReport(
-        ce_value=ce_value,
-        fd_value=fd_value,
-        lambda_weight=lambda_weight,
-        total=ce_value + lambda_weight * fd_value,
-        ce_count=len(batch),
-        fd_count=fd_count,
-    )
-    return report, grads, dweights
 
 
 def with_teacher(
@@ -214,7 +195,6 @@ def run_task(
     fd_scope = "all" if config.fd_mode == "full_batch" else "memory"
     if lambda_weight > 0:
         training_set = with_teacher(training_set, previous, fd_scope)
-    fixed_mode = isinstance(classifier, SimplexPrototypes)
 
     rows: list[EpochLog] = []
     for epoch in range(hp.epochs_per_task):
@@ -225,31 +205,20 @@ def run_task(
         fd_n = 0
         for batch in iter_minibatches(training_set, hp.batch_size, rng):
             try:
-                if fixed_mode:
-                    report, grads = combined_loss(
-                        batch,
-                        state,
-                        previous,
-                        classifier,
-                        lambda_weight,
-                        fd_scope=fd_scope,
-                        normalize_features=config.normalize_features,
-                    )
-                else:
-                    report, grads, dweights = _train_batch_trainable(
-                        state,
-                        batch,
-                        previous,
-                        classifier,
-                        lambda_weight,
-                        fd_scope,
-                        config.normalize_features,
-                    )
+                report, grads = combined_loss(
+                    batch,
+                    state,
+                    previous,
+                    classifier,
+                    lambda_weight,
+                    fd_scope=fd_scope,
+                    normalize_features=config.normalize_features,
+                )
                 if not np.isfinite(report.total):
                     raise DivergenceError("non-finite loss")
                 apply_gradients(state, grads, hp, epoch)
-                if not fixed_mode:
-                    classifier.apply_gradients(dweights, hp, epoch)
+                if grads.classifier is not None:
+                    classifier.apply_gradients(grads.classifier, hp, epoch)
             except DivergenceError as exc:
                 raise DivergenceError(f"task {task.index}, epoch {epoch}: {exc}") from None
             ce_sum += report.ce_value * report.ce_count
@@ -289,15 +258,11 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
     """
     fixed_mode = config.classifier_mode == "fixed_simplex"
     if fixed_mode:
-        if config.model.feature_dim != sequence.total_classes - 1:
-            raise ConfigError(
-                f"fixed-classifier runs need feature_dim == capacity - 1: "
-                f"{config.model.feature_dim} != {sequence.total_classes} - 1"
-            )
         classifier = build_simplex(sequence.total_classes)
     else:
         classifier = TrainableClassifier(config.model.feature_dim)
-
+    # With the capacity given, init_model refuses a feature_dim that is not
+    # capacity - 1, which the fixed simplex needs.
     state = init_model(config.model, sequence.total_classes if fixed_mode else None)
     memory = EpisodicMemory(
         per_class_budget=config.memory_per_class,
@@ -318,9 +283,8 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
                     f"task {task.index} labels exceed the grown classifier "
                     f"({classifier.num_classes} rows)"
                 )
-        state.reset_optimizer()
-        if not fixed_mode:
             classifier.reset_optimizer()
+        state.reset_optimizer()
         checkpoint, memory, rows = run_task(state, task, previous, memory, classifier, config)
         timeline.checkpoints.append(checkpoint)
         timeline.logs.append(rows)

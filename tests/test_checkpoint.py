@@ -90,24 +90,25 @@ def test_prototypes_round_trip(tmp_path):
         loaded.vertices[0, 0] = 1.0
 
 
-def test_memory_round_trip(tmp_path):
+def small_memory():
     rng = np.random.default_rng(1)
     data = LabeledDataset(
         inputs=rng.standard_normal((40, 5)),
         labels=np.repeat(np.arange(4, dtype=np.int64), 10),
     )
-    memory = update_memory(EpisodicMemory(per_class_budget=3, rng_seed=5), data, task_index=1)
+    return update_memory(EpisodicMemory(per_class_budget=3, rng_seed=5), data, task_index=1)
+
+
+def test_memory_round_trip(tmp_path):
+    memory = small_memory()
     path = tmp_path / "memory.ckpt"
     save_memory(memory, path)
     loaded = load_memory(path)
     assert loaded.per_class_budget == 3
     assert loaded.rng_seed == 5
     assert len(loaded) == len(memory)
-    for a, b in zip(memory.entries, loaded.entries):
-        assert a.label == b.label
-        assert a.source_task == b.source_task
-        assert a.sample_index == b.sample_index
-        assert a.input.tobytes() == b.input.tobytes()
+    for name in ("labels", "source_tasks", "sample_indices", "inputs"):
+        assert getattr(loaded, name).tobytes() == getattr(memory, name).tobytes()
 
 
 def test_empty_memory_round_trip(tmp_path):
@@ -117,6 +118,20 @@ def test_empty_memory_round_trip(tmp_path):
     loaded = load_memory(path)
     assert len(loaded) == 0
     assert loaded.per_class_budget == 9
+
+
+@pytest.mark.parametrize("column", ["labels", "source_tasks", "sample_indices"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_memory_column_of_the_wrong_length_is_refused(tmp_path, column, change):
+    path = tmp_path / "memory.ckpt"
+    save_memory(small_memory(), path)
+    sections = read_container(path, MEMORY_MAGIC, MEMORY_VERSION)
+    meta = json.loads(sections.pop("meta"))
+    meta[column] = meta[column][:change] if change < 0 else meta[column] + [0]
+    payload = [("meta", json.dumps(meta).encode("utf-8")), *sections.items()]
+    write_container(path, MEMORY_MAGIC, MEMORY_VERSION, payload)
+    with pytest.raises(CorruptFileError, match="rows"):
+        load_memory(path)
 
 
 def test_truncation_detected(tmp_path):

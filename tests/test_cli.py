@@ -1,22 +1,29 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from compatlearn.cli import (
+    DEFAULT_CONFIG,
     apply_master_seed,
     cmd_eval,
     cmd_report,
     cmd_search,
     cmd_train,
+    load_config,
     main,
     read_matrix_csv,
     validate_config,
 )
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model
-from compatlearn.container import write_container
+from compatlearn.container import read_container, write_container
 from compatlearn.data import load_csv, make_synthetic, SyntheticSpec
-from compatlearn.errors import ConfigError, DataError
+from compatlearn.errors import CompatLearnError, ConfigError, CorruptFileError, DataError
 from compatlearn.gallery import index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
 
@@ -105,7 +112,16 @@ def test_train_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", [b'{"data": {"sigma": 0.2\xff}}', b"[" * 100_000], ids=["undecodable", "deep"]
+    "content",
+    [
+        b'{"data": {"sigma": 0.2\xff}}',
+        b"[" * 100_000,
+        b'{"model": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"training": {"learning_rate": Infinity}}',
+        b'{"data": {"sigma": Infinity}}',
+        b'{"training": {"learning_rate": 1' + b"0" * 400 + b"}}",
+    ],
+    ids=["undecodable", "deep", "int-too-long", "infinite-rate", "infinite-sigma", "rate-too-large"],
 )
 def test_unreadable_config_is_a_config_error(tmp_path, content):
     config = tmp_path / "config.json"
@@ -156,6 +172,25 @@ def test_checkpoint_meta_nested_too_deep_is_a_data_error(tmp_path, capsys):
     exp = small_experiment(tmp_path)
     meta = b"[" * 100_000
     write_container(exp / "checkpoint_task_001.ckpt", MODEL_MAGIC, MODEL_VERSION, [("meta", meta)])
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err.startswith("error[data]: ")
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("weight_shapes", [[2, 12], [6, 3]]), ("bias_shapes", [[6], [2]]), ("num_layers", 1)],
+)
+def test_checkpoint_with_wrong_layer_shapes_is_a_data_error(tmp_path, capsys, key, value):
+    exp = small_experiment(tmp_path)
+    path = exp / "checkpoint_task_001.ckpt"
+    sections = read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    meta = json.loads(sections.pop("meta"))
+    meta[key] = value
+    payload = [("meta", json.dumps(meta).encode("utf-8")), *sections.items()]
+    write_container(path, MODEL_MAGIC, MODEL_VERSION, payload)
+    with pytest.raises(CorruptFileError, match="layer shapes"):
+        load_model(path)
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
     assert capsys.readouterr().err.startswith("error[data]: ")
     assert not (tmp_path / "bad").exists()
@@ -242,12 +277,23 @@ def test_report_recomputes_from_matrix(tmp_path):
         "# schema=compat-matrix/1 far_target=none tasks=1",
         "# schema=compat-matrix/1 metric=accuracy tasks=1",
         "# schema=compat-matrix/1 metric=tar_at_far far_target=abc tasks=1",
+        "# schema=compat-matrix/1 metric=tar_at_far far_target=nan tasks=1",
+        "# schema=compat-matrix/1 metric=tar_at_far far_target=inf tasks=1",
     ],
 )
 def test_report_rejects_a_malformed_matrix_header(tmp_path, header):
     path = tmp_path / "matrix.csv"
     path.write_text(header + "\n0.5\n")
     with pytest.raises(DataError):
+        read_matrix_csv(path)
+    assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_report_rejects_a_nan_cell(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("# schema=compat-matrix/1 metric=accuracy far_target=none tasks=2\n0.5,0\nnan,0.5\n")
+    with pytest.raises(DataError, match=r"\[0, 1\]"):
         read_matrix_csv(path)
     assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
     assert not (tmp_path / "r.json").exists()
@@ -343,3 +389,88 @@ def test_loaded_checkpoints_reproduce_training_features(tmp_path):
 
     feats = extract_features(model, eval_ds.inputs)
     assert np.all(np.isfinite(feats))
+
+
+def read_fuzzed(reader, content: bytes):
+    """``reader`` on a file holding ``content``; None when it raises a package error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "fuzz")
+        path.write_bytes(content)
+        try:
+            return reader(path)
+        except CompatLearnError:
+            return None
+
+
+# Cells and far targets a matrix file might hold: in range, out of range,
+# non-finite, empty or not numbers at all.
+ODD_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-nan", "inf", "-inf", "1e999", "-0.0", "1.0000001", "0x1", "1_0"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def near_valid_matrices(draw):
+    n = draw(st.integers(1, 4))
+    rows = [[repr(draw(st.floats(0, 1))) if j <= i else "0.0" for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ODD_NUMBERS)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))].pop()
+    metric = draw(st.sampled_from(["accuracy", "tar_at_far", "auc"]))
+    far = draw(st.just("none") | ODD_NUMBERS)
+    header = f"# schema=compat-matrix/1 metric={metric} far_target={far} tasks={n}"
+    return "\n".join([header, *(",".join(row) for row in rows)]).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.binary(max_size=200) | near_valid_matrices())
+def test_matrix_reader_accepts_only_finite_values_in_range(content):
+    matrix = read_fuzzed(read_matrix_csv, content)
+    if matrix is not None:
+        assert np.all(np.isfinite(matrix.values))
+        assert np.all((matrix.values >= 0.0) & (matrix.values <= 1.0))
+        assert matrix.far_target is None or math.isfinite(matrix.far_target)
+
+
+CONFIG_KEYS = sorted({key for values in DEFAULT_CONFIG.values() for key in values})
+CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**6),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["synthetic", "csv", "tanh", "trainable", "full_batch", "off"]),
+    st.lists(st.integers(-2, 50) | st.floats(), max_size=3),
+)
+NEAR_VALID_CONFIGS = st.dictionaries(
+    st.sampled_from(sorted(DEFAULT_CONFIG)) | st.text(max_size=4),
+    st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=4), CONFIG_VALUES, max_size=5)
+    | CONFIG_VALUES,
+    max_size=4,
+).map(lambda config: json.dumps(config).encode("utf-8"))
+DEFAULT_TEXT = json.dumps(DEFAULT_CONFIG).encode("utf-8")
+# The default config with a few bytes spliced in somewhere.
+SPLICED_CONFIGS = st.builds(
+    lambda at, piece: DEFAULT_TEXT[:at] + piece + DEFAULT_TEXT[at:],
+    st.integers(0, len(DEFAULT_TEXT)),
+    st.binary(min_size=1, max_size=3) | st.sampled_from([b"Infinity", b"NaN", b"-1e999", b"9" * 5000]),
+)
+
+
+def numbers_in(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in numbers_in(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.binary(max_size=200) | NEAR_VALID_CONFIGS | SPLICED_CONFIGS)
+def test_config_loader_accepts_only_finite_numbers(content):
+    config = read_fuzzed(load_config, content)
+    if config is not None:
+        assert all(isinstance(x, int) or math.isfinite(x) for x in numbers_in(config))

@@ -448,4 +448,6 @@ def test_matrix_validation_rejects_bad_shapes_and_values():
     with pytest.raises(DataError):
         CompatibilityMatrix(values=np.tril(np.full((2, 2), 1.5)), metric="accuracy")
     with pytest.raises(DataError):
+        CompatibilityMatrix(values=np.array([[0.5, 0.0], [np.nan, 0.5]]), metric="accuracy")
+    with pytest.raises(DataError):
         CompatibilityMatrix(values=np.tril(np.ones((2, 2)) * 0.5), metric="bogus")

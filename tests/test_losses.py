@@ -9,13 +9,12 @@ from compatlearn.errors import ConfigError, DataError, DegenerateFeatureError
 from compatlearn.geometry import build_simplex
 from compatlearn.losses import (
     LabeledBatch,
-    ce_simplex_loss,
-    ce_trainable_loss,
     combined_loss,
     feature_distillation_loss,
     lambda_for_task,
 )
 from compatlearn.network import ModelConfig, extract_features, init_model
+from compatlearn.trainer import TrainableClassifier
 
 
 def brute_force_ce(features, labels, vertices):
@@ -30,14 +29,14 @@ def brute_force_ce(features, labels, vertices):
 
 def test_zero_feature_gives_log_capacity():
     prototypes = build_simplex(4)
-    loss, _ = ce_simplex_loss(np.zeros((1, 3)), [2], prototypes)
+    loss, _, _ = prototypes.loss(np.zeros((1, 3)), [2], False)
     assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_matches_brute_force_at_a_vertex():
     prototypes = build_simplex(3)
     feature = prototypes.vertices[1].copy()
-    loss, _ = ce_simplex_loss(feature[None, :], [1], prototypes)
+    loss, _, _ = prototypes.loss(feature[None, :], [1], False)
     expected = brute_force_ce([feature], [1], prototypes.vertices)
     assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -47,7 +46,7 @@ def test_matches_brute_force_on_random_batch():
     rng = np.random.default_rng(5)
     features = rng.standard_normal((9, 6))
     labels = rng.integers(0, 7, size=9)
-    loss, _ = ce_simplex_loss(features, labels, prototypes)
+    loss, _, _ = prototypes.loss(features, labels, False)
     expected = brute_force_ce(features, labels, prototypes.vertices)
     assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -57,7 +56,7 @@ def test_scaling_toward_own_prototype_decreases_loss():
     for label in (0, 4):  # a basis vertex and the constant vertex
         losses = []
         for c in (1.0, 10.0, 100.0):
-            loss, _ = ce_simplex_loss(c * prototypes.vertices[label][None, :], [label], prototypes)
+            loss, _, _ = prototypes.loss(c * prototypes.vertices[label][None, :], [label], False)
             losses.append(loss)
         assert losses[0] > losses[1] > losses[2]
 
@@ -65,15 +64,15 @@ def test_scaling_toward_own_prototype_decreases_loss():
 def test_label_out_of_capacity_rejected():
     prototypes = build_simplex(3)
     with pytest.raises(DataError):
-        ce_simplex_loss(np.zeros((1, 2)), [3], prototypes)
+        prototypes.loss(np.zeros((1, 2)), [3], False)
     with pytest.raises(DataError):
-        ce_simplex_loss(np.zeros((1, 2)), [-1], prototypes)
+        prototypes.loss(np.zeros((1, 2)), [-1], False)
 
 
 def test_empty_batch_rejected():
     prototypes = build_simplex(3)
     with pytest.raises(ValueError):
-        ce_simplex_loss(np.zeros((0, 2)), [], prototypes)
+        prototypes.loss(np.zeros((0, 2)), [], False)
 
 
 def test_large_logits_stay_finite():
@@ -84,7 +83,7 @@ def test_large_logits_stay_finite():
     # At x1000 the logits reach about 2,300, past where exp overflows
     # without the log-sum-exp shift.
     for scale in (50.0, 1000.0):
-        loss, grad = ce_simplex_loss(features * scale, labels, prototypes)
+        loss, grad, _ = prototypes.loss(features * scale, labels, False)
         assert np.isfinite(loss) and loss >= 0.0
         assert np.all(np.isfinite(grad))
 
@@ -110,12 +109,18 @@ def test_ce_feature_gradients_match_finite_differences(normalize):
     rng = np.random.default_rng(8)
     features = rng.standard_normal((5, 3)) + 0.5
     labels = rng.integers(0, 4, size=5)
-    _, grad = ce_simplex_loss(features, labels, prototypes, normalize_features=normalize)
+    _, grad, _ = prototypes.loss(features, labels, normalize)
     numeric = finite_diff_feature_grad(
-        lambda f: ce_simplex_loss(f, labels, prototypes, normalize_features=normalize)[0],
+        lambda f: prototypes.loss(f, labels, normalize)[0],
         features,
     )
     assert np.allclose(grad, numeric, atol=1e-8)
+
+
+def trainable_classifier(weights):
+    classifier = TrainableClassifier(weights.shape[1])
+    classifier.weights = weights
+    return classifier
 
 
 def test_trainable_ce_gradients_match_finite_differences():
@@ -123,12 +128,12 @@ def test_trainable_ce_gradients_match_finite_differences():
     weights = rng.standard_normal((4, 3))
     features = rng.standard_normal((6, 3))
     labels = rng.integers(0, 4, size=6)
-    loss, dfeat, dweights = ce_trainable_loss(features, labels, weights)
+    loss, dfeat, dweights = trainable_classifier(weights).loss(features, labels, False)
     numeric_f = finite_diff_feature_grad(
-        lambda f: ce_trainable_loss(f, labels, weights)[0], features
+        lambda f: trainable_classifier(weights).loss(f, labels, False)[0], features
     )
     numeric_w = finite_diff_feature_grad(
-        lambda w: ce_trainable_loss(features, labels, w)[0], weights
+        lambda w: trainable_classifier(w).loss(features, labels, False)[0], weights
     )
     assert np.allclose(dfeat, numeric_f, atol=1e-8)
     assert np.allclose(dweights, numeric_w, atol=1e-8)
@@ -213,7 +218,7 @@ def test_combined_with_zero_lambda_equals_plain_ce():
     batch = make_batch(np.random.default_rng(1))
     report, _ = combined_loss(batch, current, None, prototypes, 0.0)
     feats = extract_features(current, batch.inputs)
-    ce, _ = ce_simplex_loss(feats, batch.labels, prototypes)
+    ce, _, _ = prototypes.loss(feats, batch.labels, False)
     assert report.total == ce
     assert report.fd_value == 0.0
     assert report.fd_count == 0
@@ -236,7 +241,7 @@ def test_combined_composes_from_standalone_terms():
     lam = 2.5
     report, _ = combined_loss(batch, current, previous, prototypes, lam)
     feats = extract_features(current, batch.inputs)
-    ce, _ = ce_simplex_loss(feats, batch.labels, prototypes)
+    ce, _, _ = prototypes.loss(feats, batch.labels, False)
     old = extract_features(previous, batch.inputs[batch.from_memory])
     fd, _ = feature_distillation_loss(feats[batch.from_memory], old)
     assert report.ce_value == pytest.approx(ce, abs=1e-12)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from compatlearn.errors import ConfigError, DataError, DivergenceError
 from compatlearn.geometry import build_simplex
-from compatlearn.losses import ce_simplex_loss
 from compatlearn.network import (
     ModelConfig,
     ParamGrads,
@@ -188,7 +187,7 @@ def test_invalid_hyperparams_rejected():
 def ce_loss_fn(prototypes, labels):
     def fn(state, batch):
         feats, cache = forward_features(state, batch)
-        loss, dfeat = ce_simplex_loss(feats, labels, prototypes)
+        loss, dfeat, _ = prototypes.loss(feats, labels, False)
         return loss, backprop_feature_grads(state, cache, dfeat)
 
     return fn

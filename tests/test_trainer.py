@@ -263,18 +263,12 @@ def test_cached_teacher_matches_the_per_batch_reference(classifier_mode, fd_scop
 
     uncached = dataclasses.replace(batch, teacher=None)
     if classifier_mode == "fixed_simplex":
-        prototypes = build_simplex(sequence.total_classes)
-        cached_report, cached_grads = combined_loss(batch, current, previous, prototypes, 2.0, fd_scope)
-        report, grads = combined_loss(uncached, current, previous, prototypes, 2.0, fd_scope)
+        classifier = build_simplex(sequence.total_classes)
     else:
         classifier = trainer.TrainableClassifier(config.feature_dim)
         classifier.grow(sequence.total_classes, np.random.default_rng(3))
-        cached_report, cached_grads, _ = trainer._train_batch_trainable(
-            current, batch, previous, classifier, 2.0, fd_scope, False
-        )
-        report, grads, _ = trainer._train_batch_trainable(
-            current, uncached, previous, classifier, 2.0, fd_scope, False
-        )
+    cached_report, cached_grads = combined_loss(batch, current, previous, classifier, 2.0, fd_scope)
+    report, grads = combined_loss(uncached, current, previous, classifier, 2.0, fd_scope)
     assert cached_report.fd_count == report.fd_count == int(mask.sum())
     assert cached_report.fd_value == pytest.approx(report.fd_value, rel=0.0, abs=1e-12)
     for a, b in zip(cached_grads.weights + cached_grads.biases, grads.weights + grads.biases):
