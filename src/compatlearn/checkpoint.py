@@ -6,6 +6,8 @@ which makes round trips bit-exact. Writes are atomic and malformed meta
 becomes a ``CorruptFileError`` (``container.read_artifact``).
 """
 
+import dataclasses
+
 import numpy as np
 
 from .container import read_artifact, write_artifact
@@ -33,15 +35,8 @@ def _array_from(payload: bytes, shape) -> np.ndarray:
 
 
 def save_model(state: FeatureExtractorState, path) -> None:
-    cfg = state.config
     meta = {
-        "config": {
-            "input_dim": cfg.input_dim,
-            "hidden_layers": list(cfg.hidden_layers),
-            "feature_dim": cfg.feature_dim,
-            "nonlinearity": cfg.nonlinearity,
-            "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(state.config),
         "step": state.step,
         "num_layers": len(state.weights),
         "weight_shapes": [list(w.shape) for w in state.weights],
@@ -61,14 +56,11 @@ def save_model(state: FeatureExtractorState, path) -> None:
 
 def load_model(path) -> FeatureExtractorState:
     with read_artifact(path, MODEL_MAGIC, MODEL_VERSION, "model checkpoint") as (meta, sections):
-        cfg = meta["config"]
-        config = ModelConfig(
-            input_dim=cfg["input_dim"],
-            hidden_layers=tuple(cfg["hidden_layers"]),
-            feature_dim=cfg["feature_dim"],
-            nonlinearity=cfg["nonlinearity"],
-            seed=cfg["seed"],
-        )
+        # Every field is required: a default (seed, nonlinearity) must not
+        # stand in for a value the file lost.
+        if set(meta["config"]) != {f.name for f in dataclasses.fields(ModelConfig)}:
+            raise CorruptFileError(f"{path}: model config keys {sorted(meta['config'])}")
+        config = ModelConfig(**meta["config"])
         sizes = config.layer_sizes()
         n = len(sizes) - 1
         if (

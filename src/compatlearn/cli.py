@@ -46,8 +46,14 @@ from .evalkit import (
     compatibility_report,
 )
 from .gallery import load_gallery, search
-from .network import ModelConfig, TrainingHyperparams
-from .trainer import ExperimentConfig, run_sequence
+from .network import NONLINEARITIES, ModelConfig, TrainingHyperparams
+from .trainer import (
+    CLASSIFIER_MODES,
+    FD_MODES,
+    ExperimentConfig,
+    persist_timeline,
+    run_sequence,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,84 +78,64 @@ def _int_list(v):
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
-# Desk-scale preset. The synthetic dataset is a fixed benchmark: 20 training
+# The config schema, {section: {key: (default, check)}}. The defaults are a
+# desk-scale preset. The synthetic dataset is a fixed benchmark: 20 training
 # classes (capacity 20, feature dimension 19) plus 10 held-out evaluation
 # classes, class means on an 8-dimensional subsphere of the 64-dimensional
 # input space so that classes share structure the way natural data does.
 # Rehearsal keeps 20 samples per class and the distillation weight base is 5.
-DEFAULT_CONFIG = {
+# experiment_components builds the typed configs from the sections by name:
+# training holds exactly TrainingHyperparams' fields, trainer the rest of
+# ExperimentConfig's, model ModelConfig's besides input_dim, pairs the
+# arguments of generate_pairs, and data SyntheticSpec's (sigma for
+# cluster_sigma) plus the source and the task split.
+_SCHEMA = {
     "data": {
-        "source": "synthetic",
-        "csv_path": None,
-        "num_classes": 30,
-        "samples_per_class": 60,
-        "input_dim": 64,
-        "sigma": 0.4,
-        "intrinsic_dim": 8,
-        "mean_seed": 101,
-        "noise_seed": 201,
-        "eval_classes": 10,
-        "num_tasks": 2,
-        "split_seed": 301,
+        "source": ("synthetic", lambda v: v in ("synthetic", "csv")),
+        "csv_path": (None, lambda v: v is None or isinstance(v, str)),
+        "num_classes": (30, lambda v: _is_int(v) and v >= 2),
+        "samples_per_class": (60, lambda v: _is_int(v) and v >= 1),
+        "input_dim": (64, lambda v: _is_int(v) and v >= 1),
+        "sigma": (0.4, lambda v: _is_num(v) and v > 0),
+        "intrinsic_dim": (8, lambda v: v is None or (_is_int(v) and v >= 1)),
+        "mean_seed": (101, _is_int),
+        "noise_seed": (201, _is_int),
+        "eval_classes": (10, lambda v: _is_int(v) and v >= 2),
+        "num_tasks": (2, lambda v: _is_int(v) and v >= 1),
+        "split_seed": (301, _is_int),
     },
     "model": {
-        "hidden_layers": [64],
-        "feature_dim": None,
-        "nonlinearity": "tanh",
-        "seed": 1,
+        "hidden_layers": ([64], _int_list),
+        "feature_dim": (None, lambda v: v is None or (_is_int(v) and v >= 1)),
+        "nonlinearity": ("tanh", lambda v: v in NONLINEARITIES),
+        "seed": (1, _is_int),
     },
     "training": {
-        "learning_rate": 0.02,
-        "lr_milestones": [8, 12],
-        "lr_decay_factor": 0.1,
-        "weight_decay": 0.0002,
-        "momentum": 0.9,
-        "epochs_per_task": 14,
-        "batch_size": 32,
-        "lambda_base": 5.0,
+        "learning_rate": (0.02, lambda v: _is_num(v) and v > 0),
+        "lr_milestones": ([8, 12], _int_list),
+        "lr_decay_factor": (0.1, lambda v: _is_num(v) and v > 0),
+        "weight_decay": (0.0002, lambda v: _is_num(v) and v >= 0),
+        "momentum": (0.9, lambda v: _is_num(v) and 0 <= v < 1),
+        "epochs_per_task": (14, lambda v: _is_int(v) and v >= 1),
+        "batch_size": (32, lambda v: _is_int(v) and v >= 1),
+        "lambda_base": (5.0, lambda v: _is_num(v) and v >= 0),
     },
-    "memory": {"per_class": 20},
+    "memory": {"per_class": (20, lambda v: _is_int(v) and v >= 0)},
     "trainer": {
-        "classifier_mode": "fixed_simplex",
-        "fd_mode": "memory_only",
-        "train_seed": 11,
-        "normalize_features": True,
+        "classifier_mode": ("fixed_simplex", lambda v: v in CLASSIFIER_MODES),
+        "fd_mode": ("memory_only", lambda v: v in FD_MODES),
+        "train_seed": (11, _is_int),
+        "normalize_features": (True, lambda v: isinstance(v, bool)),
     },
-    "pairs": {"num_pairs": 6000, "seed": 401},
+    "pairs": {
+        "num_pairs": (6000, lambda v: _is_int(v) and v >= 2),
+        "seed": (401, _is_int),
+    },
 }
 
-_VALIDATORS = {
-    ("data", "source"): lambda v: v in ("synthetic", "csv"),
-    ("data", "csv_path"): lambda v: v is None or isinstance(v, str),
-    ("data", "num_classes"): lambda v: _is_int(v) and v >= 2,
-    ("data", "samples_per_class"): lambda v: _is_int(v) and v >= 1,
-    ("data", "input_dim"): lambda v: _is_int(v) and v >= 1,
-    ("data", "sigma"): lambda v: _is_num(v) and v > 0,
-    ("data", "intrinsic_dim"): lambda v: v is None or (_is_int(v) and v >= 1),
-    ("data", "mean_seed"): _is_int,
-    ("data", "noise_seed"): _is_int,
-    ("data", "eval_classes"): lambda v: _is_int(v) and v >= 2,
-    ("data", "num_tasks"): lambda v: _is_int(v) and v >= 1,
-    ("data", "split_seed"): _is_int,
-    ("model", "hidden_layers"): _int_list,
-    ("model", "feature_dim"): lambda v: v is None or (_is_int(v) and v >= 1),
-    ("model", "nonlinearity"): lambda v: v in ("relu", "tanh"),
-    ("model", "seed"): _is_int,
-    ("training", "learning_rate"): lambda v: _is_num(v) and v > 0,
-    ("training", "lr_milestones"): _int_list,
-    ("training", "lr_decay_factor"): lambda v: _is_num(v) and v > 0,
-    ("training", "weight_decay"): lambda v: _is_num(v) and v >= 0,
-    ("training", "momentum"): lambda v: _is_num(v) and 0 <= v < 1,
-    ("training", "epochs_per_task"): lambda v: _is_int(v) and v >= 1,
-    ("training", "batch_size"): lambda v: _is_int(v) and v >= 1,
-    ("training", "lambda_base"): lambda v: _is_num(v) and v >= 0,
-    ("memory", "per_class"): lambda v: _is_int(v) and v >= 0,
-    ("trainer", "classifier_mode"): lambda v: v in ("fixed_simplex", "trainable"),
-    ("trainer", "fd_mode"): lambda v: v in ("memory_only", "full_batch", "off"),
-    ("trainer", "train_seed"): _is_int,
-    ("trainer", "normalize_features"): lambda v: isinstance(v, bool),
-    ("pairs", "num_pairs"): lambda v: _is_int(v) and v >= 2,
-    ("pairs", "seed"): _is_int,
+DEFAULT_CONFIG = {
+    section: {key: default for key, (default, _) in keys.items()}
+    for section, keys in _SCHEMA.items()
 }
 
 
@@ -167,10 +153,11 @@ def validate_config(user: dict) -> dict:
             if key not in merged[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             merged[section][key] = value
-    for (section, key), check in _VALIDATORS.items():
-        value = merged[section][key]
-        if not check(value):
-            raise ConfigError(f"invalid value for {section}.{key}: {value!r}")
+    for section, keys in _SCHEMA.items():
+        for key, (_, check) in keys.items():
+            value = merged[section][key]
+            if not check(value):
+                raise ConfigError(f"invalid value for {section}.{key}: {value!r}")
     if merged["data"]["source"] == "csv" and not merged["data"]["csv_path"]:
         raise ConfigError("data.source is 'csv' but data.csv_path is not set")
     return merged
@@ -224,50 +211,18 @@ def experiment_components(config: dict):
     if data_cfg["source"] == "csv":
         sequence, eval_dataset = split_tasks(load_csv(data_cfg["csv_path"]), **split)
     else:
-        spec = SyntheticSpec(
-            num_classes=data_cfg["num_classes"],
-            samples_per_class=data_cfg["samples_per_class"],
-            input_dim=data_cfg["input_dim"],
-            cluster_sigma=data_cfg["sigma"],
-            intrinsic_dim=data_cfg["intrinsic_dim"],
-            mean_seed=data_cfg["mean_seed"],
-            noise_seed=data_cfg["noise_seed"],
-        )
+        names = {f.name for f in dataclasses.fields(SyntheticSpec)} - {"cluster_sigma"}
+        spec = SyntheticSpec(cluster_sigma=data_cfg["sigma"], **{k: data_cfg[k] for k in names})
         sequence, eval_dataset = make_synthetic_tasks(spec, **split)
-    pairs = generate_pairs(
-        eval_dataset,
-        num_pairs=config["pairs"]["num_pairs"],
-        seed=config["pairs"]["seed"],
-        provenance="heldout-eval",
-    )
-    feature_dim = config["model"]["feature_dim"]
-    if feature_dim is None:
-        feature_dim = sequence.total_classes - 1
-    model_cfg = ModelConfig(
-        input_dim=eval_dataset.input_dim,
-        hidden_layers=tuple(config["model"]["hidden_layers"]),
-        feature_dim=feature_dim,
-        nonlinearity=config["model"]["nonlinearity"],
-        seed=config["model"]["seed"],
-    )
-    hp = TrainingHyperparams(
-        learning_rate=config["training"]["learning_rate"],
-        lr_milestones=tuple(config["training"]["lr_milestones"]),
-        lr_decay_factor=config["training"]["lr_decay_factor"],
-        weight_decay=config["training"]["weight_decay"],
-        momentum=config["training"]["momentum"],
-        epochs_per_task=config["training"]["epochs_per_task"],
-        batch_size=config["training"]["batch_size"],
-        lambda_base=config["training"]["lambda_base"],
-    )
+    pairs = generate_pairs(eval_dataset, **config["pairs"])
+    model = dict(config["model"], input_dim=eval_dataset.input_dim)
+    if model["feature_dim"] is None:
+        model["feature_dim"] = sequence.total_classes - 1
     experiment = ExperimentConfig(
-        model=model_cfg,
-        hyperparams=hp,
+        model=ModelConfig(**model),
+        hyperparams=TrainingHyperparams(**config["training"]),
         memory_per_class=config["memory"]["per_class"],
-        classifier_mode=config["trainer"]["classifier_mode"],
-        fd_mode=config["trainer"]["fd_mode"],
-        train_seed=config["trainer"]["train_seed"],
-        normalize_features=config["trainer"]["normalize_features"],
+        **config["trainer"],
     )
     return sequence, eval_dataset, pairs, experiment
 
@@ -300,11 +255,14 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     if out.exists() and any(out.iterdir()):
         raise ConfigError(f"output directory {out} exists and is not empty")
     sequence, eval_dataset, pairs, experiment = experiment_components(config)
+    timeline = run_sequence(experiment, sequence)
 
+    # Nothing is written until training has finished, so a run that fails
+    # leaves no directory behind to block its rerun.
     out.mkdir(parents=True, exist_ok=True)
     config_text = canonical_json(config)
     (out / "config.json").write_text(config_text)
-    timeline = run_sequence(dataclasses.replace(experiment, output_dir=out), sequence)
+    persist_timeline(timeline, out)
     save_csv(eval_dataset, out / "eval_data.csv")
     save_pairs(pairs, out / "pairs.csv")
     write_manifest(out, config_text, timeline.task_seconds)
@@ -378,8 +336,6 @@ def cmd_eval(
     metric: str = "accuracy",
     far: float | None = None,
     out_dir=None,
-    pairs_csv=None,
-    eval_data_csv=None,
 ) -> tuple[Path, Path]:
     """Score an experiment directory into matrix.csv and report.json."""
     exp = Path(exp_dir)
@@ -387,8 +343,8 @@ def cmd_eval(
     if not checkpoint_paths:
         raise DataError(f"no checkpoints found in {exp}")
     models = [load_model(p) for p in checkpoint_paths]
-    eval_csv = Path(eval_data_csv) if eval_data_csv else exp / "eval_data.csv"
-    pairs_path = Path(pairs_csv) if pairs_csv else exp / "pairs.csv"
+    eval_csv = exp / "eval_data.csv"
+    pairs_path = exp / "pairs.csv"
     if not eval_csv.exists() or not pairs_path.exists():
         raise DataError(f"pairs source missing: need {eval_csv} and {pairs_path}")
     eval_dataset = load_csv(eval_csv)
@@ -446,10 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--metric", choices=("accuracy", "tar_at_far"), default="accuracy")
     p_eval.add_argument("--far", type=float, default=None, help="FAR target for tar_at_far")
     p_eval.add_argument("--out", default=None, help="output directory (default: the experiment)")
-    p_eval.add_argument("--pairs", default=None, help="pairs CSV (default: <exp>/pairs.csv)")
-    p_eval.add_argument(
-        "--eval-data", default=None, help="held-out data CSV (default: <exp>/eval_data.csv)"
-    )
 
     p_search = sub.add_parser("search", help="query a gallery file with a checkpoint")
     p_search.add_argument("--gallery", required=True)
@@ -476,8 +428,6 @@ def main(argv=None) -> int:
                 metric=args.metric,
                 far=args.far,
                 out_dir=args.out,
-                pairs_csv=args.pairs,
-                eval_data_csv=args.eval_data,
             )
             print(f"wrote {matrix_path} and {report_path}")
         elif args.command == "search":

@@ -256,7 +256,6 @@ def generate_pairs(
     dataset: LabeledDataset,
     num_pairs: int,
     seed: int = 0,
-    provenance: str = "eval",
 ) -> VerificationPairSet:
     """Balanced verification pairs sampled without replacement, seeded.
 
@@ -298,7 +297,6 @@ def generate_pairs(
         ids_a=ids_a,
         ids_b=ids_b,
         genuine=genuine,
-        provenance=provenance,
     )
 
 
@@ -310,7 +308,7 @@ def save_pairs(pairs: VerificationPairSet, path) -> None:
         fh.writelines(f"{a},{b},{g}\r\n" for a, b, g in zip(*columns))
 
 
-def load_pairs(path, dataset: LabeledDataset, provenance: str = "csv") -> VerificationPairSet:
+def load_pairs(path, dataset: LabeledDataset) -> VerificationPairSet:
     """Rebuild a pair set from its CSV against the dataset it indexes into.
 
     Every data row must hold exactly three integers, and both ids must index
@@ -332,7 +330,6 @@ def load_pairs(path, dataset: LabeledDataset, provenance: str = "csv") -> Verifi
         ids_a=np.ascontiguousarray(rows[:, 0]),
         ids_b=np.ascontiguousarray(rows[:, 1]),
         genuine=rows[:, 2] != 0,
-        provenance=provenance,
     )
 
 

@@ -42,7 +42,6 @@ class VerificationPairSet:
     ids_a: np.ndarray
     ids_b: np.ndarray
     genuine: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))

@@ -60,7 +60,6 @@ def update_memory(
     memory: EpisodicMemory,
     task_data: LabeledDataset,
     task_index: int,
-    per_class: int | None = None,
 ) -> EpisodicMemory:
     """Append a seeded per-class sample of a finished task's data.
 
@@ -69,7 +68,6 @@ def update_memory(
     without replacement; the draw is a pure function of (memory seed, task
     index), so identical runs store identical sample ids.
     """
-    budget = memory.per_class_budget if per_class is None else int(per_class)
     new_classes = np.unique(task_data.labels)
     overlap = np.intersect1d(memory.labels, new_classes)
     if overlap.size:
@@ -80,7 +78,7 @@ def update_memory(
     picked = [_no_rows()]
     for cls in new_classes:
         candidates = np.flatnonzero(task_data.labels == cls)
-        take = min(budget, len(candidates))
+        take = min(memory.per_class_budget, len(candidates))
         picked.append(np.sort(rng.choice(candidates, size=take, replace=False)))
     picked = np.concatenate(picked)
     return EpisodicMemory(

@@ -65,7 +65,6 @@ class ExperimentConfig:
     fd_mode: str = "memory_only"
     train_seed: int = 0
     normalize_features: bool = False
-    output_dir: Path | None = None
 
     def __post_init__(self):
         if self.classifier_mode not in CLASSIFIER_MODES:
@@ -243,7 +242,7 @@ def run_task(
         )
 
     checkpoint = state.copy().freeze()
-    new_memory = update_memory(memory, task.data, task.index, config.memory_per_class)
+    new_memory = update_memory(memory, task.data, task.index)
     return checkpoint, new_memory, rows
 
 
@@ -252,9 +251,7 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
 
     Each task's model starts from the previous task's final parameters
     (incremental fine-tuning); momentum buffers are cleared at task
-    boundaries so every task starts its schedule fresh. When the config
-    carries an output directory, checkpoints, prototypes, the final memory
-    snapshot, and the training log are persisted there.
+    boundaries so every task starts its schedule fresh.
     """
     fixed_mode = config.classifier_mode == "fixed_simplex"
     if fixed_mode:
@@ -293,9 +290,6 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
             timeline.classifier_snapshots.append(classifier.snapshot())
         previous = checkpoint
     timeline.final_memory = memory
-
-    if config.output_dir is not None:
-        persist_timeline(timeline, config.output_dir)
     return timeline
 
 

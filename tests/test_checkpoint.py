@@ -134,6 +134,23 @@ def test_memory_column_of_the_wrong_length_is_refused(tmp_path, column, change):
         load_memory(path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda cfg: cfg.pop("seed"), lambda cfg: cfg.update(dropout=0.5)],
+    ids=["missing-key", "unknown-key"],
+)
+def test_model_config_with_a_missing_or_unknown_key_is_refused(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_model(trained_state(), path)
+    sections = read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    meta = json.loads(sections.pop("meta"))
+    edit(meta["config"])
+    payload = [("meta", json.dumps(meta).encode("utf-8")), *sections.items()]
+    write_container(path, MODEL_MAGIC, MODEL_VERSION, payload)
+    with pytest.raises(CorruptFileError, match="model config keys"):
+        load_model(path)
+
+
 def test_truncation_detected(tmp_path):
     state = trained_state()
     path = tmp_path / "model.ckpt"

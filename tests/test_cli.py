@@ -22,7 +22,7 @@ from compatlearn.cli import (
 )
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model
 from compatlearn.container import read_container, write_container
-from compatlearn.data import load_csv, make_synthetic, SyntheticSpec
+from compatlearn.data import load_csv, make_synthetic, save_csv, SyntheticSpec
 from compatlearn.errors import CompatLearnError, ConfigError, CorruptFileError, DataError
 from compatlearn.gallery import index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
@@ -109,6 +109,52 @@ def test_train_cli_exit_codes(tmp_path):
     assert not (tmp_path / "exp").exists()  # no partial artifacts
     missing = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "e2")])
     assert missing == 2
+
+
+@pytest.mark.parametrize(
+    "payload, code",
+    [
+        # the fixed simplex needs feature_dim = capacity - 1; init_model refuses 5
+        ({"model": {"feature_dim": 5}, "pairs": {"num_pairs": 200}}, 2),
+        ({"training": {"learning_rate": 1e30}}, 4),
+    ],
+    ids=["capacity-mismatch", "divergence"],
+)
+def test_failed_training_writes_no_directory(tmp_path, payload, code):
+    config = write_config(tmp_path, payload)
+    argv = ["train", "--config", str(config), "--out", str(tmp_path / "exp")]
+    assert main(argv) == code
+    assert not (tmp_path / "exp").exists()
+    assert main(argv) == code  # the rerun fails the same way, not on the directory
+
+
+def test_csv_source_trains_like_the_synthetic_preset(tmp_path):
+    preset = validate_config({})["data"]
+    spec = SyntheticSpec(
+        num_classes=preset["num_classes"],
+        samples_per_class=preset["samples_per_class"],
+        input_dim=preset["input_dim"],
+        cluster_sigma=preset["sigma"],
+        mean_seed=preset["mean_seed"],
+        noise_seed=preset["noise_seed"],
+        intrinsic_dim=preset["intrinsic_dim"],
+    )
+    save_csv(make_synthetic(spec), tmp_path / "preset.csv")
+    synthetic = {"data": {"num_tasks": 3}}
+    from_csv = {"data": {"num_tasks": 3, "source": "csv", "csv_path": str(tmp_path / "preset.csv")}}
+    runs = [
+        cmd_train(write_config(tmp_path, payload, name=f"{name}.json"), tmp_path / name, seed=1)
+        for name, payload in (("synthetic", synthetic), ("csv", from_csv))
+    ]
+    names = [f"checkpoint_task_00{t}.ckpt" for t in (1, 2, 3)] + [
+        "prototypes.ckpt",
+        "memory_final.ckpt",
+        "training_log.csv",
+        "eval_data.csv",
+        "pairs.csv",
+    ]
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,6 @@ def make_pairs(inputs_a, inputs_b, genuine):
         ids_a=np.arange(n),
         ids_b=np.arange(n, 2 * n),
         genuine=np.asarray(genuine, dtype=bool),
-        provenance="test",
     )
 
 

@@ -193,9 +193,9 @@ def test_full_batch_fd_mode_covers_current_samples():
 
 def test_persistence_writes_the_training_log(tmp_path):
     sequence, _ = tiny_sequence(num_tasks=2)
-    config = tiny_config(sequence.total_classes, output_dir=tmp_path / "exp")
-    run_sequence(config, sequence)
+    timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
     out = tmp_path / "exp"
+    trainer.persist_timeline(timeline, out)
     assert (out / "checkpoint_task_001.ckpt").exists()
     assert (out / "checkpoint_task_002.ckpt").exists()
     assert (out / "prototypes.ckpt").exists()
