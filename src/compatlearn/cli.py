@@ -11,11 +11,16 @@ divergence.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -23,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model
+from .container import write_atomic
 from .data import (
     SyntheticSpec,
     generate_pairs,
@@ -128,7 +134,7 @@ _SCHEMA = {
         "normalize_features": (True, lambda v: isinstance(v, bool)),
     },
     "pairs": {
-        "num_pairs": (6000, lambda v: _is_int(v) and v >= 2),
+        "num_pairs": (6000, lambda v: _is_int(v) and v >= 2 and v % 2 == 0),
         "seed": (401, _is_int),
     },
 }
@@ -158,8 +164,14 @@ def validate_config(user: dict) -> dict:
             value = merged[section][key]
             if not check(value):
                 raise ConfigError(f"invalid value for {section}.{key}: {value!r}")
-    if merged["data"]["source"] == "csv" and not merged["data"]["csv_path"]:
+    data = merged["data"]
+    if data["source"] == "csv" and not data["csv_path"]:
         raise ConfigError("data.source is 'csv' but data.csv_path is not set")
+    synthetic = data["source"] == "synthetic"
+    if synthetic and (data["intrinsic_dim"] or 0) > data["input_dim"]:
+        raise ConfigError("data.intrinsic_dim exceeds data.input_dim")
+    if synthetic and data["eval_classes"] + data["num_tasks"] > data["num_classes"]:
+        raise ConfigError("data.num_classes is less than data.eval_classes + data.num_tasks")
     return merged
 
 
@@ -194,12 +206,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def experiment_components(config: dict):
     """Build (sequence, eval dataset, pairs, experiment config) from a config."""
     data_cfg = config["data"]
@@ -227,12 +233,12 @@ def experiment_components(config: dict):
     return sequence, eval_dataset, pairs, experiment
 
 
-def write_manifest(out_dir: Path, config_text: str, task_seconds: list[float]) -> Path:
+def write_manifest(out_dir: Path, config_text: str, task_seconds: list[float]) -> None:
     artifacts = {}
     for path in sorted(out_dir.iterdir()):
         if path.name == "manifest.json" or not path.is_file():
             continue
-        artifacts[path.name] = _sha256_file(path)
+        artifacts[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "tool_version": __version__,
@@ -241,9 +247,7 @@ def write_manifest(out_dir: Path, config_text: str, task_seconds: list[float]) -
         "task_seconds": task_seconds,
         "created_unix": time.time(),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(canonical_json(manifest))
-    return path
+    write_atomic(out_dir / "manifest.json", [canonical_json(manifest).encode("utf-8")])
 
 
 def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
@@ -257,15 +261,25 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     sequence, eval_dataset, pairs, experiment = experiment_components(config)
     timeline = run_sequence(experiment, sequence)
 
-    # Nothing is written until training has finished, so a run that fails
-    # leaves no directory behind to block its rerun.
-    out.mkdir(parents=True, exist_ok=True)
-    config_text = canonical_json(config)
-    (out / "config.json").write_text(config_text)
-    persist_timeline(timeline, out)
-    save_csv(eval_dataset, out / "eval_data.csv")
-    save_pairs(pairs, out / "pairs.csv")
-    write_manifest(out, config_text, timeline.task_seconds)
+    # Written after training into a hidden sibling renamed onto ``out`` once
+    # complete, so a run that fails leaves nothing to block its rerun.
+    target = out.resolve()  # a symlinked ``out`` keeps its link; its target is replaced
+    target.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
+    stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        stage.chmod(0o777 & ~umask)  # the mode of a plain mkdir, not mkdtemp's 0o700
+        config_text = canonical_json(config)
+        write_atomic(stage / "config.json", [config_text.encode("utf-8")])
+        persist_timeline(timeline, stage)
+        save_csv(eval_dataset, stage / "eval_data.csv")
+        save_pairs(pairs, stage / "pairs.csv")
+        write_manifest(stage, config_text, timeline.task_seconds)
+        os.replace(stage, target)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
     return out
 
 
@@ -277,7 +291,7 @@ def write_matrix_csv(matrix: CompatibilityMatrix, path) -> None:
     ]
     for row in matrix.values:
         lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def read_matrix_csv(path) -> CompatibilityMatrix:
@@ -310,7 +324,7 @@ def read_matrix_csv(path) -> CompatibilityMatrix:
     return CompatibilityMatrix(values=values, metric=header["metric"], far_target=far)
 
 
-def _report_payload(matrix: CompatibilityMatrix, include_thresholds: bool) -> dict:
+def _write_report(matrix: CompatibilityMatrix, path, include_thresholds: bool) -> None:
     payload = {
         "schema": REPORT_SCHEMA,
         "metric": matrix.metric,
@@ -328,7 +342,7 @@ def _report_payload(matrix: CompatibilityMatrix, include_thresholds: bool) -> di
         payload["thresholds"] = [
             [None if np.isnan(v) else float(v) for v in row] for row in matrix.thresholds
         ]
-    return payload
+    write_atomic(path, [canonical_json(payload).encode("utf-8")])
 
 
 def cmd_eval(
@@ -338,6 +352,10 @@ def cmd_eval(
     out_dir=None,
 ) -> tuple[Path, Path]:
     """Score an experiment directory into matrix.csv and report.json."""
+    if metric == "tar_at_far" and far is None:
+        raise ConfigError("metric tar_at_far requires --far")
+    if far is not None and not 0 < far <= 1:
+        raise ConfigError(f"--far must be in (0, 1], got {far}")
     exp = Path(exp_dir)
     checkpoint_paths = sorted(exp.glob("checkpoint_task_*.ckpt"))
     if not checkpoint_paths:
@@ -349,39 +367,39 @@ def cmd_eval(
         raise DataError(f"pairs source missing: need {eval_csv} and {pairs_path}")
     eval_dataset = load_csv(eval_csv)
     pairs = load_pairs(pairs_path, eval_dataset)
-    if metric == "tar_at_far" and far is None:
-        raise ConfigError("metric tar_at_far requires --far")
     matrix = build_compatibility_matrix(models, pairs, metric=metric, far_target=far)
     out = Path(out_dir) if out_dir else exp
     out.mkdir(parents=True, exist_ok=True)
     matrix_path = out / "matrix.csv"
     report_path = out / "report.json"
     write_matrix_csv(matrix, matrix_path)
-    report_path.write_text(canonical_json(_report_payload(matrix, include_thresholds=True)))
+    _write_report(matrix, report_path, include_thresholds=True)
     return matrix_path, report_path
 
 
 def cmd_search(gallery_path, queries_csv, checkpoint_path, top_n: int, out_path) -> Path:
     """Rank gallery entries for every query row; never touches the gallery file."""
     gallery = load_gallery(gallery_path)
+    if not 1 <= top_n <= len(gallery):
+        raise ConfigError(f"--top-n must be in [1, {len(gallery)}], the gallery size, got {top_n}")
     model = load_model(checkpoint_path)
     queries = load_csv(queries_csv)
     ranked = search(queries.inputs, model, gallery, top_n=top_n)
-    out = Path(out_path)
-    lines = ["query_index,query_label,rank,gallery_id,similarity"]
+    text = io.StringIO()  # csv quotes the ids that hold a comma, a quote or a line break
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["query_index", "query_label", "rank", "gallery_id", "similarity"])
     for qi, (label, results) in enumerate(zip(queries.labels, ranked)):
         for rank, (gid, sim) in enumerate(results, start=1):
-            lines.append(f"{qi},{int(label)},{rank},{gid},{repr(sim)}")
-    out.write_text("\n".join(lines) + "\n")
-    return out
+            writer.writerow([qi, int(label), rank, gid, repr(sim)])
+    write_atomic(out_path, [text.getvalue().encode("utf-8")])
+    return Path(out_path)
 
 
 def cmd_report(matrix_csv, out_path) -> Path:
     """Recompute the summary report from an existing matrix CSV."""
     matrix = read_matrix_csv(matrix_csv)
-    out = Path(out_path)
-    out.write_text(canonical_json(_report_payload(matrix, include_thresholds=False)))
-    return out
+    _write_report(matrix, out_path, include_thresholds=False)
+    return Path(out_path)
 
 
 def _build_parser() -> argparse.ArgumentParser:

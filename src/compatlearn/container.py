@@ -15,9 +15,10 @@ sections differ. Layout, all little-endian:
         checksum     u32 (CRC-32 of the payload)
 
 Readers refuse wrong magic, truncated data, checksum mismatches, trailing
-garbage, and any version other than the one they read. Writers go through a
-``<path>.tmp`` file that is renamed onto ``path`` only once complete, so a
-write that fails leaves the old file (or none), never half a file.
+garbage, and any version other than the one they read. Every file the
+package writes, container or text, goes through ``write_atomic``: a
+``<path>.tmp`` file renamed onto ``path`` only once complete, so a write
+that fails leaves the old file (or none), never half a file.
 """
 
 import json
@@ -36,24 +37,32 @@ MAGIC_LEN = 8
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError)
 
 
-def write_container(path, magic: bytes, version: int, sections: list[tuple[str, bytes]]) -> None:
-    if len(magic) != MAGIC_LEN:
-        raise ValueError(f"magic must be exactly {MAGIC_LEN} bytes, got {len(magic)}")
+def write_atomic(path, chunks) -> None:
+    """Write the byte ``chunks`` to ``path`` through ``<path>.tmp``, renamed once complete."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(magic + struct.pack("<II", version, len(sections)))
-            for name, payload in sections:
-                name_bytes = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(name_bytes)) + name_bytes)
-                fh.write(struct.pack("<Q", len(payload)))
-                fh.write(payload)
-                fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_container(path, magic: bytes, version: int, sections: list[tuple[str, bytes]]) -> None:
+    if len(magic) != MAGIC_LEN:
+        raise ValueError(f"magic must be exactly {MAGIC_LEN} bytes, got {len(magic)}")
+
+    def pieces():
+        yield magic + struct.pack("<II", version, len(sections))
+        for name, payload in sections:
+            name_bytes = name.encode("utf-8")
+            yield struct.pack("<H", len(name_bytes)) + name_bytes + struct.pack("<Q", len(payload))
+            yield payload
+            yield struct.pack("<I", zlib.crc32(payload))
+
+    write_atomic(path, pieces())
 
 
 def read_container(path, magic: bytes, version: int) -> dict[str, bytes]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import write_atomic
 from .errors import DataError
 from .evalkit import VerificationPairSet
 
@@ -303,9 +304,8 @@ def generate_pairs(
 def save_pairs(pairs: VerificationPairSet, path) -> None:
     """Write a pair set as CSV rows of (id_a, id_b, genuine), CRLF line ends."""
     columns = (pairs.ids_a.tolist(), pairs.ids_b.tolist(), pairs.genuine.astype(np.int8).tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("id_a,id_b,genuine\r\n")
-        fh.writelines(f"{a},{b},{g}\r\n" for a, b, g in zip(*columns))
+    rows = "".join(f"{a},{b},{g}\r\n" for a, b, g in zip(*columns))
+    write_atomic(path, [b"id_a,id_b,genuine\r\n", rows.encode("utf-8")])
 
 
 def load_pairs(path, dataset: LabeledDataset) -> VerificationPairSet:
@@ -340,12 +340,13 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     bitwise, and lines end in CRLF, as ``csv.writer`` writes them.
     """
     header = ",".join(["label"] + [f"x{i}" for i in range(dataset.input_dim)])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\r\n")
-        # Row by row: one whole-array tolist() would hold every cell as a
-        # Python float at once.
-        for label, row in zip(dataset.labels.tolist(), dataset.inputs):
-            fh.write(f"{label},{','.join(map(repr, row.tolist()))}\r\n")
+    # Row by row: one whole-array tolist() would hold every cell as a Python
+    # float at once.
+    rows = (
+        f"{label},{','.join(map(repr, row.tolist()))}\r\n".encode("utf-8")
+        for label, row in zip(dataset.labels.tolist(), dataset.inputs)
+    )
+    write_atomic(path, itertools.chain([f"{header}\r\n".encode("utf-8")], rows))
 
 
 def load_csv(path, input_dim: int | None = None) -> LabeledDataset:

@@ -21,7 +21,6 @@ proper procedure) or a trainable per-class weight matrix grown at every task
 memory samples only, the whole batch, or be switched off.
 """
 
-import csv
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_memory, save_model, save_prototypes
+from .container import write_atomic
 from .data import Task, TaskSequence
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DivergenceError
 from .geometry import SimplexPrototypes, build_simplex
 from .losses import (
     LabeledBatch,
@@ -100,10 +100,6 @@ class TrainableClassifier:
         self.feature_dim = feature_dim
         self.weights = np.zeros((0, feature_dim), dtype=np.float64)
         self.velocity = np.zeros((0, feature_dim), dtype=np.float64)
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
 
     def grow(self, new_class_count: int, rng: np.random.Generator) -> None:
         limit = np.sqrt(6.0 / (self.feature_dim + 1))
@@ -275,11 +271,6 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
         if not fixed_mode:
             grow_rng = np.random.default_rng([config.train_seed, 7919, task.index])
             classifier.grow(len(task.classes), grow_rng)
-            if max(task.classes) >= classifier.num_classes:
-                raise DataError(
-                    f"task {task.index} labels exceed the grown classifier "
-                    f"({classifier.num_classes} rows)"
-                )
             classifier.reset_optimizer()
         state.reset_optimizer()
         checkpoint, memory, rows = run_task(state, task, previous, memory, classifier, config)
@@ -294,40 +285,21 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
 
 
 def write_training_log(rows: list[EpochLog], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "epoch", "ce", "fd", "lambda", "total"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.task,
-                    row.epoch,
-                    repr(row.ce),
-                    repr(row.fd),
-                    repr(row.lambda_weight),
-                    repr(row.total),
-                ]
-            )
+    """Write the per-epoch log as CSV: floats as their ``repr``, CRLF line ends."""
+    lines = ["task,epoch,ce,fd,lambda,total\r\n"] + [
+        f"{r.task},{r.epoch},{r.ce!r},{r.fd!r},{r.lambda_weight!r},{r.total!r}\r\n" for r in rows
+    ]
+    write_atomic(path, ["".join(lines).encode("utf-8")])
 
 
-def persist_timeline(timeline: ModelTimeline, output_dir) -> list[Path]:
-    """Write checkpoints, prototypes, memory, and the training log; return paths."""
+def persist_timeline(timeline: ModelTimeline, output_dir) -> None:
+    """Write checkpoints, prototypes, memory, and the training log."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     for i, checkpoint in enumerate(timeline.checkpoints, start=1):
-        path = out / f"checkpoint_task_{i:03d}.ckpt"
-        save_model(checkpoint, path)
-        written.append(path)
+        save_model(checkpoint, out / f"checkpoint_task_{i:03d}.ckpt")
     if timeline.prototypes is not None:
-        path = out / "prototypes.ckpt"
-        save_prototypes(timeline.prototypes, path)
-        written.append(path)
+        save_prototypes(timeline.prototypes, out / "prototypes.ckpt")
     if timeline.final_memory is not None:
-        path = out / "memory_final.ckpt"
-        save_memory(timeline.final_memory, path)
-        written.append(path)
-    log_path = out / "training_log.csv"
-    write_training_log(timeline.all_log_rows(), log_path)
-    written.append(log_path)
-    return written
+        save_memory(timeline.final_memory, out / "memory_final.ckpt")
+    write_training_log(timeline.all_log_rows(), out / "training_log.csv")

@@ -211,19 +211,84 @@ def test_container_preserves_sections(tmp_path):
     assert read_container(path, b"CONTAIN1", 1) == dict(sections)
 
 
-def test_failed_write_leaves_the_old_file(tmp_path):
+# Each writer as a child-process snippet: ``write(path, n)`` writes a file that
+# grows with ``n``, through one of the package's writers.
+FAILED_WRITES = {
+    "write_container": """
+        from compatlearn.container import write_container
+
+        def write(path, n):
+            write_container(path, b"CONTAIN1", 1, [("payload", bytes(100 * n))])
+    """,
+    "save_csv": """
+        import numpy as np
+        from compatlearn.data import LabeledDataset, save_csv
+
+        def write(path, n):
+            save_csv(LabeledDataset(np.ones((n, 4)), np.zeros(n, dtype=np.int64)), path)
+    """,
+    "save_pairs": """
+        import numpy as np
+        from compatlearn.data import save_pairs
+        from compatlearn.evalkit import VerificationPairSet
+
+        def write(path, n):
+            ids = np.arange(n)
+            save_pairs(VerificationPairSet(np.zeros((n, 1)), ids, ids[::-1], ids % 2 == 0), path)
+    """,
+    "write_training_log": """
+        from compatlearn.trainer import EpochLog, write_training_log
+
+        def write(path, n):
+            write_training_log([EpochLog(1, e, 0.25, 0.5, 1.0, 0.75) for e in range(n)], path)
+    """,
+    "write_matrix_csv": """
+        import numpy as np
+        from compatlearn.cli import write_matrix_csv
+        from compatlearn.evalkit import CompatibilityMatrix
+
+        def write(path, n):
+            write_matrix_csv(CompatibilityMatrix(np.tril(np.full((n, n), 0.5)), "accuracy"), path)
+    """,
+    "search": """
+        from pathlib import Path
+        import numpy as np
+        from compatlearn.checkpoint import save_model
+        from compatlearn.cli import cmd_search
+        from compatlearn.data import LabeledDataset, save_csv
+        from compatlearn.gallery import index_gallery, save_gallery
+        from compatlearn.network import ModelConfig, init_model
+
+        def write(path, n):
+            d = Path(path).parent
+            if not (d / "g.gal").exists():
+                model = init_model(ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3))
+                save_model(model, d / "m.ckpt")
+                items = np.random.default_rng(0).standard_normal((200, 4))
+                save_gallery(index_gallery(range(200), items, model, 1), d / "g.gal")
+                save_csv(LabeledDataset(items[:50], np.zeros(50, dtype=np.int64)), d / "q.csv")
+            cmd_search(d / "g.gal", d / "q.csv", d / "m.ckpt", min(n, 200), path)
+    """,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(FAILED_WRITES))
+def test_failed_write_leaves_the_old_file(tmp_path, writer):
     """A write that fails partway through (here: the file size limit) changes nothing."""
-    path = tmp_path / "box.bin"
-    write_container(path, b"CONTAIN1", 1, [("old", b"previous contents")])
+    code = textwrap.dedent(FAILED_WRITES[writer])
+    path = tmp_path / "out"
+    namespace = {}
+    exec(code, namespace)
+    namespace["write"](path, 2)
     before = path.read_bytes()
-    script = textwrap.dedent(
+    files = sorted(p.name for p in tmp_path.iterdir())
+    script = code + textwrap.dedent(
         """
         import resource, sys
-        from compatlearn.container import write_container
 
         hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
         resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
-        write_container(sys.argv[1], b"CONTAIN1", 1, [("new", bytes(100_000))])
+        write(sys.argv[1], 1000)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -237,7 +302,7 @@ def test_failed_write_leaves_the_old_file(tmp_path):
     assert result.returncode != 0
     assert "File too large" in result.stderr
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["box.bin"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == files  # no .tmp left
 
 
 LOADERS = {

@@ -1,5 +1,9 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -128,6 +132,39 @@ def test_failed_training_writes_no_directory(tmp_path, payload, code):
     assert main(argv) == code  # the rerun fails the same way, not on the directory
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"pairs": {"num_pairs": 7}},
+        {"data": {"intrinsic_dim": 100}},  # input_dim is 64
+        {"data": {"eval_classes": 29}},  # 30 classes leave one for 2 tasks
+    ],
+    ids=["odd-num-pairs", "intrinsic-dim-above-input-dim", "too-few-task-classes"],
+)
+def test_inconsistent_config_is_a_config_error(tmp_path, capsys, payload):
+    config = write_config(tmp_path, payload)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: ")
+    assert not (tmp_path / "exp").exists()
+
+
+def test_failed_write_leaves_no_directory(tmp_path, monkeypatch):
+    def broken_save_pairs(pairs, path):
+        raise OSError("disk full")
+
+    config = write_config(tmp_path)
+    out = tmp_path / "exp"
+    argv = ["train", "--config", str(config), "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr("compatlearn.cli.save_pairs", broken_save_pairs)
+        assert main(argv) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]  # no staging left
+    out.mkdir()  # an existing empty directory is accepted
+    assert main(argv) == 0
+    assert (out / "pairs.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "exp"]
+
+
 def test_csv_source_trains_like_the_synthetic_preset(tmp_path):
     preset = validate_config({})["data"]
     spec = SyntheticSpec(
@@ -214,6 +251,22 @@ def test_unreadable_eval_inputs_are_data_errors(tmp_path, name, content):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize(
+    "far",
+    [None, "0", "nan", "1.5"],
+    ids=["missing-far-undecodable-data", "far-0", "far-nan", "far-1.5"],
+)
+def test_bad_far_is_a_config_error_before_any_work(tmp_path, capsys, far):
+    exp = small_experiment(tmp_path)
+    if far is None:
+        # The argument is checked before the held-out CSV is parsed.
+        (exp / "eval_data.csv").write_bytes(b"label,x0,x1,x2,x3\n0,1,2,3,\xff\n")
+    argv = ["eval", "--exp", str(exp), "--metric", "tar_at_far", "--out", str(tmp_path / "bad")]
+    assert main(argv if far is None else [*argv, "--far", far]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: ")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_checkpoint_meta_nested_too_deep_is_a_data_error(tmp_path, capsys):
     exp = small_experiment(tmp_path)
     meta = b"[" * 100_000
@@ -247,6 +300,16 @@ def test_undecodable_matrix_is_a_data_error(tmp_path):
     path.write_bytes(b"# schema=compat-matrix/1 metric=accuracy far_target=none tasks=1\n0.\xff\n")
     assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
     assert not (tmp_path / "r.json").exists()
+
+
+def test_train_writes_through_a_symlinked_output_directory(tmp_path):
+    config = write_config(tmp_path)
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to("real")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "link")]) == 0
+    assert (tmp_path / "link").is_symlink()
+    assert (tmp_path / "real" / "manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "link", "real"]
 
 
 def test_train_refuses_nonempty_output(tmp_path):
@@ -405,6 +468,76 @@ def test_search_missing_checkpoint_is_a_data_error(tmp_path):
         ]
     )
     assert code == 3
+
+
+def search_argv(tmp_path, top_n):
+    return [
+        "search",
+        "--gallery",
+        str(tmp_path / "g.gal"),
+        "--queries",
+        str(tmp_path / "q.csv"),
+        "--checkpoint",
+        str(tmp_path / "model.ckpt"),
+        "--top-n",
+        str(top_n),
+        "--out",
+        str(tmp_path / "r.csv"),
+    ]
+
+
+@pytest.mark.parametrize("top_n", [0, 8])
+def test_search_top_n_outside_the_gallery_is_a_config_error(tmp_path, capsys, top_n):
+    test_search_reads_only_the_gallery(tmp_path)  # a 7-entry gallery
+    assert main(search_argv(tmp_path, top_n)) == 2
+    assert capsys.readouterr().err.startswith("error[config]: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def odd_id_gallery(tmp_path, ids):
+    """A gallery of ``ids``, four queries and a checkpoint, written under ``tmp_path``."""
+    from compatlearn.checkpoint import save_model
+
+    model = init_model(
+        ModelConfig(input_dim=6, hidden_layers=(8,), feature_dim=5, nonlinearity="tanh", seed=3)
+    )
+    save_model(model, tmp_path / "model.ckpt")
+    items = np.random.default_rng(1).standard_normal((len(ids), 6))
+    save_gallery(index_gallery(ids, items, model, model_version=1), tmp_path / "g.gal")
+    queries = make_synthetic(
+        SyntheticSpec(num_classes=2, samples_per_class=2, input_dim=6, cluster_sigma=0.1)
+    )
+    save_csv(queries, tmp_path / "q.csv")
+
+
+def test_search_output_quotes_its_ids(tmp_path):
+    ids = ["plain", "a,b", 'q"x', "line\nbreak"]
+    odd_id_gallery(tmp_path, ids)
+    assert main(search_argv(tmp_path, 4)) == 0
+    with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["query_index", "query_label", "rank", "gallery_id", "similarity"]
+    assert len(rows) == 1 + 4 * 4
+    assert all(len(row) == 5 for row in rows)
+    for qi in range(4):
+        assert sorted(row[3] for row in rows[1:] if row[0] == str(qi)) == sorted(ids)
+
+
+def test_search_writes_utf8_under_an_ascii_locale(tmp_path):
+    odd_id_gallery(tmp_path, ["café", "plain"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "compatlearn.cli", *search_argv(tmp_path, 2)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    text = (tmp_path / "r.csv").read_text(encoding="utf-8")
+    assert "café" in text
+    assert len(text.splitlines()) == 1 + 4 * 2
 
 
 def test_cli_end_to_end_via_main(tmp_path):

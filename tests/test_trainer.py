@@ -4,8 +4,15 @@ import pytest
 import dataclasses
 
 from compatlearn import losses, trainer
-from compatlearn.data import SyntheticSpec, make_synthetic, split_tasks
-from compatlearn.errors import ConfigError, DivergenceError
+from compatlearn.data import (
+    LabeledDataset,
+    SyntheticSpec,
+    Task,
+    TaskSequence,
+    make_synthetic,
+    split_tasks,
+)
+from compatlearn.errors import ConfigError, DataError, DivergenceError
 from compatlearn.geometry import build_simplex
 from compatlearn.losses import combined_loss
 from compatlearn.memory import (
@@ -151,6 +158,15 @@ def test_trainable_mode_with_memory_distillation_runs():
     config = tiny_config(sequence.total_classes, classifier_mode="trainable")
     timeline = run_sequence(config, sequence)
     assert any(row.fd > 0.0 for row in timeline.logs[1])
+
+
+def test_trainable_mode_rejects_labels_beyond_the_grown_classifier():
+    # Task 1 introduces two classes, so the classifier has rows 0 and 1 only.
+    inputs = np.random.default_rng(0).standard_normal((16, DIM))
+    data = LabeledDataset(inputs=inputs, labels=np.array([2, 3] * 8))
+    sequence = TaskSequence(tasks=(Task(index=1, data=data, classes=(2, 3)),), total_classes=4)
+    with pytest.raises(DataError):
+        run_sequence(tiny_config(4, classifier_mode="trainable"), sequence)
 
 
 def test_fixed_mode_requires_matching_feature_dim():
