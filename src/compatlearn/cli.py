@@ -256,8 +256,8 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     if seed is not None:
         config = apply_master_seed(config, seed)
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()):
-        raise ConfigError(f"output directory {out} exists and is not empty")
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ConfigError(f"--out {out} exists and is not an empty directory")
     sequence, eval_dataset, pairs, experiment = experiment_components(config)
     timeline = run_sequence(experiment, sequence)
 
@@ -454,7 +454,7 @@ def main(argv=None) -> int:
         elif args.command == "report":
             out = cmd_report(args.matrix, args.out)
             print(f"wrote {out}")
-    except ConfigError as exc:
+    except (ConfigError, MetricUndefinedError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, OSError) as exc:
@@ -463,9 +463,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error[divergence]: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except MetricUndefinedError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CompatLearnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

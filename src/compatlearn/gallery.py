@@ -3,8 +3,11 @@
 A gallery is indexed once with one model version and holds features only (no
 raw inputs). Later models query it directly: query features are extracted
 with the current model and compared against the stored ones by cosine
-similarity, so the store is never re-extracted. Searches are brute force and
-exact; galleries at this scale are small and oracle tests need exactness.
+similarity, so the store is never re-extracted. Search is exact: it returns
+the top n of a full sort by (descending similarity, ascending id). Per query,
+``np.partition`` finds the n-th largest similarity and only the entries at or
+above it, every tie at that boundary included, are sorted. Features must be
+finite for that filter; the stored norms are computed once per ``Gallery``.
 
 On disk features are float32; in memory and in all similarity computations
 they are float64. Stored features are quantized to the float32 grid at index
@@ -20,7 +23,7 @@ version 2) with these sections:
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +41,7 @@ class Gallery:
     features: np.ndarray
     indexed_by: int
     labels: tuple[int, ...] | None = None
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -47,8 +51,13 @@ class Gallery:
             )
         if self.labels is not None and len(self.labels) != len(self.ids):
             raise DataError("labels, when given, need one entry per id")
-        features.setflags(write=False)
-        object.__setattr__(self, "features", features)
+        norms = np.linalg.norm(features, axis=1)  # non-finite for a NaN or inf feature
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise DataError(f"non-finite stored feature norm for gallery id {self.ids[bad[0]]!r}")
+        for name, array in (("features", features), ("norms", norms)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -104,23 +113,25 @@ def search(
         raise ValueError(f"top_n must be in [1, {len(gallery)}], got {top_n}")
     query_features = extract_features(query_model, query_inputs)
     q_norms = np.linalg.norm(query_features, axis=1)
-    zero = np.flatnonzero(q_norms == 0.0)
-    if zero.size:
-        raise DegenerateFeatureError(f"zero-norm query feature at index {zero[0]}")
-    g_norms = np.linalg.norm(gallery.features, axis=1)
-    g_zero = np.flatnonzero(g_norms == 0.0)
+    for kind, bad in (("zero-norm", q_norms == 0.0), ("non-finite", ~np.isfinite(q_norms))):
+        if bad.any():
+            raise DegenerateFeatureError(f"{kind} query feature at index {np.flatnonzero(bad)[0]}")
+    g_zero = np.flatnonzero(gallery.norms == 0.0)
     if g_zero.size:
         raise DegenerateFeatureError(
             f"zero-norm stored feature for gallery id {gallery.ids[g_zero[0]]!r}"
         )
     sims = np.clip(
-        (query_features @ gallery.features.T) / np.outer(q_norms, g_norms), -1.0, 1.0
+        (query_features @ gallery.features.T) / np.outer(q_norms, gallery.norms), -1.0, 1.0
     )
-    id_array = np.asarray(gallery.ids)
+    ids = gallery.ids
+    cut = len(ids) - top_n
     results = []
     for row in sims:
-        order = np.lexsort((id_array, -row))[:top_n]
-        results.append([(gallery.ids[j], float(row[j])) for j in order])
+        # Every entry at or above the n-th largest similarity, boundary ties included.
+        candidates = np.flatnonzero(row >= np.partition(row, cut)[cut]) if cut else range(len(ids))
+        ranked = sorted(candidates, key=lambda j: (-row[j], ids[j]))[:top_n]
+        results.append([(ids[j], float(row[j])) for j in ranked])
     return results
 
 

@@ -28,7 +28,7 @@ from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model
 from compatlearn.container import read_container, write_container
 from compatlearn.data import load_csv, make_synthetic, save_csv, SyntheticSpec
 from compatlearn.errors import CompatLearnError, ConfigError, CorruptFileError, DataError
-from compatlearn.gallery import index_gallery, save_gallery
+from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
 
 TINY = {
@@ -163,6 +163,21 @@ def test_failed_write_leaves_no_directory(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert (out / "pairs.csv").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "exp"]
+
+
+def test_train_refuses_a_regular_file_as_output(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "exp"
+    out.write_bytes(b"keep me")
+
+    def no_training(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("compatlearn.cli.experiment_components", no_training)
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and "--out" in err
+    assert out.read_bytes() == b"keep me"
 
 
 def test_csv_source_trains_like_the_synthetic_preset(tmp_path):
@@ -521,6 +536,19 @@ def test_search_output_quotes_its_ids(tmp_path):
     assert all(len(row) == 5 for row in rows)
     for qi in range(4):
         assert sorted(row[3] for row in rows[1:] if row[0] == str(qi)) == sorted(ids)
+
+
+def test_search_with_a_non_finite_stored_feature_is_a_data_error(tmp_path, capsys):
+    odd_id_gallery(tmp_path, ["a", "b", "c"])
+    path = tmp_path / "g.gal"
+    sections = read_container(path, GALLERY_MAGIC, GALLERY_VERSION)
+    features = np.frombuffer(sections["features"], dtype="<f4").copy()
+    features[-1] = np.inf
+    sections["features"] = features.tobytes()
+    write_container(path, GALLERY_MAGIC, GALLERY_VERSION, list(sections.items()))  # valid CRCs
+    assert main(search_argv(tmp_path, 1)) == 3
+    assert capsys.readouterr().err.startswith("error[data]: ")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_search_writes_utf8_under_an_ascii_locale(tmp_path):

@@ -3,7 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from compatlearn.container import read_container, write_container
 from compatlearn.errors import (
     CorruptFileError,
     DataError,
@@ -12,13 +15,15 @@ from compatlearn.errors import (
 )
 from compatlearn.gallery import (
     GALLERY_MAGIC,
+    GALLERY_VERSION,
+    Gallery,
     index_gallery,
     load_gallery,
     recall_at_1,
     save_gallery,
     search,
 )
-from compatlearn.network import ModelConfig, init_model
+from compatlearn.network import ModelConfig, extract_features, init_model
 
 
 def identity_model(dim=3):
@@ -79,6 +84,101 @@ def test_search_breaks_ties_by_ascending_id():
     g = index_gallery(["zz", "aa"], np.stack([np.ones(3), np.ones(3)]), model, 1)
     results = search(np.array([[1.0, 1.0, 1.0]]), model, g, top_n=2)
     assert [gid for gid, _ in results[0]] == ["aa", "zz"]
+
+
+def full_sort_reference(query_inputs, model, gallery, top_n):
+    """Rank every entry with one lexsort per query: the definition search must match."""
+    q = extract_features(model, query_inputs)
+    qn = np.linalg.norm(q, axis=1)
+    gn = np.linalg.norm(gallery.features, axis=1)
+    sims = np.clip((q @ gallery.features.T) / np.outer(qn, gn), -1.0, 1.0)
+    ids = np.asarray(gallery.ids)
+    return [
+        [(gallery.ids[j], float(row[j])) for j in np.lexsort((ids, -row))[:top_n]]
+        for row in sims
+    ]
+
+
+def tied_gallery(group=4, distinct=10, dim=3, seed=0):
+    """``distinct`` grid-valued feature rows, each stored ``group`` times under shuffled ids."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, size=(distinct, dim)).astype(np.float64)
+    base[~base.any(axis=1), 0] = 1.0  # no zero-norm rows
+    ids = [f"id{i:03d}" for i in rng.permutation(distinct * group)]
+    gallery = index_gallery(ids, np.tile(base, (group, 1)), identity_model(dim), 1)
+    queries = np.vstack([base[:4], rng.integers(-2, 3, size=(4, dim)) + 0.5])
+    return gallery, queries
+
+
+@pytest.mark.parametrize("top_n", [1, 3, 4, 5, 40])
+def test_search_matches_a_full_sort_on_tied_entries(top_n):
+    gallery, queries = tied_gallery(group=4, distinct=10)
+    model = identity_model()
+    assert search(queries, model, gallery, top_n) == full_sort_reference(
+        queries, model, gallery, top_n
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_search_matches_a_full_sort_on_grid_features(data):
+    dim = data.draw(st.integers(1, 4))
+    size = data.draw(st.integers(1, 25))
+    grid = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    features = np.array(data.draw(st.lists(grid, min_size=size, max_size=size)), dtype=float)
+    queries = np.array(data.draw(st.lists(grid, min_size=1, max_size=4)), dtype=float)
+    names = data.draw(st.permutations([f"g{i}" for i in range(size)]))
+    top_n = data.draw(st.integers(1, size))
+    model = identity_model(dim)
+    gallery = index_gallery(names, features, model, 1)
+    assert search(queries, model, gallery, top_n) == full_sort_reference(
+        queries, model, gallery, top_n
+    )
+
+
+def test_batched_search_equals_single_queries():
+    gallery, queries = tied_gallery(group=3, distinct=20, seed=2)
+    model = identity_model()
+    for top_n in (1, 3, 4, 60):
+        batched = search(queries, model, gallery, top_n)
+        assert batched == [search(q[None], model, gallery, top_n)[0] for q in queries]
+
+
+def test_gallery_norms_are_cached_bitwise():
+    gallery, _ = tied_gallery()
+    expected = np.linalg.norm(gallery.features, axis=1)
+    assert gallery.norms.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        gallery.norms[0] = 1.0
+    twin = Gallery(ids=gallery.ids, features=gallery.features, indexed_by=gallery.indexed_by)
+    assert twin == gallery  # the cached norms are not compared
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gallery_rejects_non_finite_features(bad):
+    features = np.eye(3)
+    features[1, 2] = bad
+    with pytest.raises(DataError, match="'b'"):
+        Gallery(ids=("a", "b", "c"), features=features, indexed_by=1)
+
+
+def test_load_gallery_rejects_non_finite_features(tmp_path):
+    path = tmp_path / "g.gal"
+    save_gallery(one_hot_gallery(), path)
+    sections = read_container(path, GALLERY_MAGIC, GALLERY_VERSION)
+    features = np.frombuffer(sections["features"], dtype="<f4").copy()
+    features[4] = np.nan
+    sections["features"] = features.tobytes()
+    write_container(path, GALLERY_MAGIC, GALLERY_VERSION, list(sections.items()))  # valid CRCs
+    with pytest.raises(DataError, match="non-finite"):
+        load_gallery(path)
+
+
+def test_search_rejects_a_non_finite_query_norm():
+    queries = np.array([[1.0, 0.0, 0.0], [1e200, 1e200, 0.0]])  # the second norm overflows
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateFeatureError, match="non-finite query feature at index 1"):
+            search(queries, identity_model(), one_hot_gallery(), top_n=1)
 
 
 def test_search_validates_inputs():
