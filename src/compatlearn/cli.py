@@ -258,6 +258,9 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ConfigError(f"--out {out} exists and is not an empty directory")
+    ancestor = next(p for p in out.absolute().parents if p.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"--out {out} lies under {ancestor}, which is not a directory")
     sequence, eval_dataset, pairs, experiment = experiment_components(config)
     timeline = run_sequence(experiment, sequence)
 

@@ -9,6 +9,18 @@ the top n of a full sort by (descending similarity, ascending id). Per query,
 above it, every tie at that boundary included, are sorted. Features must be
 finite for that filter; the stored norms are computed once per ``Gallery``.
 
+A batched search extracts every query's features once, then scores them in
+blocks of ``max(2, SEARCH_BLOCK_CELLS // len(gallery))`` query rows. Beyond
+the query features, its working memory is a few block-sized arrays (16 MB
+each) whatever the number of queries, not a queries x gallery matrix. No block
+has one row unless there is only one query: numpy sends a one-row product to
+gemv, whose results may differ from gemm's in the last bits, so a one-row tail
+joins the block before it. With gemm rows that do not depend on the row count
+(OpenBLAS), the blocks give the bits of one full product. For the same reason
+a one-query search goes through gemv and may differ from that query's row of a
+batched search in the last bits (by up to about 7e-16 in similarity); the
+ranking is the same unless two entries lie that close.
+
 On disk features are float32; in memory and in all similarity computations
 they are float64. Stored features are quantized to the float32 grid at index
 time so a save/load cycle is bit-exact.
@@ -33,6 +45,8 @@ from .network import FeatureExtractorState, extract_features
 
 GALLERY_MAGIC = b"FGALLERY"
 GALLERY_VERSION = 2
+# Similarities scored at once by a batched search: 2**21 float64 cells, 16 MB.
+SEARCH_BLOCK_CELLS = 2**21
 
 
 @dataclass(frozen=True)
@@ -121,17 +135,21 @@ def search(
         raise DegenerateFeatureError(
             f"zero-norm stored feature for gallery id {gallery.ids[g_zero[0]]!r}"
         )
-    sims = np.clip(
-        (query_features @ gallery.features.T) / np.outer(q_norms, gallery.norms), -1.0, 1.0
-    )
     ids = gallery.ids
     cut = len(ids) - top_n
+    step = max(2, SEARCH_BLOCK_CELLS // len(ids))
+    bounds = [*range(0, len(query_features), step), len(query_features)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # a one-row tail joins the block before it: one row would go to gemv
     results = []
-    for row in sims:
-        # Every entry at or above the n-th largest similarity, boundary ties included.
-        candidates = np.flatnonzero(row >= np.partition(row, cut)[cut]) if cut else range(len(ids))
-        ranked = sorted(candidates, key=lambda j: (-row[j], ids[j]))[:top_n]
-        results.append([(ids[j], float(row[j])) for j in ranked])
+    for start, stop in zip(bounds, bounds[1:]):
+        sims = query_features[start:stop] @ gallery.features.T
+        sims /= np.outer(q_norms[start:stop], gallery.norms)
+        for row in np.clip(sims, -1.0, 1.0, out=sims):
+            # Every entry at or above the n-th largest similarity, boundary ties included.
+            keep = np.flatnonzero(row >= np.partition(row, cut)[cut]) if cut else range(len(ids))
+            ranked = sorted(keep, key=lambda j: (-row[j], ids[j]))[:top_n]
+            results.append([(ids[j], float(row[j])) for j in ranked])
     return results
 
 

@@ -180,6 +180,23 @@ def test_train_refuses_a_regular_file_as_output(tmp_path, capsys, monkeypatch):
     assert out.read_bytes() == b"keep me"
 
 
+def test_train_refuses_an_output_under_a_regular_file(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep me")
+
+    def no_training(config):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("compatlearn.cli.experiment_components", no_training)
+    for out in (afile / "exp", afile / "deeper" / "exp"):
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "--out" in err
+    assert afile.read_bytes() == b"keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
 def test_csv_source_trains_like_the_synthetic_preset(tmp_path):
     preset = validate_config({})["data"]
     spec = SyntheticSpec(

@@ -1,11 +1,13 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compatlearn import gallery as gallery_module
 from compatlearn.container import read_container, write_container
 from compatlearn.errors import (
     CorruptFileError,
@@ -142,6 +144,84 @@ def test_batched_search_equals_single_queries():
     for top_n in (1, 3, 4, 60):
         batched = search(queries, model, gallery, top_n)
         assert batched == [search(q[None], model, gallery, top_n)[0] for q in queries]
+
+
+def float_gallery(size=40, dim=5, group=1, queries=9, seed=0):
+    """Random float features (``size`` distinct rows, each stored ``group`` times) and queries."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(size, dim))
+    ids = [f"id{i:03d}" for i in rng.permutation(size * group)]
+    gallery = index_gallery(ids, np.tile(base, (group, 1)), identity_model(dim), 1)
+    return gallery, rng.normal(size=(queries, dim))
+
+
+def test_batched_float_search_matches_single_queries_within_tolerance():
+    # A one-row product goes through gemv, so only the ranking is exact.
+    gallery, queries = float_gallery(size=60, queries=12, seed=3)
+    model = identity_model(5)
+    batched = search(queries, model, gallery, top_n=10)
+    for query, row in zip(queries, batched):
+        single = search(query[None], model, gallery, top_n=10)[0]
+        assert [gid for gid, _ in single] == [gid for gid, _ in row]
+        assert np.allclose([s for _, s in single], [s for _, s in row], rtol=0.0, atol=1e-12)
+
+
+def similarity_bits(results):
+    return [(gid, np.float64(sim).tobytes()) for ranked in results for gid, sim in ranked]
+
+
+@pytest.mark.parametrize("group", [1, 4])
+def test_blocked_search_equals_one_block_bitwise(monkeypatch, group):
+    gallery, queries = float_gallery(size=30, group=group, queries=9)
+    rows = 4
+    model = identity_model(5)
+    one_block = {
+        (q, n): similarity_bits(search(queries[:q], model, gallery, n))
+        for q in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1)
+        for n in (1, 5, len(gallery))
+    }
+    blocks = []
+    numpy_outer = np.outer
+
+    def outer(a, b):  # called once per block with the block's query norms
+        blocks.append(len(a))
+        return numpy_outer(a, b)
+
+    monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", rows * len(gallery))
+    monkeypatch.setattr(np, "outer", outer)
+    for (q, n), expected in one_block.items():
+        blocks.clear()
+        assert similarity_bits(search(queries[:q], model, gallery, n)) == expected
+        # Full blocks, and a one-row tail only for a single query.
+        assert blocks == {1: [1], 5: [5], 9: [4, 5]}.get(q, [q])
+
+
+def search_peak_bytes(gallery, queries, model):
+    """Peak traced allocation of one search above what its result keeps."""
+    tracemalloc.start()
+    try:
+        results = search(queries, model, gallery, top_n=1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(queries)
+    return peak - current
+
+
+def test_batched_search_memory_is_bounded_by_the_block(monkeypatch):
+    cells = 4096
+    monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", cells)
+    gallery, queries = float_gallery(size=1000, dim=3, queries=1600, seed=1)
+    model = identity_model(3)
+    search(queries[:4], model, gallery, top_n=1)  # first-call allocations out of the way
+    peak_400 = search_peak_bytes(gallery, queries[:400], model)
+    peak_1600 = search_peak_bytes(gallery, queries, model)
+    # One Q x G matrix would be 3.2 MB at 400 queries and 12.8 MB at 1600.
+    assert peak_400 < 8 * cells * 8
+    assert peak_1600 < 8 * cells * 8
+    # Only the query features and their norms grow with Q: 1,200 more rows of
+    # 3 + 1 float64 (38 KB), against 9.6 MB more for a Q x G matrix.
+    assert peak_1600 - peak_400 < 2 * 1200 * (3 + 1) * 8
 
 
 def test_gallery_norms_are_cached_bitwise():
