@@ -59,59 +59,3 @@ from .network import (
     init_model,
 )
 from .trainer import ExperimentConfig, ModelTimeline, run_sequence, run_task
-
-__all__ = [
-    "__version__",
-    "LabeledDataset",
-    "SyntheticSpec",
-    "Task",
-    "TaskSequence",
-    "generate_pairs",
-    "load_csv",
-    "make_synthetic",
-    "split_tasks",
-    "CompatLearnError",
-    "ConfigError",
-    "CorruptFileError",
-    "DataError",
-    "DegenerateFeatureError",
-    "DisjointnessError",
-    "DivergenceError",
-    "MetricUndefinedError",
-    "UnsupportedVersionError",
-    "CompatibilityMatrix",
-    "CompatibilityReport",
-    "VerificationPairSet",
-    "build_compatibility_matrix",
-    "compatibility_report",
-    "pair_scores",
-    "tar_at_far",
-    "verification_accuracy",
-    "Gallery",
-    "index_gallery",
-    "load_gallery",
-    "recall_at_1",
-    "save_gallery",
-    "search",
-    "SimplexPrototypes",
-    "build_simplex",
-    "LabeledBatch",
-    "LossReport",
-    "combined_loss",
-    "feature_distillation_loss",
-    "lambda_for_task",
-    "EpisodicMemory",
-    "build_training_set",
-    "update_memory",
-    "FeatureExtractorState",
-    "ModelConfig",
-    "TrainingHyperparams",
-    "apply_gradients",
-    "extract_features",
-    "gradient_check",
-    "init_model",
-    "ExperimentConfig",
-    "ModelTimeline",
-    "run_sequence",
-    "run_task",
-]

@@ -2,8 +2,9 @@
 
 Each artifact is a container from ``container.py`` with a JSON "meta" section
 describing shapes and little-endian float64 blobs for the numeric payloads,
-which makes round trips bit-exact. Writes are atomic and malformed meta
-becomes a ``CorruptFileError`` (``container.read_artifact``).
+which makes round trips bit-exact. Writes are atomic. Malformed meta
+(``container.read_artifact``) and a model whose weights or biases are not
+finite become a ``CorruptFileError``.
 """
 
 import dataclasses
@@ -24,6 +25,14 @@ MEMORY_MAGIC = b"MEMSNAPS"
 MEMORY_VERSION = 1
 # The per-row metadata of a memory snapshot, stored as JSON lists in "meta".
 _MEMORY_COLUMNS = ("labels", "source_tasks", "sample_indices")
+# A model's parameter sections in file order, as (section prefix, state
+# attribute, meta key of the per-layer shapes); section "w0" is weights[0].
+_MODEL_SECTIONS = (
+    ("w", "weights", "weight_shapes"),
+    ("b", "biases", "bias_shapes"),
+    ("vw", "velocity_w", "weight_shapes"),
+    ("vb", "velocity_b", "bias_shapes"),
+)
 
 
 def _array_bytes(arr: np.ndarray) -> bytes:
@@ -42,15 +51,11 @@ def save_model(state: FeatureExtractorState, path) -> None:
         "weight_shapes": [list(w.shape) for w in state.weights],
         "bias_shapes": [list(b.shape) for b in state.biases],
     }
-    sections = []
-    for i, w in enumerate(state.weights):
-        sections.append((f"w{i}", _array_bytes(w)))
-    for i, b in enumerate(state.biases):
-        sections.append((f"b{i}", _array_bytes(b)))
-    for i, v in enumerate(state.velocity_w):
-        sections.append((f"vw{i}", _array_bytes(v)))
-    for i, v in enumerate(state.velocity_b):
-        sections.append((f"vb{i}", _array_bytes(v)))
+    sections = [
+        (f"{prefix}{i}", _array_bytes(array))
+        for prefix, attr, _ in _MODEL_SECTIONS
+        for i, array in enumerate(getattr(state, attr))
+    ]
     write_artifact(path, MODEL_MAGIC, MODEL_VERSION, meta, sections)
 
 
@@ -69,12 +74,14 @@ def load_model(path) -> FeatureExtractorState:
             or meta["bias_shapes"] != [[size] for size in sizes[1:]]
         ):
             raise CorruptFileError(f"{path}: stored layer shapes do not match layer sizes {sizes}")
-        weights = [_array_from(sections[f"w{i}"], meta["weight_shapes"][i]) for i in range(n)]
-        biases = [_array_from(sections[f"b{i}"], meta["bias_shapes"][i]) for i in range(n)]
-        vel_w = [_array_from(sections[f"vw{i}"], meta["weight_shapes"][i]) for i in range(n)]
-        vel_b = [_array_from(sections[f"vb{i}"], meta["bias_shapes"][i]) for i in range(n)]
-        step = int(meta["step"])
-        return FeatureExtractorState(config, weights, biases, vel_w, vel_b, step=step)
+        arrays = {
+            attr: [_array_from(sections[f"{prefix}{i}"], meta[shapes][i]) for i in range(n)]
+            for prefix, attr, shapes in _MODEL_SECTIONS
+        }
+        state = FeatureExtractorState(config, **arrays, step=int(meta["step"]))
+        if not state.all_finite():
+            raise CorruptFileError(f"{path}: non-finite weight or bias")
+        return state
 
 
 def save_prototypes(prototypes: SimplexPrototypes, path) -> None:

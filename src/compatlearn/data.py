@@ -349,7 +349,7 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     write_atomic(path, itertools.chain([f"{header}\r\n".encode("utf-8")], rows))
 
 
-def load_csv(path, input_dim: int | None = None) -> LabeledDataset:
+def load_csv(path) -> LabeledDataset:
     """Read the label-then-features CSV schema into a dataset.
 
     The header row is required. Every data row must hold one integer label
@@ -364,8 +364,6 @@ def load_csv(path, input_dim: int | None = None) -> LabeledDataset:
                 f"{path}: header must be 'label' followed by feature columns, got {header}"
             )
         width = len(header) - 1
-        if input_dim is not None and width != input_dim:
-            raise DataError(f"{path}: expected {input_dim} feature columns, header has {width}")
         row_dtype = np.dtype([("label", np.int64), ("x", np.float64, (width,))])
         rows = _parse_rows(path, fh, first_line, row_dtype, width + 1, "non-numeric cell")
     inputs = np.ascontiguousarray(rows["x"])

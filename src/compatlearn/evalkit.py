@@ -2,12 +2,14 @@
 
 A pair set holds indices into the held-out inputs, not copies of them: pair
 ``i`` compares sample ``ids_a[i]`` with sample ``ids_b[i]``. Scoring extracts
-each model's features once per distinct sample the pairs touch, computes each
-feature's norm once, then gathers both by pair index: the first sample of
-every pair is seen by the query-side model, the second by the gallery-side
-model, and the score is their cosine similarity. From the scored pairs two
-metrics are available: best-threshold verification accuracy and the true
-acceptance rate at a false acceptance rate target.
+each model's features once per distinct sample the pairs touch and computes
+each feature's norm once, which is where a zero or non-finite norm is refused
+(``network.feature_norms``, the rule gallery search applies to its queries):
+once per model, not once per cell. Both are then gathered by pair index: the
+first sample of every pair is seen by the query-side model, the second by the
+gallery-side model, and the score is their cosine similarity. From the scored
+pairs two metrics are available: best-threshold verification accuracy and the
+true acceptance rate at a false acceptance rate target.
 
 Scoring every (newer model, older model) combination of a training timeline
 on one static pair set fills the lower triangle of the compatibility matrix:
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateFeatureError, MetricUndefinedError
-from .network import FeatureExtractorState, extract_features
+from .errors import DataError, MetricUndefinedError
+from .network import FeatureExtractorState, extract_features, feature_norms
 
 METRIC_KINDS = ("accuracy", "tar_at_far")
 SCORE_BLOCK = 4096  # pairs whose gathered feature rows a cell holds at once
@@ -133,7 +135,7 @@ class _SampleRows:
     def features(self, model: FeatureExtractorState) -> tuple[np.ndarray, np.ndarray]:
         """One model's features for every distinct sample, with their norms."""
         feats = extract_features(model, self.inputs)
-        return feats, np.linalg.norm(feats, axis=1)
+        return feats, feature_norms(feats, "feature of distinct pair sample")
 
     def cell_scores(self, query, gallery) -> np.ndarray:
         """Cosine per pair: query features on side A, gallery features on side B.
@@ -148,12 +150,6 @@ class _SampleRows:
             )
         norms_a = norms_q[self.rows_a]
         norms_b = norms_g[self.rows_b]
-        for norms, side in ((norms_a, "query"), (norms_b, "gallery")):
-            zero = np.flatnonzero(norms == 0.0)
-            if zero.size:
-                raise DegenerateFeatureError(
-                    f"zero-norm {side}-side feature at pair index {zero[0]}"
-                )
         # Gathered feature rows go block by block, so a cell holds a block of
         # them at a time rather than two copies the size of the pair set.
         dots = np.empty(len(norms_a))

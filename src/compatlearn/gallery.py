@@ -8,6 +8,7 @@ the top n of a full sort by (descending similarity, ascending id). Per query,
 ``np.partition`` finds the n-th largest similarity and only the entries at or
 above it, every tie at that boundary included, are sorted. Features must be
 finite for that filter; the stored norms are computed once per ``Gallery``.
+Query norms pass ``network.feature_norms``, the norm rule pair scoring shares.
 
 A batched search extracts every query's features once, then scores them in
 blocks of ``max(2, SEARCH_BLOCK_CELLS // len(gallery))`` query rows. Beyond
@@ -41,7 +42,7 @@ import numpy as np
 
 from .container import read_artifact, write_artifact
 from .errors import DataError, DegenerateFeatureError
-from .network import FeatureExtractorState, extract_features
+from .network import FeatureExtractorState, extract_features, feature_norms
 
 GALLERY_MAGIC = b"FGALLERY"
 GALLERY_VERSION = 2
@@ -126,10 +127,7 @@ def search(
     if not 1 <= top_n <= len(gallery):
         raise ValueError(f"top_n must be in [1, {len(gallery)}], got {top_n}")
     query_features = extract_features(query_model, query_inputs)
-    q_norms = np.linalg.norm(query_features, axis=1)
-    for kind, bad in (("zero-norm", q_norms == 0.0), ("non-finite", ~np.isfinite(q_norms))):
-        if bad.any():
-            raise DegenerateFeatureError(f"{kind} query feature at index {np.flatnonzero(bad)[0]}")
+    q_norms = feature_norms(query_features, "query feature")
     g_zero = np.flatnonzero(gallery.norms == 0.0)
     if g_zero.size:
         raise DegenerateFeatureError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DegenerateFeatureError, DivergenceError
 
 NONLINEARITIES = ("relu", "tanh")
 
@@ -217,6 +217,18 @@ def extract_features(state: FeatureExtractorState, batch) -> np.ndarray:
     return features
 
 
+def feature_norms(features: np.ndarray, what: str) -> np.ndarray:
+    """Row norms, the divisors of a cosine score.
+
+    A zero or non-finite norm raises ``DegenerateFeatureError`` naming ``what`` and the row.
+    """
+    norms = np.linalg.norm(features, axis=1)
+    for kind, bad in (("zero-norm", norms == 0.0), ("non-finite", ~np.isfinite(norms))):
+        if bad.any():
+            raise DegenerateFeatureError(f"{kind} {what} at index {np.flatnonzero(bad)[0]}")
+    return norms
+
+
 def backprop_feature_grads(
     state: FeatureExtractorState, cache: list, dfeatures: np.ndarray
 ) -> ParamGrads:
@@ -270,20 +282,14 @@ def apply_gradients(
     epoch: int,
 ) -> FeatureExtractorState:
     """Apply one SGD-with-momentum step at the milestone-scheduled learning rate."""
-    for i, g in enumerate(grads.weights):
-        if g.shape != state.weights[i].shape:
-            raise DataError(
-                f"gradient shape {g.shape} does not match weights[{i}] {state.weights[i].shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in weights[{i}]")
-    for i, g in enumerate(grads.biases):
-        if g.shape != state.biases[i].shape:
-            raise DataError(
-                f"gradient shape {g.shape} does not match biases[{i}] {state.biases[i].shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in biases[{i}]")
+    for name in ("weights", "biases"):
+        for i, (g, param) in enumerate(zip(getattr(grads, name), getattr(state, name))):
+            if g.shape != param.shape:
+                raise DataError(
+                    f"gradient shape {g.shape} does not match {name}[{i}] {param.shape}"
+                )
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError(f"non-finite gradient in {name}[{i}]")
     lr = hyperparams.effective_lr(epoch)
     for w, g, v in zip(state.weights, grads.weights, state.velocity_w):
         sgd_update(w, g, v, lr, hyperparams.momentum, hyperparams.weight_decay)

@@ -24,7 +24,7 @@ from compatlearn.cli import (
     read_matrix_csv,
     validate_config,
 )
-from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model
+from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from compatlearn.container import read_container, write_container
 from compatlearn.data import load_csv, make_synthetic, save_csv, SyntheticSpec
 from compatlearn.errors import CompatLearnError, ConfigError, CorruptFileError, DataError
@@ -325,6 +325,22 @@ def test_checkpoint_with_wrong_layer_shapes_is_a_data_error(tmp_path, capsys, ke
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
     assert capsys.readouterr().err.startswith("error[data]: ")
     assert not (tmp_path / "bad").exists()
+
+
+def test_checkpoint_with_a_nan_weight_is_a_data_error(tmp_path, capsys):
+    config = write_config(tmp_path, {"data": {"num_tasks": 3}})
+    exp = tmp_path / "exp"
+    assert main(["train", "--config", str(config), "--out", str(exp), "--seed", "1"]) == 0
+    path = exp / "checkpoint_task_002.ckpt"
+    state = load_model(path)
+    state.weights[0][0, 0] = np.nan
+    save_model(state, path)  # a well-formed file with valid checksums
+    with pytest.raises(CorruptFileError, match="non-finite"):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["eval", "--exp", str(exp)]) == 3
+    assert capsys.readouterr().err.startswith("error[data]: ")
+    assert not (exp / "matrix.csv").exists()
 
 
 def test_undecodable_matrix_is_a_data_error(tmp_path):

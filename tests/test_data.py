@@ -283,14 +283,6 @@ def test_load_csv_reports_bad_rows(tmp_path):
         load_csv(path)
 
 
-def test_load_csv_checks_expected_width(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("label,x0,x1\n0,1.0,2.0\n")
-    assert load_csv(path, input_dim=2).input_dim == 2
-    with pytest.raises(DataError):
-        load_csv(path, input_dim=3)
-
-
 def test_load_pairs_rejects_rows_without_three_columns(tmp_path):
     ds = eval_dataset()
     path = tmp_path / "pairs.csv"

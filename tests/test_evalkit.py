@@ -95,12 +95,17 @@ def test_pair_scores_orthogonal_is_zero_and_scale_invariant():
     assert np.allclose(scores, scores_scaled, atol=1e-12)
 
 
-def test_pair_scores_zero_norm_feature_reports_index():
+@pytest.mark.parametrize(
+    "row, kind", [([0.0, 0.0, 0.0], "zero-norm"), ([1e200, 1e200, 0.0], "non-finite")],
+    ids=["zero", "overflow"],
+)
+def test_pair_scores_zero_norm_feature_reports_index(row, kind):
     model = identity_model()
-    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    a = np.array([[1.0, 0.0, 0.0], row])  # the second norm is zero or overflows
     b = np.ones((2, 3))
-    with pytest.raises(DegenerateFeatureError, match="index 1"):
-        pair_scores(make_pairs(a, b, [True, False]), model, model)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateFeatureError, match=f"{kind} .*index 1"):
+            pair_scores(make_pairs(a, b, [True, False]), model, model)
 
 
 def test_pair_set_rejects_ids_outside_the_inputs():
