@@ -54,6 +54,7 @@ from .evalkit import (
 from .gallery import load_gallery, search
 from .network import NONLINEARITIES, ModelConfig, TrainingHyperparams
 from .trainer import (
+    CHECKPOINT_NAME,
     CLASSIFIER_MODES,
     FD_MODES,
     ExperimentConfig,
@@ -327,7 +328,7 @@ def read_matrix_csv(path) -> CompatibilityMatrix:
     return CompatibilityMatrix(values=values, metric=header["metric"], far_target=far)
 
 
-def _write_report(matrix: CompatibilityMatrix, path, include_thresholds: bool) -> None:
+def _write_report(matrix: CompatibilityMatrix, path) -> None:
     payload = {
         "schema": REPORT_SCHEMA,
         "metric": matrix.metric,
@@ -341,11 +342,29 @@ def _write_report(matrix: CompatibilityMatrix, path, include_thresholds: bool) -
         payload["bc"] = report.bc
         payload["fc"] = report.fc
         payload["bc_series"] = list(report.bc_series)
-    if include_thresholds and matrix.thresholds is not None:
+    if matrix.thresholds is not None:  # eval's matrix; one read from matrix.csv has none
         payload["thresholds"] = [
             [None if np.isnan(v) else float(v) for v in row] for row in matrix.thresholds
         ]
     write_atomic(path, [canonical_json(payload).encode("utf-8")])
+
+
+def _checkpoint_paths(exp: Path) -> list[Path]:
+    """Checkpoints 1..T in task order, T being ``data.num_tasks`` in the experiment's config."""
+    try:
+        num_tasks = load_config(exp / "config.json")["data"]["num_tasks"]
+    except ConfigError as exc:  # the experiment's own file: bad data, not a bad argument
+        raise DataError(f"experiment config {exp / 'config.json'}: {exc}") from exc
+    present = {p.name for p in exp.glob("checkpoint_task_*.ckpt")}
+    names = []
+    for task in range(1, num_tasks + 1):  # stops at the first gap, so at most len(present) + 1
+        names.append(CHECKPOINT_NAME.format(task))
+        if names[-1] not in present:
+            raise DataError(f"missing checkpoint {exp / names[-1]}: the run has {num_tasks} tasks")
+    extra = sorted(present - set(names))
+    if extra:
+        raise DataError(f"unexpected checkpoint {exp / extra[0]}: the run has {num_tasks} tasks")
+    return [exp / name for name in names]
 
 
 def cmd_eval(
@@ -360,10 +379,7 @@ def cmd_eval(
     if far is not None and not 0 < far <= 1:
         raise ConfigError(f"--far must be in (0, 1], got {far}")
     exp = Path(exp_dir)
-    checkpoint_paths = sorted(exp.glob("checkpoint_task_*.ckpt"))
-    if not checkpoint_paths:
-        raise DataError(f"no checkpoints found in {exp}")
-    models = [load_model(p) for p in checkpoint_paths]
+    models = [load_model(p) for p in _checkpoint_paths(exp)]
     eval_csv = exp / "eval_data.csv"
     pairs_path = exp / "pairs.csv"
     if not eval_csv.exists() or not pairs_path.exists():
@@ -376,7 +392,7 @@ def cmd_eval(
     matrix_path = out / "matrix.csv"
     report_path = out / "report.json"
     write_matrix_csv(matrix, matrix_path)
-    _write_report(matrix, report_path, include_thresholds=True)
+    _write_report(matrix, report_path)
     return matrix_path, report_path
 
 
@@ -401,7 +417,7 @@ def cmd_search(gallery_path, queries_csv, checkpoint_path, top_n: int, out_path)
 def cmd_report(matrix_csv, out_path) -> Path:
     """Recompute the summary report from an existing matrix CSV."""
     matrix = read_matrix_csv(matrix_csv)
-    _write_report(matrix, out_path, include_thresholds=False)
+    _write_report(matrix, out_path)
     return Path(out_path)
 
 

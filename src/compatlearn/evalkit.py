@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MetricUndefinedError
+from .errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
 METRIC_KINDS = ("accuracy", "tar_at_far")
@@ -125,17 +125,17 @@ class _SampleRows:
 
     def __init__(self, pairs: VerificationPairSet):
         n = len(pairs)
-        distinct, rows = np.unique(
+        self.distinct, rows = np.unique(
             np.concatenate((pairs.ids_a, pairs.ids_b)), return_inverse=True
         )
-        self.inputs = pairs.inputs[distinct]
+        self.inputs = pairs.inputs[self.distinct]
         self.rows_a = rows[:n]
         self.rows_b = rows[n:]
 
     def features(self, model: FeatureExtractorState) -> tuple[np.ndarray, np.ndarray]:
         """One model's features for every distinct sample, with their norms."""
         feats = extract_features(model, self.inputs)
-        return feats, feature_norms(feats, "feature of distinct pair sample")
+        return feats, feature_norms(feats, lambda i: f"feature of held-out row {self.distinct[i]}")
 
     def cell_scores(self, query, gallery) -> np.ndarray:
         """Cosine per pair: query features on side A, gallery features on side B.
@@ -266,7 +266,12 @@ def build_compatibility_matrix(
         raise DataError("tar_at_far requires a far_target")
     t_count = len(models)
     samples = _SampleRows(pairs)
-    features = [samples.features(m) for m in models]
+    features = []
+    for task, model in enumerate(models, start=1):
+        try:
+            features.append(samples.features(model))
+        except DegenerateFeatureError as exc:
+            raise DegenerateFeatureError(f"checkpoint of task {task}: {exc}") from None
     values = np.zeros((t_count, t_count), dtype=np.float64)
     thresholds = np.full((t_count, t_count), np.nan, dtype=np.float64)
     for t in range(t_count):

@@ -7,8 +7,9 @@ similarity, so the store is never re-extracted. Search is exact: it returns
 the top n of a full sort by (descending similarity, ascending id). Per query,
 ``np.partition`` finds the n-th largest similarity and only the entries at or
 above it, every tie at that boundary included, are sorted. Features must be
-finite for that filter; the stored norms are computed once per ``Gallery``.
-Query norms pass ``network.feature_norms``, the norm rule pair scoring shares.
+finite for that filter. Norms pass ``network.feature_norms``, the rule pair
+scoring shares: the stored ones once when a ``Gallery`` is built (indexed or
+loaded), so a degenerate stored row fails there, and the query ones per search.
 
 A batched search extracts every query's features once, then scores them in
 blocks of ``max(2, SEARCH_BLOCK_CELLS // len(gallery))`` query rows. Beyond
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import read_artifact, write_artifact
-from .errors import DataError, DegenerateFeatureError
+from .errors import DataError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
 GALLERY_MAGIC = b"FGALLERY"
@@ -66,10 +67,7 @@ class Gallery:
             )
         if self.labels is not None and len(self.labels) != len(self.ids):
             raise DataError("labels, when given, need one entry per id")
-        norms = np.linalg.norm(features, axis=1)  # non-finite for a NaN or inf feature
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
-            raise DataError(f"non-finite stored feature norm for gallery id {self.ids[bad[0]]!r}")
+        norms = feature_norms(features, lambda i: f"stored feature of gallery id {self.ids[i]!r}")
         for name, array in (("features", features), ("norms", norms)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -127,12 +125,7 @@ def search(
     if not 1 <= top_n <= len(gallery):
         raise ValueError(f"top_n must be in [1, {len(gallery)}], got {top_n}")
     query_features = extract_features(query_model, query_inputs)
-    q_norms = feature_norms(query_features, "query feature")
-    g_zero = np.flatnonzero(gallery.norms == 0.0)
-    if g_zero.size:
-        raise DegenerateFeatureError(
-            f"zero-norm stored feature for gallery id {gallery.ids[g_zero[0]]!r}"
-        )
+    q_norms = feature_norms(query_features, lambda i: f"query feature at index {i}")
     ids = gallery.ids
     cut = len(ids) - top_n
     step = max(2, SEARCH_BLOCK_CELLS // len(ids))

@@ -81,15 +81,13 @@ class LabeledBatch:
 class LossReport:
     """One evaluation of the combined objective.
 
-    ``total`` is computed as ``ce_value + lambda_weight * fd_value`` so the
-    decomposition holds exactly.
+    ``total`` is ``ce_value + lambda_weight * fd_value``, the weight given to
+    ``combined_loss``, computed so that the decomposition holds exactly.
     """
 
     ce_value: float
     fd_value: float
-    lambda_weight: float
     total: float
-    ce_count: int
     fd_count: int
 
 
@@ -272,9 +270,7 @@ def combined_loss(
     report = LossReport(
         ce_value=ce_value,
         fd_value=fd_value,
-        lambda_weight=lambda_weight,
         total=ce_value + lambda_weight * fd_value,
-        ce_count=len(batch),
         fd_count=fd_count,
     )
     return report, grads

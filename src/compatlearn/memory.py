@@ -41,15 +41,8 @@ class EpisodicMemory:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def classes(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.labels).tolist())
-
     def class_count(self) -> int:
         return len(np.unique(self.labels))
-
-    def per_class_sizes(self) -> dict[int, int]:
-        classes, sizes = np.unique(self.labels, return_counts=True)
-        return dict(zip(classes.tolist(), sizes.tolist()))
 
     def input_rows(self, input_dim: int) -> np.ndarray:
         """``inputs`` with ``input_dim`` columns, also when the memory is empty."""

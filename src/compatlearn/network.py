@@ -154,17 +154,8 @@ class FeatureExtractorState:
         return h.hexdigest()
 
 
-def init_model(config: ModelConfig, total_classes: int | None = None) -> FeatureExtractorState:
-    """Build a freshly initialized state from a config.
-
-    ``total_classes`` is optional; when given, the feature dimension is checked
-    against the fixed-classifier convention (capacity minus one).
-    """
-    if total_classes is not None and config.feature_dim != total_classes - 1:
-        raise ConfigError(
-            f"feature_dim {config.feature_dim} does not match class capacity "
-            f"{total_classes} (expected {total_classes - 1})"
-        )
+def init_model(config: ModelConfig) -> FeatureExtractorState:
+    """Build a freshly initialized state from a config, for any feature dimension."""
     rng = np.random.default_rng(config.seed)
     sizes = config.layer_sizes()
     weights, biases = [], []
@@ -217,15 +208,15 @@ def extract_features(state: FeatureExtractorState, batch) -> np.ndarray:
     return features
 
 
-def feature_norms(features: np.ndarray, what: str) -> np.ndarray:
+def feature_norms(features: np.ndarray, describe) -> np.ndarray:
     """Row norms, the divisors of a cosine score.
 
-    A zero or non-finite norm raises ``DegenerateFeatureError`` naming ``what`` and the row.
+    A zero or non-finite norm raises ``DegenerateFeatureError`` naming ``describe(row)``.
     """
     norms = np.linalg.norm(features, axis=1)
     for kind, bad in (("zero-norm", norms == 0.0), ("non-finite", ~np.isfinite(norms))):
         if bad.any():
-            raise DegenerateFeatureError(f"{kind} {what} at index {np.flatnonzero(bad)[0]}")
+            raise DegenerateFeatureError(f"{kind} {describe(np.flatnonzero(bad)[0])}")
     return norms
 
 

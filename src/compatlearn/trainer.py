@@ -18,7 +18,8 @@ gradient for its rows, which it then applies to itself.
 Two ablation axes are exposed: the classifier can be the fixed simplex (the
 proper procedure) or a trainable per-class weight matrix grown at every task
 (the plain experience-replay baseline), and the distillation term can cover
-memory samples only, the whole batch, or be switched off.
+memory samples only, the whole batch, or be switched off. ``run_sequence``
+checks the simplex's feature dimension (class capacity - 1) before training.
 """
 
 import time
@@ -52,6 +53,7 @@ from .network import (
 
 CLASSIFIER_MODES = ("fixed_simplex", "trainable")
 FD_MODES = ("memory_only", "full_batch", "off")
+CHECKPOINT_NAME = "checkpoint_task_{:03d}.ckpt"  # of 1-based task t: .format(t)
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,7 @@ class TrainableClassifier:
 
     Rows are appended with seeded random values when a task introduces new
     classes and are updated by the same SGD rule as the feature extractor.
+    Growing restarts every row's momentum, as a task starts its schedule fresh.
     """
 
     def __init__(self, feature_dim: int):
@@ -105,11 +108,6 @@ class TrainableClassifier:
         limit = np.sqrt(6.0 / (self.feature_dim + 1))
         fresh = rng.uniform(-limit, limit, size=(new_class_count, self.feature_dim))
         self.weights = np.concatenate([self.weights, fresh])
-        self.velocity = np.concatenate(
-            [self.velocity, np.zeros((new_class_count, self.feature_dim))]
-        )
-
-    def reset_optimizer(self) -> None:
         self.velocity = np.zeros_like(self.weights)
 
     def loss(self, features, labels, normalize_features: bool):
@@ -133,25 +131,16 @@ class TrainableClassifier:
             hyperparams.weight_decay,
         )
 
-    def snapshot(self) -> np.ndarray:
-        frozen = self.weights.copy()
-        frozen.setflags(write=False)
-        return frozen
-
 
 @dataclass
 class ModelTimeline:
-    """Outcome of a full sequence: frozen checkpoints plus the shared classifier."""
+    """Outcome of a full sequence: frozen checkpoints, plus the prototypes in fixed mode."""
 
     checkpoints: list[FeatureExtractorState] = field(default_factory=list)
     prototypes: SimplexPrototypes | None = None
-    classifier_snapshots: list[np.ndarray] | None = None
     logs: list[list[EpochLog]] = field(default_factory=list)
     final_memory: EpisodicMemory | None = None
     task_seconds: list[float] = field(default_factory=list)
-
-    def all_log_rows(self) -> list[EpochLog]:
-        return [row for task_rows in self.logs for row in task_rows]
 
 
 def with_teacher(
@@ -195,7 +184,6 @@ def run_task(
     for epoch in range(hp.epochs_per_task):
         rng = np.random.default_rng([config.train_seed, task.index, epoch])
         ce_sum = 0.0
-        ce_n = 0
         fd_sum = 0.0
         fd_n = 0
         for batch in iter_minibatches(training_set, hp.batch_size, rng):
@@ -216,15 +204,14 @@ def run_task(
                     classifier.apply_gradients(grads.classifier, hp, epoch)
             except DivergenceError as exc:
                 raise DivergenceError(f"task {task.index}, epoch {epoch}: {exc}") from None
-            ce_sum += report.ce_value * report.ce_count
-            ce_n += report.ce_count
+            ce_sum += report.ce_value * len(batch)
             fd_sum += report.fd_value * report.fd_count
             fd_n += report.fd_count
         if not state.all_finite():
             raise DivergenceError(
                 f"non-finite parameters after task {task.index}, epoch {epoch}"
             )
-        ce_epoch = ce_sum / ce_n if ce_n else 0.0
+        ce_epoch = ce_sum / len(training_set) if len(training_set) else 0.0
         fd_epoch = fd_sum / fd_n if fd_n else 0.0
         rows.append(
             EpochLog(
@@ -252,33 +239,30 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
     fixed_mode = config.classifier_mode == "fixed_simplex"
     if fixed_mode:
         classifier = build_simplex(sequence.total_classes)
+        if config.model.feature_dim != classifier.dim:
+            raise ConfigError(
+                f"feature_dim {config.model.feature_dim} does not match class capacity "
+                f"{sequence.total_classes} (expected {classifier.dim})"
+            )
     else:
         classifier = TrainableClassifier(config.model.feature_dim)
-    # With the capacity given, init_model refuses a feature_dim that is not
-    # capacity - 1, which the fixed simplex needs.
-    state = init_model(config.model, sequence.total_classes if fixed_mode else None)
+    state = init_model(config.model)
     memory = EpisodicMemory(
         per_class_budget=config.memory_per_class,
         rng_seed=config.train_seed,
     )
-    timeline = ModelTimeline(
-        prototypes=classifier if fixed_mode else None,
-        classifier_snapshots=None if fixed_mode else [],
-    )
+    timeline = ModelTimeline(prototypes=classifier if fixed_mode else None)
     previous: FeatureExtractorState | None = None
     for task in sequence.tasks:
         started = time.perf_counter()
         if not fixed_mode:
             grow_rng = np.random.default_rng([config.train_seed, 7919, task.index])
             classifier.grow(len(task.classes), grow_rng)
-            classifier.reset_optimizer()
         state.reset_optimizer()
         checkpoint, memory, rows = run_task(state, task, previous, memory, classifier, config)
         timeline.checkpoints.append(checkpoint)
         timeline.logs.append(rows)
         timeline.task_seconds.append(time.perf_counter() - started)
-        if not fixed_mode:
-            timeline.classifier_snapshots.append(classifier.snapshot())
         previous = checkpoint
     timeline.final_memory = memory
     return timeline
@@ -297,9 +281,9 @@ def persist_timeline(timeline: ModelTimeline, output_dir) -> None:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, checkpoint in enumerate(timeline.checkpoints, start=1):
-        save_model(checkpoint, out / f"checkpoint_task_{i:03d}.ckpt")
+        save_model(checkpoint, out / CHECKPOINT_NAME.format(i))
     if timeline.prototypes is not None:
         save_prototypes(timeline.prototypes, out / "prototypes.ckpt")
     if timeline.final_memory is not None:
         save_memory(timeline.final_memory, out / "memory_final.ckpt")
-    write_training_log(timeline.all_log_rows(), out / "training_log.csv")
+    write_training_log([row for rows in timeline.logs for row in rows], out / "training_log.csv")

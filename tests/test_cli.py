@@ -252,6 +252,7 @@ def small_experiment(tmp_path):
 
     exp = tmp_path / "exp"
     exp.mkdir()
+    (exp / "config.json").write_text(json.dumps({"data": {"num_tasks": 1}}))
     model = init_model(
         ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3, nonlinearity="tanh", seed=0)
     )
@@ -296,6 +297,53 @@ def test_bad_far_is_a_config_error_before_any_work(tmp_path, capsys, far):
     argv = ["eval", "--exp", str(exp), "--metric", "tar_at_far", "--out", str(tmp_path / "bad")]
     assert main(argv if far is None else [*argv, "--far", far]) == 2
     assert capsys.readouterr().err.startswith("error[config]: ")
+    assert not (tmp_path / "bad").exists()
+
+
+def trained_experiment(tmp_path, num_tasks=3):
+    config = write_config(tmp_path, {"data": {"num_tasks": num_tasks}})
+    exp = tmp_path / "exp"
+    assert main(["train", "--config", str(config), "--out", str(exp), "--seed", "1"]) == 0
+    return exp
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("missing", "checkpoint_task_002.ckpt"),
+        ("unexpected", "checkpoint_task_004.ckpt"),
+        ("unexpected", "checkpoint_task_1000.ckpt"),
+    ],
+)
+def test_eval_scores_exactly_the_trained_checkpoints(tmp_path, capsys, kind, name):
+    exp = trained_experiment(tmp_path)
+    if kind == "missing":
+        (exp / name).unlink()
+    else:
+        (exp / name).write_bytes((exp / "checkpoint_task_003.ckpt").read_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--exp", str(exp)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: {kind} checkpoint ")
+    assert name in err
+    assert not (exp / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b"{not json", b'{"data": {"num_tasks": 0}}', b'{"data": {"num_taks": 1}}'],
+    ids=["missing", "not-json", "zero-tasks", "unknown-key"],
+)
+def test_eval_refuses_an_unreadable_experiment_config(tmp_path, capsys, content):
+    exp = small_experiment(tmp_path)
+    if content is None:
+        (exp / "config.json").unlink()
+    else:
+        (exp / "config.json").write_bytes(content)
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: experiment config ")
+    assert "config.json" in err
     assert not (tmp_path / "bad").exists()
 
 

@@ -104,8 +104,20 @@ def test_pair_scores_zero_norm_feature_reports_index(row, kind):
     a = np.array([[1.0, 0.0, 0.0], row])  # the second norm is zero or overflows
     b = np.ones((2, 3))
     with np.errstate(over="ignore"):
-        with pytest.raises(DegenerateFeatureError, match=f"{kind} .*index 1"):
+        with pytest.raises(DegenerateFeatureError, match=f"{kind} feature of held-out row 1"):
             pair_scores(make_pairs(a, b, [True, False]), model, model)
+
+
+def test_degenerate_feature_names_the_held_out_row_and_the_task():
+    # The pairs touch rows 0 and 2 only; row 2 is the second distinct sample.
+    inputs = np.array([[1.0, 0.0, 0.0], [5.0, 5.0, 5.0], [0.0, 0.0, 0.0]])
+    pairs = VerificationPairSet(inputs=inputs, ids_a=[0, 2], ids_b=[2, 0], genuine=[True, False])
+    shifted = identity_model()
+    shifted.biases[0][:] = 1.0  # row 2's feature is (1, 1, 1)
+    with pytest.raises(DegenerateFeatureError, match="zero-norm feature of held-out row 2$"):
+        pair_scores(pairs, identity_model(), identity_model())
+    with pytest.raises(DegenerateFeatureError, match="^checkpoint of task 2: .* held-out row 2$"):
+        build_compatibility_matrix([shifted, identity_model()], pairs)
 
 
 def test_pair_set_rejects_ids_outside_the_inputs():

@@ -254,6 +254,25 @@ def test_load_gallery_rejects_non_finite_features(tmp_path):
         load_gallery(path)
 
 
+def test_index_gallery_rejects_a_zero_norm_stored_row():
+    inputs = np.eye(3)
+    inputs[1] = 0.0
+    with pytest.raises(DegenerateFeatureError, match="zero-norm stored feature of gallery id 'b'"):
+        index_gallery(["a", "b", "c"], inputs, identity_model(), model_version=1)
+
+
+def test_load_gallery_rejects_a_zero_norm_stored_row(tmp_path):
+    path = tmp_path / "g.gal"
+    save_gallery(one_hot_gallery(), path)
+    sections = read_container(path, GALLERY_MAGIC, GALLERY_VERSION)
+    features = np.frombuffer(sections["features"], dtype="<f4").copy()
+    features[3:6] = 0.0  # the row of id "b"
+    sections["features"] = features.tobytes()
+    write_container(path, GALLERY_MAGIC, GALLERY_VERSION, list(sections.items()))  # valid CRCs
+    with pytest.raises(DegenerateFeatureError, match="zero-norm stored feature of gallery id 'b'"):
+        load_gallery(path)
+
+
 def test_search_rejects_a_non_finite_query_norm():
     queries = np.array([[1.0, 0.0, 0.0], [1e200, 1e200, 0.0]])  # the second norm overflows
     with np.errstate(over="ignore"):

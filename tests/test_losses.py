@@ -247,7 +247,7 @@ def test_combined_composes_from_standalone_terms():
     assert report.ce_value == pytest.approx(ce, abs=1e-12)
     assert report.fd_value == pytest.approx(fd, abs=1e-12)
     assert report.total == pytest.approx(ce + lam * fd, abs=1e-12)
-    assert report.total == report.ce_value + report.lambda_weight * report.fd_value
+    assert report.total == report.ce_value + lam * report.fd_value
 
 
 def test_positive_lambda_without_previous_model_rejected():

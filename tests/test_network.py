@@ -52,11 +52,6 @@ def test_no_hidden_layers_is_a_linear_map():
     assert np.allclose(feats, x @ state.weights[0] + state.biases[0])
 
 
-def test_feature_dim_capacity_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        init_model(small_config(), total_classes=10)  # feature_dim 3 != 9
-
-
 def test_empty_batch_gives_empty_output():
     state = init_model(small_config())
     feats = extract_features(state, np.empty((0, 6)))

@@ -73,7 +73,7 @@ def test_single_task_never_distills():
     sequence, _ = tiny_sequence(num_tasks=1)
     timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
     assert len(timeline.checkpoints) == 1
-    rows = timeline.all_log_rows()
+    rows = timeline.logs[0]
     assert all(row.lambda_weight == 0.0 for row in rows)
     assert all(row.fd == 0.0 for row in rows)
 
@@ -89,7 +89,7 @@ def test_distillation_active_from_the_second_task():
 def test_fd_off_forces_zero_lambda():
     sequence, _ = tiny_sequence(num_tasks=3)
     timeline = run_sequence(tiny_config(sequence.total_classes, fd_mode="off"), sequence)
-    rows = timeline.all_log_rows()
+    rows = [row for task_rows in timeline.logs for row in task_rows]
     assert all(row.lambda_weight == 0.0 for row in rows)
     assert all(row.fd == 0.0 for row in rows)
 
@@ -136,21 +136,9 @@ def test_memory_covers_all_previous_classes():
     sequence, _ = tiny_sequence(num_tasks=3)
     timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
     expected = sorted(c for t in sequence.tasks for c in t.classes)
-    assert list(timeline.final_memory.classes()) == expected
-    per_class = timeline.final_memory.per_class_sizes()
-    assert all(v == 3 for v in per_class.values())
-
-
-def test_trainable_mode_grows_the_classifier():
-    sequence, _ = tiny_sequence(num_tasks=3)
-    config = tiny_config(sequence.total_classes, classifier_mode="trainable", fd_mode="off")
-    timeline = run_sequence(config, sequence)
-    assert timeline.prototypes is None
-    rows = [snap.shape[0] for snap in timeline.classifier_snapshots]
-    per_task = [len(t.classes) for t in sequence.tasks]
-    assert rows == list(np.cumsum(per_task))
-    with pytest.raises(ValueError):
-        timeline.classifier_snapshots[0][0, 0] = 1.0
+    classes, sizes = np.unique(timeline.final_memory.labels, return_counts=True)
+    assert classes.tolist() == expected
+    assert all(v == 3 for v in sizes)
 
 
 def test_trainable_mode_with_memory_distillation_runs():
@@ -303,6 +291,8 @@ def test_trainable_classifier_momentum_resets_at_task_boundaries(monkeypatch):
     monkeypatch.setattr(trainer, "run_task", recording)
     config = tiny_config(sequence.total_classes, classifier_mode="trainable")
     timeline = run_sequence(config, sequence)
-    assert len(seen) == 3
-    assert [v.shape[0] for v in seen] == [s.shape[0] for s in timeline.classifier_snapshots]
+    assert timeline.prototypes is None
+    # The classifier grows by each task's classes before that task trains.
+    per_task = [len(t.classes) for t in sequence.tasks]
+    assert [v.shape[0] for v in seen] == np.cumsum(per_task).tolist()
     assert all(not v.any() for v in seen)
