@@ -4,7 +4,7 @@ Commands read a single JSON config file with nested sections. Validation is
 strict: any unknown key anywhere fails the run before artifacts are written,
 because a silent config typo invalidates an experiment. With identical config
 and seeds every command produces byte-identical primary outputs; wall-clock
-timings live only in the manifest.
+timings live only in the manifest. ``cmd_train`` writes every experiment file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 divergence.
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_model
+from .checkpoint import load_model, save_memory, save_model, save_prototypes
 from .container import write_atomic
 from .data import (
     SyntheticSpec,
@@ -54,12 +54,11 @@ from .evalkit import (
 from .gallery import load_gallery, search
 from .network import NONLINEARITIES, ModelConfig, TrainingHyperparams
 from .trainer import (
-    CHECKPOINT_NAME,
     CLASSIFIER_MODES,
     FD_MODES,
     ExperimentConfig,
-    persist_timeline,
     run_sequence,
+    write_training_log,
 )
 
 EXIT_OK = 0
@@ -70,6 +69,7 @@ EXIT_DIVERGED = 4
 MATRIX_SCHEMA = "compat-matrix/1"
 REPORT_SCHEMA = "compat-report/1"
 MANIFEST_SCHEMA = "run-manifest/1"
+CHECKPOINT_NAME = "checkpoint_task_{:03d}.ckpt"  # of 1-based task t: .format(t)
 
 
 def _is_int(v):
@@ -83,6 +83,10 @@ def _is_num(v):
 
 def _int_list(v):
     return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
+def _is_seed(v):
+    return _is_int(v) and v >= 0  # numpy's default_rng refuses a negative seed
 
 
 # The config schema, {section: {key: (default, check)}}. The defaults are a
@@ -105,17 +109,17 @@ _SCHEMA = {
         "input_dim": (64, lambda v: _is_int(v) and v >= 1),
         "sigma": (0.4, lambda v: _is_num(v) and v > 0),
         "intrinsic_dim": (8, lambda v: v is None or (_is_int(v) and v >= 1)),
-        "mean_seed": (101, _is_int),
-        "noise_seed": (201, _is_int),
+        "mean_seed": (101, _is_seed),
+        "noise_seed": (201, _is_seed),
         "eval_classes": (10, lambda v: _is_int(v) and v >= 2),
         "num_tasks": (2, lambda v: _is_int(v) and v >= 1),
-        "split_seed": (301, _is_int),
+        "split_seed": (301, _is_seed),
     },
     "model": {
         "hidden_layers": ([64], _int_list),
         "feature_dim": (None, lambda v: v is None or (_is_int(v) and v >= 1)),
         "nonlinearity": ("tanh", lambda v: v in NONLINEARITIES),
-        "seed": (1, _is_int),
+        "seed": (1, _is_seed),
     },
     "training": {
         "learning_rate": (0.02, lambda v: _is_num(v) and v > 0),
@@ -131,12 +135,12 @@ _SCHEMA = {
     "trainer": {
         "classifier_mode": ("fixed_simplex", lambda v: v in CLASSIFIER_MODES),
         "fd_mode": ("memory_only", lambda v: v in FD_MODES),
-        "train_seed": (11, _is_int),
+        "train_seed": (11, _is_seed),
         "normalize_features": (True, lambda v: isinstance(v, bool)),
     },
     "pairs": {
         "num_pairs": (6000, lambda v: _is_int(v) and v >= 2 and v % 2 == 0),
-        "seed": (401, _is_int),
+        "seed": (401, _is_seed),
     },
 }
 
@@ -255,6 +259,8 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     """Run a full training sequence and write the experiment directory."""
     config = load_config(config_path)
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         config = apply_master_seed(config, seed)
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
@@ -276,7 +282,13 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
         stage.chmod(0o777 & ~umask)  # the mode of a plain mkdir, not mkdtemp's 0o700
         config_text = canonical_json(config)
         write_atomic(stage / "config.json", [config_text.encode("utf-8")])
-        persist_timeline(timeline, stage)
+        for task, checkpoint in enumerate(timeline.checkpoints, start=1):
+            save_model(checkpoint, stage / CHECKPOINT_NAME.format(task))
+        if timeline.prototypes is not None:
+            save_prototypes(timeline.prototypes, stage / "prototypes.ckpt")
+        save_memory(timeline.final_memory, stage / "memory_final.ckpt")
+        log_rows = [row for rows in timeline.logs for row in rows]
+        write_training_log(log_rows, stage / "training_log.csv")
         save_csv(eval_dataset, stage / "eval_data.csv")
         save_pairs(pairs, stage / "pairs.csv")
         write_manifest(stage, config_text, timeline.task_seconds)
@@ -374,18 +386,14 @@ def cmd_eval(
     out_dir=None,
 ) -> tuple[Path, Path]:
     """Score an experiment directory into matrix.csv and report.json."""
-    if metric == "tar_at_far" and far is None:
-        raise ConfigError("metric tar_at_far requires --far")
+    if (metric == "tar_at_far") != (far is not None):
+        raise ConfigError("--metric tar_at_far needs --far, and no other metric takes it")
     if far is not None and not 0 < far <= 1:
         raise ConfigError(f"--far must be in (0, 1], got {far}")
     exp = Path(exp_dir)
     models = [load_model(p) for p in _checkpoint_paths(exp)]
-    eval_csv = exp / "eval_data.csv"
-    pairs_path = exp / "pairs.csv"
-    if not eval_csv.exists() or not pairs_path.exists():
-        raise DataError(f"pairs source missing: need {eval_csv} and {pairs_path}")
-    eval_dataset = load_csv(eval_csv)
-    pairs = load_pairs(pairs_path, eval_dataset)
+    eval_dataset = load_csv(exp / "eval_data.csv")
+    pairs = load_pairs(exp / "pairs.csv", eval_dataset)
     matrix = build_compatibility_matrix(models, pairs, metric=metric, far_target=far)
     out = Path(out_dir) if out_dir else exp
     out.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,9 @@ similarity, so the store is never re-extracted. Search is exact: it returns
 the top n of a full sort by (descending similarity, ascending id). Per query,
 ``np.partition`` finds the n-th largest similarity and only the entries at or
 above it, every tie at that boundary included, are sorted. Features must be
-finite for that filter. Norms pass ``network.feature_norms``, the rule pair
-scoring shares: the stored ones once when a ``Gallery`` is built (indexed or
-loaded), so a degenerate stored row fails there, and the query ones per search.
+finite for that filter. A ``Gallery`` checks every rule when it is built,
+indexed or loaded: at least one entry, unique ids, one row (and label) per id,
+and stored norms that pass ``network.feature_norms``, as query norms must.
 
 A batched search extracts every query's features once, then scores them in
 blocks of ``max(2, SEARCH_BLOCK_CELLS // len(gallery))`` query rows. Beyond
@@ -60,6 +60,12 @@ class Gallery:
     norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.ids:
+            raise DataError("a gallery needs at least one entry")
+        if len(set(self.ids)) < len(self.ids):
+            seen: set[str] = set()
+            first = next(i for i in self.ids if i in seen or seen.add(i))
+            raise DataError(f"duplicate gallery id {first!r}")
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2 or len(features) != len(self.ids):
             raise DataError(
@@ -89,16 +95,7 @@ def index_gallery(
 ) -> Gallery:
     """Extract and store features for a batch of items under one model version."""
     ids = tuple(str(i) for i in ids)
-    if len(ids) == 0:
-        raise DataError("cannot index an empty gallery")
-    seen: set[str] = set()
-    for item_id in ids:
-        if item_id in seen:
-            raise DataError(f"duplicate gallery id {item_id!r}")
-        seen.add(item_id)
     features = extract_features(model, inputs)
-    if len(features) != len(ids):
-        raise DataError(f"{len(ids)} ids but {len(features)} input rows")
     # Quantize to the on-disk precision now so round trips are exact.
     features = features.astype(np.float32).astype(np.float64)
     label_tuple = None if labels is None else tuple(int(v) for v in labels)

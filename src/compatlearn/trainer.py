@@ -20,15 +20,14 @@ proper procedure) or a trainable per-class weight matrix grown at every task
 (the plain experience-replay baseline), and the distillation term can cover
 memory samples only, the whole batch, or be switched off. ``run_sequence``
 checks the simplex's feature dimension (class capacity - 1) before training.
+Only ``write_training_log`` writes a file; ``cli.cmd_train`` calls it.
 """
 
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_memory, save_model, save_prototypes
 from .container import write_atomic
 from .data import Task, TaskSequence
 from .errors import ConfigError, DivergenceError
@@ -53,7 +52,6 @@ from .network import (
 
 CLASSIFIER_MODES = ("fixed_simplex", "trainable")
 FD_MODES = ("memory_only", "full_batch", "off")
-CHECKPOINT_NAME = "checkpoint_task_{:03d}.ckpt"  # of 1-based task t: .format(t)
 
 
 @dataclass(frozen=True)
@@ -274,16 +272,3 @@ def write_training_log(rows: list[EpochLog], path) -> None:
         f"{r.task},{r.epoch},{r.ce!r},{r.fd!r},{r.lambda_weight!r},{r.total!r}\r\n" for r in rows
     ]
     write_atomic(path, ["".join(lines).encode("utf-8")])
-
-
-def persist_timeline(timeline: ModelTimeline, output_dir) -> None:
-    """Write checkpoints, prototypes, memory, and the training log."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, checkpoint in enumerate(timeline.checkpoints, start=1):
-        save_model(checkpoint, out / CHECKPOINT_NAME.format(i))
-    if timeline.prototypes is not None:
-        save_prototypes(timeline.prototypes, out / "prototypes.ckpt")
-    if timeline.final_memory is not None:
-        save_memory(timeline.final_memory, out / "memory_final.ckpt")
-    write_training_log([row for rows in timeline.logs for row in rows], out / "training_log.csv")

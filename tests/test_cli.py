@@ -25,7 +25,7 @@ from compatlearn.cli import (
     validate_config,
 )
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
-from compatlearn.container import read_container, write_container
+from compatlearn.container import read_container, write_artifact, write_container
 from compatlearn.data import load_csv, make_synthetic, save_csv, SyntheticSpec
 from compatlearn.errors import CompatLearnError, ConfigError, CorruptFileError, DataError
 from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, index_gallery, save_gallery
@@ -99,6 +99,9 @@ def test_train_writes_a_complete_experiment(tmp_path):
     assert manifest["schema"] == "run-manifest/1"
     assert len(manifest["task_seconds"]) == 3
     assert set(manifest["artifacts"]) == names - {"manifest.json"}
+    log = (out / "training_log.csv").read_text().splitlines()
+    assert log[0] == "task,epoch,ce,fd,lambda,total"
+    assert len(log) == 1 + 3 * 3  # header + tasks * epochs
     # the recorded hashes verify
     import hashlib
 
@@ -113,6 +116,31 @@ def test_train_cli_exit_codes(tmp_path):
     assert not (tmp_path / "exp").exists()  # no partial artifacts
     missing = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "e2")])
     assert missing == 2
+
+
+SEED_KEYS = [
+    ("data", "mean_seed"),
+    ("data", "noise_seed"),
+    ("data", "split_seed"),
+    ("model", "seed"),
+    ("trainer", "train_seed"),
+    ("pairs", "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key", [*SEED_KEYS, (None, None)], ids=[*map(".".join, SEED_KEYS), "--seed"]
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, section, key):
+    payload = json.loads(json.dumps(TINY))
+    argv = ["train", "--out", str(tmp_path / "exp")]
+    if key is None:
+        argv += ["--seed", "-1"]
+    else:
+        payload.setdefault(section, {})[key] = -3
+    assert main([*argv, "--config", str(write_config(tmp_path, payload))]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: ")
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.mark.parametrize(
@@ -285,16 +313,17 @@ def test_unreadable_eval_inputs_are_data_errors(tmp_path, name, content):
 
 
 @pytest.mark.parametrize(
-    "far",
-    [None, "0", "nan", "1.5"],
-    ids=["missing-far-undecodable-data", "far-0", "far-nan", "far-1.5"],
+    "metric, far",
+    [("tar_at_far", None), ("tar_at_far", "0"), ("tar_at_far", "nan"), ("tar_at_far", "1.5")]
+    + [("accuracy", "0.5")],
+    ids=["missing-far-undecodable-data", "far-0", "far-nan", "far-1.5", "far-without-tar_at_far"],
 )
-def test_bad_far_is_a_config_error_before_any_work(tmp_path, capsys, far):
+def test_bad_far_is_a_config_error_before_any_work(tmp_path, capsys, metric, far):
     exp = small_experiment(tmp_path)
-    if far is None:
-        # The argument is checked before the held-out CSV is parsed.
-        (exp / "eval_data.csv").write_bytes(b"label,x0,x1,x2,x3\n0,1,2,3,\xff\n")
-    argv = ["eval", "--exp", str(exp), "--metric", "tar_at_far", "--out", str(tmp_path / "bad")]
+    # The arguments are checked before any checkpoint is loaded or CSV parsed.
+    (exp / "checkpoint_task_001.ckpt").unlink()
+    (exp / "eval_data.csv").write_bytes(b"label,x0,x1,x2,x3\n0,1,2,3,\xff\n")
+    argv = ["eval", "--exp", str(exp), "--metric", metric, "--out", str(tmp_path / "bad")]
     assert main(argv if far is None else [*argv, "--far", far]) == 2
     assert capsys.readouterr().err.startswith("error[config]: ")
     assert not (tmp_path / "bad").exists()
@@ -627,6 +656,18 @@ def test_search_with_a_non_finite_stored_feature_is_a_data_error(tmp_path, capsy
     features[-1] = np.inf
     sections["features"] = features.tobytes()
     write_container(path, GALLERY_MAGIC, GALLERY_VERSION, list(sections.items()))  # valid CRCs
+    assert main(search_argv(tmp_path, 1)) == 3
+    assert capsys.readouterr().err.startswith("error[data]: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("ids", [["a", "a", "b"], []], ids=["duplicate-id", "empty"])
+def test_search_on_a_gallery_breaking_a_gallery_rule_is_a_data_error(tmp_path, capsys, ids):
+    odd_id_gallery(tmp_path, ["x"])  # the checkpoint and the queries
+    meta = {"indexed_by": 1, "dim": 5, "count": len(ids), "has_labels": False}
+    features = np.ones((len(ids), 5), dtype="<f4").tobytes()
+    sections = [("ids", json.dumps(ids).encode("utf-8")), ("features", features)]
+    write_artifact(tmp_path / "g.gal", GALLERY_MAGIC, GALLERY_VERSION, meta, sections)
     assert main(search_argv(tmp_path, 1)) == 3
     assert capsys.readouterr().err.startswith("error[data]: ")
     assert not (tmp_path / "r.csv").exists()

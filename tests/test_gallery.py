@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compatlearn import gallery as gallery_module
-from compatlearn.container import read_container, write_container
+from compatlearn.container import read_container, write_artifact, write_container
 from compatlearn.errors import (
     CorruptFileError,
     DataError,
@@ -65,6 +66,32 @@ def test_reindexing_with_the_same_model_is_identical():
 def test_duplicate_id_names_the_offender():
     with pytest.raises(DataError, match="'dup'"):
         index_gallery(["dup", "dup"], np.eye(3)[:2], identity_model(), 1)
+
+
+def write_raw_gallery(path, ids, features):
+    """A gallery file with valid CRCs whose entries skip every ``Gallery`` check."""
+    meta = {"indexed_by": 1, "dim": 3, "count": len(ids), "has_labels": False}
+    sections = [
+        ("ids", json.dumps(ids).encode("utf-8")),
+        ("features", np.asarray(features, dtype="<f4").tobytes()),
+    ]
+    write_artifact(path, GALLERY_MAGIC, GALLERY_VERSION, meta, sections)
+
+
+def test_gallery_refuses_a_duplicate_id():
+    with pytest.raises(DataError, match="duplicate gallery id 'a'"):
+        Gallery(ids=("a", "a", "b"), features=np.eye(3), indexed_by=1)
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [(["a", "a", "b"], "duplicate gallery id 'a'"), ([], "at least one entry")],
+    ids=["duplicate-id", "empty"],
+)
+def test_load_gallery_enforces_the_gallery_rules(tmp_path, ids, message):
+    write_raw_gallery(tmp_path / "g.gal", ids, np.eye(3)[: len(ids)])
+    with pytest.raises(DataError, match=message):
+        load_gallery(tmp_path / "g.gal")
 
 
 def test_search_top1_exact_hit():

@@ -195,20 +195,6 @@ def test_full_batch_fd_mode_covers_current_samples():
     )
 
 
-def test_persistence_writes_the_training_log(tmp_path):
-    sequence, _ = tiny_sequence(num_tasks=2)
-    timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
-    out = tmp_path / "exp"
-    trainer.persist_timeline(timeline, out)
-    assert (out / "checkpoint_task_001.ckpt").exists()
-    assert (out / "checkpoint_task_002.ckpt").exists()
-    assert (out / "prototypes.ckpt").exists()
-    assert (out / "memory_final.ckpt").exists()
-    log = (out / "training_log.csv").read_text().splitlines()
-    assert log[0] == "task,epoch,ce,fd,lambda,total"
-    assert len(log) == 1 + 2 * 4  # header + tasks * epochs
-
-
 @pytest.mark.parametrize("classifier_mode", ["fixed_simplex", "trainable"])
 @pytest.mark.parametrize("fd_mode", ["memory_only", "full_batch"])
 def test_teacher_runs_once_per_task_over_the_scope(monkeypatch, classifier_mode, fd_mode):
