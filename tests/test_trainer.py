@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import dataclasses
 
 from compatlearn import losses, trainer
+from compatlearn.cli import cmd_train
 from compatlearn.data import (
     LabeledDataset,
     SyntheticSpec,
@@ -193,6 +196,31 @@ def test_full_batch_fd_mode_covers_current_samples():
     assert (
         t_mem.checkpoints[1].parameter_checksum() != t_all.checkpoints[1].parameter_checksum()
     )
+
+
+def test_persistence_writes_the_training_log(tmp_path):
+    # the experiment directory is written by the train command, one file per timeline part
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"num_classes": 10, "samples_per_class": 12, "input_dim": DIM,
+                         "eval_classes": 4, "num_tasks": 2},
+                "model": {"hidden_layers": [10], "nonlinearity": "tanh"},
+                "training": {"epochs_per_task": 4, "batch_size": 16, "lr_milestones": [3]},
+                "memory": {"per_class": 3},
+                "pairs": {"num_pairs": 40},
+            }
+        )
+    )
+    out = cmd_train(config, tmp_path / "exp")
+    assert (out / "checkpoint_task_001.ckpt").exists()
+    assert (out / "checkpoint_task_002.ckpt").exists()
+    assert (out / "prototypes.ckpt").exists()
+    assert (out / "memory_final.ckpt").exists()
+    log = (out / "training_log.csv").read_text().splitlines()
+    assert log[0] == "task,epoch,ce,fd,lambda,total"
+    assert len(log) == 1 + 2 * 4  # header + tasks * epochs
 
 
 @pytest.mark.parametrize("classifier_mode", ["fixed_simplex", "trainable"])
