@@ -1,7 +1,7 @@
 """Batch front door: train sequences, evaluate compatibility, search galleries.
 
-Commands read a single JSON config file with nested sections. Validation is
-strict: any unknown key anywhere fails the run before artifacts are written,
+Commands read one JSON config with nested sections; ``config.load_config``
+refuses an unknown or repeated key or a value breaking a rule before any work,
 because a silent config typo invalidates an experiment. With identical config
 and seeds every command produces byte-identical primary outputs; wall-clock
 timings live only in the manifest. ``cmd_train`` writes every experiment file.
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_memory, save_model, save_prototypes
+from .config import DEFAULT_CONFIG, load_config, validate_config  # re-exported
 from .container import write_atomic
 from .data import (
     SyntheticSpec,
@@ -52,14 +53,8 @@ from .evalkit import (
     compatibility_report,
 )
 from .gallery import load_gallery, search
-from .network import NONLINEARITIES, ModelConfig, TrainingHyperparams
-from .trainer import (
-    CLASSIFIER_MODES,
-    FD_MODES,
-    ExperimentConfig,
-    run_sequence,
-    write_training_log,
-)
+from .network import ModelConfig, TrainingHyperparams
+from .trainer import ExperimentConfig, run_sequence, write_training_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,126 +65,6 @@ MATRIX_SCHEMA = "compat-matrix/1"
 REPORT_SCHEMA = "compat-report/1"
 MANIFEST_SCHEMA = "run-manifest/1"
 CHECKPOINT_NAME = "checkpoint_task_{:03d}.ckpt"  # of 1-based task t: .format(t)
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v):
-    # False for NaN, infinity and integers too large to become a float.
-    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
-
-
-def _int_list(v):
-    return isinstance(v, list) and all(_is_int(x) for x in v)
-
-
-def _is_seed(v):
-    return _is_int(v) and v >= 0  # numpy's default_rng refuses a negative seed
-
-
-# The config schema, {section: {key: (default, check)}}. The defaults are a
-# desk-scale preset. The synthetic dataset is a fixed benchmark: 20 training
-# classes (capacity 20, feature dimension 19) plus 10 held-out evaluation
-# classes, class means on an 8-dimensional subsphere of the 64-dimensional
-# input space so that classes share structure the way natural data does.
-# Rehearsal keeps 20 samples per class and the distillation weight base is 5.
-# experiment_components builds the typed configs from the sections by name:
-# training holds exactly TrainingHyperparams' fields, trainer the rest of
-# ExperimentConfig's, model ModelConfig's besides input_dim, pairs the
-# arguments of generate_pairs, and data SyntheticSpec's (sigma for
-# cluster_sigma) plus the source and the task split.
-_SCHEMA = {
-    "data": {
-        "source": ("synthetic", lambda v: v in ("synthetic", "csv")),
-        "csv_path": (None, lambda v: v is None or isinstance(v, str)),
-        "num_classes": (30, lambda v: _is_int(v) and v >= 2),
-        "samples_per_class": (60, lambda v: _is_int(v) and v >= 1),
-        "input_dim": (64, lambda v: _is_int(v) and v >= 1),
-        "sigma": (0.4, lambda v: _is_num(v) and v > 0),
-        "intrinsic_dim": (8, lambda v: v is None or (_is_int(v) and v >= 1)),
-        "mean_seed": (101, _is_seed),
-        "noise_seed": (201, _is_seed),
-        "eval_classes": (10, lambda v: _is_int(v) and v >= 2),
-        "num_tasks": (2, lambda v: _is_int(v) and v >= 1),
-        "split_seed": (301, _is_seed),
-    },
-    "model": {
-        "hidden_layers": ([64], _int_list),
-        "feature_dim": (None, lambda v: v is None or (_is_int(v) and v >= 1)),
-        "nonlinearity": ("tanh", lambda v: v in NONLINEARITIES),
-        "seed": (1, _is_seed),
-    },
-    "training": {
-        "learning_rate": (0.02, lambda v: _is_num(v) and v > 0),
-        "lr_milestones": ([8, 12], _int_list),
-        "lr_decay_factor": (0.1, lambda v: _is_num(v) and v > 0),
-        "weight_decay": (0.0002, lambda v: _is_num(v) and v >= 0),
-        "momentum": (0.9, lambda v: _is_num(v) and 0 <= v < 1),
-        "epochs_per_task": (14, lambda v: _is_int(v) and v >= 1),
-        "batch_size": (32, lambda v: _is_int(v) and v >= 1),
-        "lambda_base": (5.0, lambda v: _is_num(v) and v >= 0),
-    },
-    "memory": {"per_class": (20, lambda v: _is_int(v) and v >= 0)},
-    "trainer": {
-        "classifier_mode": ("fixed_simplex", lambda v: v in CLASSIFIER_MODES),
-        "fd_mode": ("memory_only", lambda v: v in FD_MODES),
-        "train_seed": (11, _is_seed),
-        "normalize_features": (True, lambda v: isinstance(v, bool)),
-    },
-    "pairs": {
-        "num_pairs": (6000, lambda v: _is_int(v) and v >= 2 and v % 2 == 0),
-        "seed": (401, _is_seed),
-    },
-}
-
-DEFAULT_CONFIG = {
-    section: {key: default for key, (default, _) in keys.items()}
-    for section, keys in _SCHEMA.items()
-}
-
-
-def validate_config(user: dict) -> dict:
-    """Merge a user config over the defaults, rejecting any unknown key."""
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    merged = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
-    for section, values in user.items():
-        if section not in merged:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(values, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key, value in values.items():
-            if key not in merged[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            merged[section][key] = value
-    for section, keys in _SCHEMA.items():
-        for key, (_, check) in keys.items():
-            value = merged[section][key]
-            if not check(value):
-                raise ConfigError(f"invalid value for {section}.{key}: {value!r}")
-    data = merged["data"]
-    if data["source"] == "csv" and not data["csv_path"]:
-        raise ConfigError("data.source is 'csv' but data.csv_path is not set")
-    synthetic = data["source"] == "synthetic"
-    if synthetic and (data["intrinsic_dim"] or 0) > data["input_dim"]:
-        raise ConfigError("data.intrinsic_dim exceeds data.input_dim")
-    if synthetic and data["eval_classes"] + data["num_tasks"] > data["num_classes"]:
-        raise ConfigError("data.num_classes is less than data.eval_classes + data.num_tasks")
-    return merged
-
-
-def load_config(path) -> dict:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        user = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return validate_config(user)
 
 
 def apply_master_seed(config: dict, seed: int) -> dict:

@@ -28,13 +28,14 @@ import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import CorruptFileError, UnsupportedVersionError
+from .errors import ConfigError, CorruptFileError, UnsupportedVersionError
 
 MAGIC_LEN = 8
 
 # Raised by malformed meta or sections: missing keys, wrong types or shapes,
-# undecodable text, numbers too large, JSON nested past the recursion limit.
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError)
+# undecodable text, numbers too large, JSON nested past the recursion limit,
+# and a stored config (a checkpoint's model config) that breaks a config rule.
+_MALFORMED = (LookupError, TypeError, ValueError, OverflowError, RecursionError, ConfigError)
 
 
 def write_atomic(path, chunks) -> None:

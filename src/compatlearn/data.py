@@ -1,11 +1,12 @@
 """Desk-scale datasets: synthetic clusters, task splits, verification pairs.
 
 Synthetic data stands in for image benchmarks: each class is a Gaussian
-cluster around a mean drawn on the unit sphere. Classes are split into a
-held-out evaluation set (never trained on, mirroring the open-set protocol)
-and a sequence of disjoint tasks. Externally prepared vectors come in through
-a small CSV schema: a header row, then one label column followed by the input
-columns. The readers parse all data rows of a CSV in one numpy pass
+cluster around a mean on the unit sphere, and ``SyntheticSpec`` meets the
+``config`` rules (``cluster_sigma`` as ``data.sigma``; a ConfigError if not).
+Classes split into a held-out evaluation set (never trained on, as in the
+open-set protocol) and a sequence of disjoint tasks. External vectors come in
+through a small CSV schema: a header row, then one label column followed by
+the input columns. The readers parse all data rows of a CSV in one numpy pass
 (``np.loadtxt``) and check them as whole arrays; a file is read again line by
 line only to name the first bad line of a file that fails.
 """
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields
 from .container import write_atomic
 from .errors import DataError
 from .evalkit import VerificationPairSet
@@ -108,18 +110,8 @@ class SyntheticSpec:
     intrinsic_dim: int | None = None
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.num_classes}")
-        if self.samples_per_class < 1:
-            raise DataError(f"samples_per_class must be positive, got {self.samples_per_class}")
-        if self.input_dim < 1:
-            raise DataError(f"input_dim must be positive, got {self.input_dim}")
-        if self.cluster_sigma <= 0:
-            raise DataError(f"cluster_sigma must be positive, got {self.cluster_sigma}")
-        if self.intrinsic_dim is not None and not 1 <= self.intrinsic_dim <= self.input_dim:
-            raise DataError(
-                f"intrinsic_dim must be in [1, {self.input_dim}], got {self.intrinsic_dim}"
-            )
+        values = {"sigma" if key == "cluster_sigma" else key: v for key, v in vars(self).items()}
+        check_fields("data", values)
 
 
 def _draw_classes(spec: SyntheticSpec, parts) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -1,10 +1,10 @@
 """Deterministic multilayer perceptron with hand-written gradients.
 
-The feature extractor is a fully connected network with an explicit forward
-pass, an explicit reverse pass, and an SGD-with-momentum update. Everything
-is float64 and seeded, so a run is reproducible to the last bit and analytic
-gradients can be validated against central finite differences at tight
-tolerances.
+The feature extractor is a fully connected network with explicit forward and
+reverse passes and an SGD-with-momentum update. Everything is float64 and
+seeded, so a run is reproducible to the last bit and analytic gradients match
+central finite differences. Both configs check their fields against the
+``config`` rule table (``ModelConfig.input_dim`` as ``data.input_dim``).
 
 Initialization scheme (documented because reproducibility depends on it):
 weights of each layer are drawn from ``uniform(-limit, +limit)`` with
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG, check_fields
 from .errors import ConfigError, DataError, DegenerateFeatureError, DivergenceError
-
-NONLINEARITIES = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -34,17 +33,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields("data", {"input_dim": self.input_dim})
+        check_fields("model", {key: getattr(self, key) for key in DEFAULT_CONFIG["model"]})
+        if self.feature_dim is None:  # the config's None, class capacity - 1, must be resolved
+            raise ConfigError("feature_dim must be given as an integer")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be positive, got {self.feature_dim}")
-        if any(h < 1 for h in self.hidden_layers):
-            raise ConfigError(f"hidden layer sizes must be >= 1, got {self.hidden_layers}")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ConfigError(
-                f"nonlinearity must be one of {NONLINEARITIES}, got {self.nonlinearity!r}"
-            )
 
     def layer_sizes(self) -> list[int]:
         return [self.input_dim, *self.hidden_layers, self.feature_dim]
@@ -64,28 +57,8 @@ class TrainingHyperparams:
     lambda_base: float = 0.0
 
     def __post_init__(self):
+        check_fields("training", vars(self))
         object.__setattr__(self, "lr_milestones", tuple(int(m) for m in self.lr_milestones))
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lr_decay_factor <= 0:
-            raise ConfigError(f"lr_decay_factor must be positive, got {self.lr_decay_factor}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs_per_task < 1:
-            raise ConfigError(f"epochs_per_task must be positive, got {self.epochs_per_task}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lambda_base < 0:
-            raise ConfigError(f"lambda_base must be non-negative, got {self.lambda_base}")
-        ms = self.lr_milestones
-        if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ConfigError(f"lr_milestones must be strictly increasing, got {ms}")
-        if ms and ms[-1] >= self.epochs_per_task:
-            raise ConfigError(
-                f"lr_milestones must be < epochs_per_task ({self.epochs_per_task}), got {ms}"
-            )
 
     def effective_lr(self, epoch: int) -> float:
         """Base rate times decay_factor raised to the number of passed milestones."""

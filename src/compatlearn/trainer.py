@@ -15,11 +15,11 @@ Both classifier modes run the same step, ``losses.combined_loss``, through
 the classifier's ``loss`` method. Only the trainable classifier returns a
 gradient for its rows, which it then applies to itself.
 
-Two ablation axes are exposed: the classifier can be the fixed simplex (the
+Two ablation axes are exposed: the classifier is the fixed simplex (the
 proper procedure) or a trainable per-class weight matrix grown at every task
-(the plain experience-replay baseline), and the distillation term can cover
-memory samples only, the whole batch, or be switched off. ``run_sequence``
-checks the simplex's feature dimension (class capacity - 1) before training.
+(the plain experience-replay baseline), and distillation covers memory samples
+only, the whole batch, or nothing. ``ExperimentConfig`` meets the ``config``
+rules; ``run_sequence`` checks the simplex's dimension (capacity - 1) first.
 Only ``write_training_log`` writes a file; ``cli.cmd_train`` calls it.
 """
 
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG, check_fields
 from .container import write_atomic
 from .data import Task, TaskSequence
 from .errors import ConfigError, DivergenceError
@@ -50,9 +51,6 @@ from .network import (
     sgd_update,
 )
 
-CLASSIFIER_MODES = ("fixed_simplex", "trainable")
-FD_MODES = ("memory_only", "full_batch", "off")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,14 +65,8 @@ class ExperimentConfig:
     normalize_features: bool = False
 
     def __post_init__(self):
-        if self.classifier_mode not in CLASSIFIER_MODES:
-            raise ConfigError(
-                f"classifier_mode must be one of {CLASSIFIER_MODES}, got {self.classifier_mode!r}"
-            )
-        if self.fd_mode not in FD_MODES:
-            raise ConfigError(f"fd_mode must be one of {FD_MODES}, got {self.fd_mode!r}")
-        if self.memory_per_class < 0:
-            raise ConfigError(f"memory_per_class must be >= 0, got {self.memory_per_class}")
+        check_fields("memory", {"per_class": self.memory_per_class})
+        check_fields("trainer", {key: getattr(self, key) for key in DEFAULT_CONFIG["trainer"]})
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,65 @@ def test_inconsistent_config_is_a_config_error(tmp_path, capsys, payload):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"model": {"hidden_layers": [0]}},
+        {"training": {"lr_milestones": [12, 8]}},
+        {"training": {"lr_milestones": [8, 20]}},  # 14 epochs per task
+    ],
+    ids=["zero-hidden-units", "decreasing-milestones", "milestone-past-the-epochs"],
+)
+def test_typed_config_rules_refuse_before_any_data_is_built(tmp_path, capsys, monkeypatch, payload):
+    import compatlearn.data
+
+    calls = []
+
+    def recorded(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return getattr(compatlearn.data, name)(*args, **kwargs)
+
+        return record
+
+    for name in ("make_synthetic_tasks", "generate_pairs"):
+        monkeypatch.setattr(f"compatlearn.cli.{name}", recorded(name))
+    config = write_config(tmp_path, payload)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: ")
+    assert calls == []
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"data": {"num_tasks": 2, "num_tasks": 3}}', "num_tasks"),
+        ('{"data": {"num_tasks": 2}, "pairs": {"seed": 5}, "data": {"num_tasks": 3}}', "data"),
+    ],
+    ids=["in-a-section", "at-the-root"],
+)
+def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, text, key):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and repr(key) in err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"csv_path": "nonexistent.csv"}, {"source": "csv"}, {"source": "csv", "csv_path": ""}],
+    ids=["path-with-synthetic-source", "csv-source-without-path", "csv-source-with-empty-path"],
+)
+def test_csv_path_is_set_exactly_when_the_source_is_csv(tmp_path, capsys, data):
+    config = write_config(tmp_path, {"data": {"num_tasks": 2, **data}})
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: data.csv_path ")
+    assert not (tmp_path / "exp").exists()
+
+
 def test_failed_write_leaves_no_directory(tmp_path, monkeypatch):
     def broken_save_pairs(pairs, path):
         raise OSError("disk full")
@@ -418,6 +477,36 @@ def test_checkpoint_with_a_nan_weight_is_a_data_error(tmp_path, capsys):
     assert main(["eval", "--exp", str(exp)]) == 3
     assert capsys.readouterr().err.startswith("error[data]: ")
     assert not (exp / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "search"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("nonlinearity", "sigmoid"), ("seed", -1), ("seed", True), ("hidden_layers", [0])],
+    ids=["sigmoid", "negative-seed", "bool-seed", "zero-hidden-units"],
+)
+def test_checkpoint_whose_config_breaks_a_rule_is_a_corrupt_file(
+    tmp_path, capsys, command, key, value
+):
+    if command == "eval":
+        exp = small_experiment(tmp_path)
+        path, out = exp / "checkpoint_task_001.ckpt", tmp_path / "bad"
+        argv = ["eval", "--exp", str(exp), "--out", str(out)]
+    else:
+        test_search_reads_only_the_gallery(tmp_path)
+        path, out = tmp_path / "model.ckpt", tmp_path / "r.csv"
+        argv = search_argv(tmp_path, 1)
+    sections = read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    meta = json.loads(sections.pop("meta"))
+    meta["config"][key] = value
+    payload = [("meta", json.dumps(meta).encode("utf-8")), *sections.items()]
+    write_container(path, MODEL_MAGIC, MODEL_VERSION, payload)  # valid CRCs
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: {path}: malformed model checkpoint ")
+    assert f"model.{key}" in err
+    assert not out.exists()
 
 
 def test_undecodable_matrix_is_a_data_error(tmp_path):
