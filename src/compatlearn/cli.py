@@ -223,12 +223,8 @@ def _write_report(matrix: CompatibilityMatrix, path) -> None:
         "tasks": matrix.num_tasks,
         "similarity": "cosine",
     }
-    if matrix.num_tasks >= 2:
-        report = compatibility_report(matrix)
-        payload["ac"] = report.ac
-        payload["bc"] = report.bc
-        payload["fc"] = report.fc
-        payload["bc_series"] = list(report.bc_series)
+    if matrix.num_tasks >= 2:  # ac, bc, fc and bc_series
+        payload.update(dataclasses.asdict(compatibility_report(matrix)))
     if matrix.thresholds is not None:  # eval's matrix; one read from matrix.csv has none
         payload["thresholds"] = [
             [None if np.isnan(v) else float(v) for v in row] for row in matrix.thresholds

@@ -257,10 +257,7 @@ def generate_pairs(
     index pairs into ``dataset.inputs``, which the pair set shares without
     copying; no unordered pair repeats.
     """
-    if num_pairs < 2 or num_pairs % 2 != 0:
-        raise DataError(
-            f"num_pairs must be an even number >= 2 for a balanced set, got {num_pairs}"
-        )
+    check_fields("pairs", {"num_pairs": num_pairs, "seed": seed})
     n = len(dataset)
     if len(dataset.class_ids()) < 2:
         raise DataError("pair generation needs at least two classes")

@@ -237,12 +237,6 @@ def tar_at_far(scores, genuine, far_target: float) -> MetricResult:
     return MetricResult(value=tar, threshold=float(thresholds[pick]))
 
 
-def _cell_metric(scores, genuine, metric: str, far_target: float | None) -> MetricResult:
-    if metric == "accuracy":
-        return verification_accuracy(scores, genuine)
-    return tar_at_far(scores, genuine, far_target)
-
-
 def build_compatibility_matrix(
     models,
     pairs: VerificationPairSet,
@@ -277,7 +271,10 @@ def build_compatibility_matrix(
     for t in range(t_count):
         for k in range(t + 1):
             scores = samples.cell_scores(features[t], features[k])
-            result = _cell_metric(scores, pairs.genuine, metric, far_target)
+            if metric == "accuracy":
+                result = verification_accuracy(scores, pairs.genuine)
+            else:
+                result = tar_at_far(scores, pairs.genuine, far_target)
             values[t, k] = result.value
             thresholds[t, k] = result.threshold
     return CompatibilityMatrix(

@@ -34,6 +34,7 @@ from .network import (
     backprop_feature_grads,
     extract_features,
     forward_features,
+    row_norms,
 )
 
 
@@ -91,17 +92,11 @@ class LossReport:
     fd_count: int
 
 
-def _validate_labels(labels: np.ndarray, capacity: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= capacity):
-        bad = labels[(labels < 0) | (labels >= capacity)][0]
-        raise DataError(f"label {bad} outside classifier capacity {capacity}")
-
-
 def _normalize_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(features, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateFeatureError(f"zero-norm feature at sample index {zero[0]}")
+    norms = row_norms(features)
+    if not norms.all():
+        zero = np.flatnonzero(norms == 0.0)[0]
+        raise DegenerateFeatureError(f"zero-norm feature at sample index {zero}")
     return features / norms[:, None], norms
 
 
@@ -126,32 +121,36 @@ def softmax_cross_entropy(
             f"feature dimension {features.shape[1]} does not match classifier "
             f"dimension {weight_matrix.shape[1]}"
         )
-    _validate_labels(labels, weight_matrix.shape[0])
+    if labels.shape != (n,):
+        raise DataError(f"{n} feature rows but labels of shape {labels.shape}")
+    capacity = weight_matrix.shape[0]
+    if labels.min() < 0 or labels.max() >= capacity:
+        bad = labels[(labels < 0) | (labels >= capacity)][0]
+        raise DataError(f"label {bad} outside classifier capacity {capacity}")
 
     if normalize_features:
         effective, norms = _normalize_rows(features)
     else:
         effective = features
 
-    logits = effective @ weight_matrix.T
-    shift = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - shift)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_probs = (logits - shift) - np.log(denom)
-    loss = -float(np.mean(log_probs[np.arange(n), labels]))
+    # Logits shifted in place by the row maximum; log-softmax taken only at each row's label.
+    shifted = effective @ weight_matrix.T
+    shifted -= shifted.max(axis=1, keepdims=True)
+    dlogits = np.exp(shifted)
+    denom = np.add.reduce(dlogits, axis=1)
+    rows = np.arange(n)
+    loss = -float(np.add.reduce(shifted[rows, labels] - np.log(denom)) / n)
 
-    dlogits = exp / denom
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= denom[:, None]
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
-    deffective = dlogits @ weight_matrix
+    dfeatures = dlogits @ weight_matrix
     dweights = dlogits.T @ effective if want_weight_grads else None
 
     if normalize_features:
         # d/df of f/|f|: remove the radial component, then divide by the norm.
-        radial = np.sum(deffective * effective, axis=1, keepdims=True)
-        dfeatures = (deffective - radial * effective) / norms[:, None]
-    else:
-        dfeatures = deffective
+        dfeatures -= np.add.reduce(dfeatures * effective, axis=1)[:, None] * effective
+        dfeatures /= norms[:, None]
     return loss, dfeatures, dweights
 
 
@@ -170,14 +169,14 @@ def feature_distillation_loss(new_features, old_features) -> tuple[float, np.nda
         raise ValueError("feature distillation over an empty sample set is undefined")
     n_unit, n_norms = _normalize_rows(new)
     o_unit, _ = _normalize_rows(old)
-    cos = np.clip(np.sum(n_unit * o_unit, axis=1), -1.0, 1.0)
+    cos = np.clip(np.add.reduce(n_unit * o_unit, axis=1), -1.0, 1.0)
     # Identical rows have cosine 1 by definition; rounding in the dot product
     # must not turn them into a distillation penalty.
-    cos = np.where(np.all(new == old, axis=1), 1.0, cos)
-    value = float(np.mean(1.0 - cos))
+    cos[(new == old).all(axis=1)] = 1.0
     count = len(new)
-    dnew = -(o_unit - cos[:, None] * n_unit) / (n_norms[:, None] * count)
-    return value, dnew
+    value = float(np.add.reduce(1.0 - cos) / count)
+    # -(o_unit - cos * n_unit) / (|new| * count), the sign moved into the divisor.
+    return value, (o_unit - cos[:, None] * n_unit) / (n_norms * -count)[:, None]
 
 
 def lambda_for_task(lambda_base: float, new_class_count: int, old_class_count: int) -> float:
@@ -219,20 +218,20 @@ def add_distillation(
     """
     if lambda_weight <= 0:
         return 0.0, 0
-    mask = distillation_mask(batch, fd_scope)
-    if not mask.any():
+    rows = np.flatnonzero(distillation_mask(batch, fd_scope))
+    if not rows.size:
         return 0.0, 0
     if batch.teacher is not None:
-        old = batch.teacher[mask]
+        old = batch.teacher[rows]
     else:
         # Reference path for batches built without cached targets. It runs the
         # previous model on the whole batch, the same matmul shape as the
         # current model's forward pass, so identical models give bitwise
         # identical rows and a distillation value of exactly zero.
-        old = extract_features(previous_model, batch.inputs)[mask]
-    fd_value, dfd = feature_distillation_loss(features[mask], old)
-    dfeatures[mask] += lambda_weight * dfd
-    return fd_value, int(mask.sum())
+        old = extract_features(previous_model, batch.inputs)[rows]
+    fd_value, dfd = feature_distillation_loss(features[rows], old)
+    dfeatures[rows] += lambda_weight * dfd
+    return fd_value, len(rows)
 
 
 def combined_loss(

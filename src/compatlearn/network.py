@@ -37,6 +37,8 @@ class ModelConfig:
         check_fields("model", {key: getattr(self, key) for key in DEFAULT_CONFIG["model"]})
         if self.feature_dim is None:  # the config's None, class capacity - 1, must be resolved
             raise ConfigError("feature_dim must be given as an integer")
+        for key in ("input_dim", "feature_dim", "seed"):  # a numpy integer is no JSON int
+            object.__setattr__(self, key, int(getattr(self, key)))
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
 
     def layer_sizes(self) -> list[int]:
@@ -181,12 +183,17 @@ def extract_features(state: FeatureExtractorState, batch) -> np.ndarray:
     return features
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean row norms of a float array by ``np.linalg.norm``'s formula, so its bits."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def feature_norms(features: np.ndarray, describe) -> np.ndarray:
     """Row norms, the divisors of a cosine score.
 
     A zero or non-finite norm raises ``DegenerateFeatureError`` naming ``describe(row)``.
     """
-    norms = np.linalg.norm(features, axis=1)
+    norms = row_norms(features)
     for kind, bad in (("zero-norm", norms == 0.0), ("non-finite", ~np.isfinite(norms))):
         if bad.any():
             raise DegenerateFeatureError(f"{kind} {describe(np.flatnonzero(bad)[0])}")
@@ -239,6 +246,20 @@ def sgd_update(
     param -= step
 
 
+def check_gradient(g: np.ndarray, param: np.ndarray, name: str) -> None:
+    """Refuse a gradient that ``param``, called ``name``, cannot take.
+
+    Another shape is a ``DataError``, a non-finite squared norm a ``DivergenceError``.
+    One dot product sees every NaN or infinite entry. Stricter than an entry-wise
+    test, it also fails a finite gradient whose squares overflow (entries ~1e154 up).
+    """
+    if g.shape != param.shape:
+        raise DataError(f"gradient shape {g.shape} does not match {name} {param.shape}")
+    flat = g.ravel()
+    if not flat @ flat < np.inf:  # False for NaN as well
+        raise DivergenceError(f"non-finite gradient norm in {name}")
+
+
 def apply_gradients(
     state: FeatureExtractorState,
     grads: ParamGrads,
@@ -248,12 +269,7 @@ def apply_gradients(
     """Apply one SGD-with-momentum step at the milestone-scheduled learning rate."""
     for name in ("weights", "biases"):
         for i, (g, param) in enumerate(zip(getattr(grads, name), getattr(state, name))):
-            if g.shape != param.shape:
-                raise DataError(
-                    f"gradient shape {g.shape} does not match {name}[{i}] {param.shape}"
-                )
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient in {name}[{i}]")
+            check_gradient(g, param, f"{name}[{i}]")
     lr = hyperparams.effective_lr(epoch)
     for w, g, v in zip(state.weights, grads.weights, state.velocity_w):
         sgd_update(w, g, v, lr, hyperparams.momentum, hyperparams.weight_decay)
@@ -290,20 +306,17 @@ def gradient_check(
     probe = state.copy()
 
     coords = []
-    for kind, arrays in (("w", probe.weights), ("b", probe.biases)):
-        for layer, arr in enumerate(arrays):
-            for flat in range(arr.size):
-                coords.append((kind, layer, flat))
+    for name in ("weights", "biases"):
+        for layer, arr in enumerate(getattr(probe, name)):
+            coords.extend((name, layer, flat) for flat in range(arr.size))
     rng = np.random.default_rng(seed)
     if len(coords) > sample_size:
         picked = rng.choice(len(coords), size=sample_size, replace=False)
         coords = [coords[i] for i in picked]
 
     max_rel = 0.0
-    for kind, layer, flat in coords:
-        arrs = probe.weights if kind == "w" else probe.biases
-        grads = analytic.weights if kind == "w" else analytic.biases
-        arr = arrs[layer]
+    for name, layer, flat in coords:
+        arr = getattr(probe, name)[layer]
         original = arr.flat[flat]
         arr.flat[flat] = original + epsilon
         loss_plus, _ = loss_fn(probe, batch_arr)
@@ -311,8 +324,6 @@ def gradient_check(
         loss_minus, _ = loss_fn(probe, batch_arr)
         arr.flat[flat] = original
         numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        a = grads[layer].flat[flat]
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-        if rel > max_rel:
-            max_rel = rel
+        a = getattr(analytic, name)[layer].flat[flat]
+        max_rel = max(max_rel, abs(a - numeric) / max(abs(a), abs(numeric), 1e-3))
     return max_rel

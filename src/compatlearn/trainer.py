@@ -46,6 +46,7 @@ from .network import (
     ModelConfig,
     TrainingHyperparams,
     apply_gradients,
+    check_gradient,
     extract_features,
     init_model,
     sgd_update,
@@ -110,8 +111,7 @@ class TrainableClassifier:
         )
 
     def apply_gradients(self, grads: np.ndarray, hyperparams: TrainingHyperparams, epoch: int):
-        if not np.all(np.isfinite(grads)):
-            raise DivergenceError("non-finite gradient in classifier weights")
+        check_gradient(grads, self.weights, "classifier weights")
         sgd_update(
             self.weights,
             grads,

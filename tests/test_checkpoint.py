@@ -70,6 +70,24 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     assert loaded.step == 3
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        ModelConfig(np.int64(4), (3,), 2, "tanh", 0),
+        ModelConfig(np.int64(4), (np.int32(3),), np.int64(2), "relu", np.uint8(5)),
+    ],
+    ids=["numpy-input-dim", "numpy-everywhere"],
+)
+def test_model_config_with_numpy_integers_round_trips(tmp_path, config):
+    state = init_model(config)
+    path = tmp_path / "model.ckpt"
+    save_model(state, path)
+    loaded = load_model(path)
+    assert states_bitwise_equal(state, loaded)
+    assert loaded.config == config
+    assert all(type(v) is int for v in (config.input_dim, config.feature_dim, config.seed))
+
+
 def test_model_round_trip_twice_is_stable(tmp_path):
     state = trained_state()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

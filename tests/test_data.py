@@ -19,7 +19,7 @@ from compatlearn.data import (
     save_pairs,
     split_tasks,
 )
-from compatlearn.errors import CompatLearnError, DataError
+from compatlearn.errors import CompatLearnError, ConfigError, DataError
 from compatlearn.evalkit import VerificationPairSet
 
 
@@ -220,8 +220,8 @@ def test_pair_generation_matches_the_listed_candidates(num_pairs, seed):
 
 def test_pair_generation_rejects_impossible_requests():
     ds = eval_dataset()
-    with pytest.raises(DataError):
-        generate_pairs(ds, num_pairs=7, seed=0)  # odd
+    with pytest.raises(ConfigError, match="invalid value for pairs.num_pairs: 7"):
+        generate_pairs(ds, num_pairs=7, seed=0)  # odd: the config table's rule
     tiny = LabeledDataset(inputs=np.eye(4), labels=np.array([0, 0, 1, 1]))
     with pytest.raises(DataError):
         generate_pairs(tiny, num_pairs=10, seed=0)  # only 2 genuine pairs exist

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,13 @@ from compatlearn.losses import (
     feature_distillation_loss,
     lambda_for_task,
 )
-from compatlearn.network import ModelConfig, extract_features, init_model
+from compatlearn.network import (
+    ModelConfig,
+    backprop_feature_grads,
+    extract_features,
+    forward_features,
+    init_model,
+)
 from compatlearn.trainer import TrainableClassifier
 
 
@@ -67,6 +74,16 @@ def test_label_out_of_capacity_rejected():
         prototypes.loss(np.zeros((1, 2)), [3], False)
     with pytest.raises(DataError):
         prototypes.loss(np.zeros((1, 2)), [-1], False)
+
+
+@pytest.mark.parametrize(
+    "rows, labels", [(1, [0, 1]), (3, [0, 1]), (2, [[0], [1]])], ids=["more", "fewer", "2-d"]
+)
+def test_labels_not_one_per_feature_row_rejected(rows, labels):
+    # One row with two labels would broadcast into a mean over both: a wrong
+    # value, not an error, without the check.
+    with pytest.raises(DataError, match="labels of shape"):
+        build_simplex(3).loss(np.ones((rows, 2)), labels, False)
 
 
 def test_empty_batch_rejected():
@@ -296,3 +313,151 @@ def test_previous_model_is_never_touched():
     for _ in range(5):
         combined_loss(batch, current, previous, prototypes, 3.0)
     assert previous.parameter_checksum() == before
+
+
+# Reference formulas: the loss and distillation as first written, with
+# np.linalg.norm, np.mean and the full log-probability array. The package
+# computes the same floating-point operations in the same order with fewer
+# calls and temporaries, so every output must be bitwise equal to these.
+
+
+def reference_softmax_cross_entropy(features, labels, weight_matrix, normalize, want_weights):
+    n = len(features)
+    if normalize:
+        norms = np.linalg.norm(features, axis=1)
+        effective = features / norms[:, None]
+    else:
+        effective = features
+    logits = effective @ weight_matrix.T
+    shift = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - shift)
+    denom = exp.sum(axis=1, keepdims=True)
+    log_probs = (logits - shift) - np.log(denom)
+    loss = -float(np.mean(log_probs[np.arange(n), labels]))
+    dlogits = exp / denom
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    deffective = dlogits @ weight_matrix
+    dweights = dlogits.T @ effective if want_weights else None
+    if normalize:
+        radial = np.sum(deffective * effective, axis=1, keepdims=True)
+        return loss, (deffective - radial * effective) / norms[:, None], dweights
+    return loss, deffective, dweights
+
+
+def reference_feature_distillation(new, old):
+    n_norms = np.linalg.norm(new, axis=1)
+    n_unit = new / n_norms[:, None]
+    o_unit = old / np.linalg.norm(old, axis=1)[:, None]
+    cos = np.clip(np.sum(n_unit * o_unit, axis=1), -1.0, 1.0)
+    cos = np.where(np.all(new == old, axis=1), 1.0, cos)
+    value = float(np.mean(1.0 - cos))
+    return value, -(o_unit - cos[:, None] * n_unit) / (n_norms[:, None] * len(new))
+
+
+def draw_rows(rng, rows, dim, scale):
+    """Gaussian rows times ``scale``, none of them zero."""
+    x = rng.standard_normal((rows, dim)) * scale
+    x[np.linalg.norm(x, axis=1) == 0.0, 0] = scale
+    return x
+
+
+def bitwise_equal(a, b):
+    return (a is None and b is None) or np.array_equal(a, b)
+
+
+REFERENCE_CASES = dict(
+    rows=st.integers(1, 40),
+    dim=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1000.0]),  # x1000 puts logits deep in exp's tail
+    normalize=st.booleans(),
+    mode=st.sampled_from(["fixed_simplex", "trainable"]),
+)
+
+
+def classifier_for(mode, dim, rng):
+    if mode == "fixed_simplex":
+        return build_simplex(dim + 1)
+    return trainable_classifier(rng.standard_normal((int(rng.integers(1, 8)), dim)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**REFERENCE_CASES)
+def test_cross_entropy_is_bitwise_the_reference(rows, dim, seed, scale, normalize, mode):
+    rng = np.random.default_rng(seed)
+    classifier = classifier_for(mode, dim, rng)
+    weight_matrix = classifier.vertices if mode == "fixed_simplex" else classifier.weights
+    features = draw_rows(rng, rows, dim, scale)
+    labels = rng.integers(0, len(weight_matrix), size=rows)
+    got = classifier.loss(features, labels, normalize)
+    want = reference_softmax_cross_entropy(
+        features, labels, weight_matrix, normalize, mode == "trainable"
+    )
+    assert got[0] == want[0]
+    assert bitwise_equal(got[1], want[1])
+    assert bitwise_equal(got[2], want[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    dim=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1000.0]),
+    same=st.sampled_from(["none", "some", "all"]),
+)
+def test_distillation_is_bitwise_the_reference(rows, dim, seed, scale, same):
+    rng = np.random.default_rng(seed)
+    new = draw_rows(rng, rows, dim, scale)
+    old = draw_rows(rng, rows, dim, scale)
+    copied = {"none": [], "some": rng.random(rows) < 0.5, "all": slice(None)}[same]
+    old[copied] = new[copied]  # bitwise-identical rows have cosine exactly 1
+    value, dnew = feature_distillation_loss(new, old)
+    want_value, want_dnew = reference_feature_distillation(new, old)
+    assert value == want_value
+    assert np.array_equal(dnew, want_dnew)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**REFERENCE_CASES)
+def test_training_step_gradients_are_bitwise_the_reference(
+    rows, dim, seed, scale, normalize, mode
+):
+    rng = np.random.default_rng(seed)
+    classifier = classifier_for(mode, dim, rng)
+    weight_matrix = classifier.vertices if mode == "fixed_simplex" else classifier.weights
+    # tanh: a relu layer can zero a whole feature row, which normalization refuses.
+    config = ModelConfig(5, (7,), dim, nonlinearity="tanh", seed=seed % 1000)
+    current = init_model(config)
+    previous = init_model(dataclasses.replace(config, seed=config.seed + 1)).freeze()
+    inputs = rng.standard_normal((rows, 5)) * scale
+    labels = rng.integers(0, len(weight_matrix), size=rows)
+    memory = rng.random(rows) < 0.5
+    teacher = extract_features(previous, inputs)
+    batch = LabeledBatch(inputs, labels, memory, teacher)
+    report, grads = combined_loss(batch, current, previous, classifier, 2.5, "memory", normalize)
+
+    features, cache = forward_features(current, inputs)
+    ce, dfeatures, dweights = reference_softmax_cross_entropy(
+        features, labels, weight_matrix, normalize, mode == "trainable"
+    )
+    fd = 0.0
+    if memory.any():
+        fd, dfd = reference_feature_distillation(features[memory], teacher[memory])
+        dfeatures[memory] += 2.5 * dfd
+    want = backprop_feature_grads(current, cache, dfeatures)
+    assert (report.ce_value, report.fd_value, report.fd_count) == (ce, fd, int(memory.sum()))
+    assert report.total == ce + 2.5 * fd
+    for got_g, want_g in zip(grads.weights + grads.biases, want.weights + want.biases):
+        assert np.array_equal(got_g, want_g)
+    assert bitwise_equal(grads.classifier, dweights)
+
+
+@pytest.mark.parametrize("side", ["new", "old"])
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_distillation_zero_norm_row_is_named_by_index(side, row):
+    rows = {"new": np.ones((5, 3)), "old": np.full((5, 3), 2.0)}
+    rows[side][row] = 0.0
+    with pytest.raises(DegenerateFeatureError, match=rf"sample index {row}$"):
+        feature_distillation_loss(rows["new"], rows["old"])

@@ -168,6 +168,40 @@ def test_non_finite_gradient_names_the_layer():
         apply_gradients(state, grads, hp, epoch=0)
 
 
+@pytest.mark.parametrize(
+    "name, layer, value",
+    [("biases", 0, np.nan), ("weights", 1, -np.inf), ("weights", 0, 1e200), ("biases", 2, 1e200)],
+    ids=["nan-bias", "minus-inf-weight", "overflowing-weight", "overflowing-bias"],
+)
+def test_divergent_gradient_names_its_array_and_changes_nothing(name, layer, value):
+    state = init_model(small_config())
+    before = state.copy()
+    grads = zero_grads(state)
+    getattr(grads, name)[layer][...] = value  # every entry: 1e200 squared overflows the sum
+    hp = TrainingHyperparams(learning_rate=0.1)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=rf"{name}\[{layer}\]"):
+        apply_gradients(state, grads, hp, epoch=0)
+    assert state.parameter_checksum() == before.parameter_checksum()
+    assert state.step == 0
+
+
+def test_finite_gradient_that_fits_is_applied():
+    state = init_model(small_config())
+    grads = zero_grads(state)
+    grads.weights[0][...] = 1e150  # squares near 1e300 still sum to a finite norm
+    hp = TrainingHyperparams(learning_rate=1e-160, momentum=0.0, weight_decay=0.0)
+    apply_gradients(state, grads, hp, epoch=0)
+    assert state.step == 1
+
+
+def test_gradient_of_the_wrong_shape_is_a_data_error():
+    state = init_model(small_config())
+    grads = zero_grads(state)
+    grads.biases[1] = np.zeros(7)
+    with pytest.raises(DataError, match=r"biases\[1\]"):
+        apply_gradients(state, grads, TrainingHyperparams(learning_rate=0.1), epoch=0)
+
+
 def test_invalid_hyperparams_rejected():
     with pytest.raises(ConfigError):
         TrainingHyperparams(learning_rate=0.0)

@@ -185,6 +185,21 @@ def test_divergence_is_reported_with_context():
             run_sequence(config, sequence)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1e200], ids=["nan", "minus-inf", "overflow"])
+def test_divergent_classifier_gradient_is_refused_before_the_step(value):
+    classifier = trainer.TrainableClassifier(3)
+    classifier.grow(4, np.random.default_rng(0))
+    before = classifier.weights.copy()
+    grads = np.full_like(classifier.weights, value)  # 1e200 squared overflows
+    hp = TrainingHyperparams(learning_rate=0.1)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="classifier weights"):
+        classifier.apply_gradients(grads, hp, epoch=0)
+    assert np.array_equal(classifier.weights, before)
+    assert not classifier.velocity.any()
+    with pytest.raises(DataError, match="classifier weights"):
+        classifier.apply_gradients(np.zeros((3, 3)), hp, epoch=0)
+
+
 def test_full_batch_fd_mode_covers_current_samples():
     sequence, _ = tiny_sequence(num_tasks=2)
     cfg_mem = tiny_config(sequence.total_classes, fd_mode="memory_only")
