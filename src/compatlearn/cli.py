@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_model, save_memory, save_model, save_prototypes
+from .checkpoint import load_model, save_model
 from .config import DEFAULT_CONFIG, load_config, validate_config  # re-exported
 from .container import write_atomic
 from .data import (
@@ -159,9 +159,6 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
         write_atomic(stage / "config.json", [config_text.encode("utf-8")])
         for task, checkpoint in enumerate(timeline.checkpoints, start=1):
             save_model(checkpoint, stage / CHECKPOINT_NAME.format(task))
-        if timeline.prototypes is not None:
-            save_prototypes(timeline.prototypes, stage / "prototypes.ckpt")
-        save_memory(timeline.final_memory, stage / "memory_final.ckpt")
         log_rows = [row for rows in timeline.logs for row in rows]
         write_training_log(log_rows, stage / "training_log.csv")
         save_csv(eval_dataset, stage / "eval_data.csv")
@@ -278,8 +275,6 @@ def cmd_eval(
 def cmd_search(gallery_path, queries_csv, checkpoint_path, top_n: int, out_path) -> Path:
     """Rank gallery entries for every query row; never touches the gallery file."""
     gallery = load_gallery(gallery_path)
-    if not 1 <= top_n <= len(gallery):
-        raise ConfigError(f"--top-n must be in [1, {len(gallery)}], the gallery size, got {top_n}")
     model = load_model(checkpoint_path)
     queries = load_csv(queries_csv)
     ranked = search(queries.inputs, model, gallery, top_n=top_n)

@@ -1,7 +1,7 @@
 """Self-describing binary container used by every binary artifact.
 
-Checkpoints, prototypes, memory snapshots (``checkpoint.py``) and gallery
-files (``gallery.py``) are all containers; only their magic, version and
+Model checkpoints (``checkpoint.py``) and gallery files (``gallery.py``)
+are both containers; only their magic, version and
 sections differ. Layout, all little-endian:
 
     magic            8 bytes

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import read_artifact, write_artifact
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
 GALLERY_MAGIC = b"FGALLERY"
@@ -112,7 +112,7 @@ def search(
 
     Gallery features are used as stored, never recomputed. Exact ties are
     broken by ascending id. Returns one ranked (id, similarity) list per
-    query.
+    query; a ``top_n`` outside [1, len(gallery)] is a ConfigError.
     """
     if query_model.config.feature_dim != gallery.feature_dim:
         raise DataError(
@@ -120,7 +120,7 @@ def search(
             f"the gallery stores {gallery.feature_dim}-d features"
         )
     if not 1 <= top_n <= len(gallery):
-        raise ValueError(f"top_n must be in [1, {len(gallery)}], got {top_n}")
+        raise ConfigError(f"top-n must be in [1, {len(gallery)}], the gallery size, got {top_n}")
     query_features = extract_features(query_model, query_inputs)
     q_norms = feature_norms(query_features, lambda i: f"query feature at index {i}")
     ids = gallery.ids

@@ -113,6 +113,8 @@ def softmax_cross_entropy(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise DataError(f"features must be one row per sample, got shape {features.shape}")
     n = len(features)
     if n == 0:
         raise ValueError("cross-entropy mean over an empty batch is undefined")

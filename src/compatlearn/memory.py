@@ -5,9 +5,8 @@ replacement, at most the per-class budget) is appended. Existing rows are
 never touched, so the store only grows and earlier tasks stay represented by
 the exact samples first drawn for them.
 
-The store is columnar: row ``i`` of ``inputs``, ``labels``, ``source_tasks``
-and ``sample_indices`` together describe one stored sample, so building a
-training set or a snapshot reads whole arrays.
+The store is columnar: row ``i`` of ``inputs`` and ``labels`` together
+describe one stored sample, so building a training set reads whole arrays.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ def _no_rows() -> np.ndarray:
 
 @dataclass(frozen=True)
 class EpisodicMemory:
-    """Stored samples as four row-aligned columns.
+    """Stored samples as two row-aligned columns.
 
     An empty memory has ``inputs`` of shape (0, 0): it has no input width yet.
     """
@@ -35,8 +34,6 @@ class EpisodicMemory:
     rng_seed: int
     inputs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     labels: np.ndarray = field(default_factory=_no_rows)
-    source_tasks: np.ndarray = field(default_factory=_no_rows)
-    sample_indices: np.ndarray = field(default_factory=_no_rows)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -59,7 +56,7 @@ def update_memory(
     Classes of the new task must be disjoint from everything already stored.
     Each new class contributes min(budget, available) samples drawn uniformly
     without replacement; the draw is a pure function of (memory seed, task
-    index), so identical runs store identical sample ids.
+    index), so identical runs store identical samples.
     """
     new_classes = np.unique(task_data.labels)
     overlap = np.intersect1d(memory.labels, new_classes)
@@ -79,8 +76,6 @@ def update_memory(
         rng_seed=memory.rng_seed,
         inputs=np.concatenate([memory.input_rows(task_data.input_dim), task_data.inputs[picked]]),
         labels=np.concatenate([memory.labels, task_data.labels[picked]]),
-        source_tasks=np.concatenate([memory.source_tasks, np.full(len(picked), task_index)]),
-        sample_indices=np.concatenate([memory.sample_indices, picked]),
     )
 
 

@@ -32,7 +32,7 @@ from .config import DEFAULT_CONFIG, check_fields
 from .container import write_atomic
 from .data import Task, TaskSequence
 from .errors import ConfigError, DivergenceError
-from .geometry import SimplexPrototypes, build_simplex
+from .geometry import build_simplex
 from .losses import (
     LabeledBatch,
     combined_loss,
@@ -124,12 +124,14 @@ class TrainableClassifier:
 
 @dataclass
 class ModelTimeline:
-    """Outcome of a full sequence: frozen checkpoints, plus the prototypes in fixed mode."""
+    """Outcome of a full sequence: the frozen checkpoints, per-task logs and wall times.
+
+    The fixed simplex is ``build_simplex(total_classes)`` and the final memory
+    is a seeded fold of ``update_memory``, so neither needs keeping.
+    """
 
     checkpoints: list[FeatureExtractorState] = field(default_factory=list)
-    prototypes: SimplexPrototypes | None = None
     logs: list[list[EpochLog]] = field(default_factory=list)
-    final_memory: EpisodicMemory | None = None
     task_seconds: list[float] = field(default_factory=list)
 
 
@@ -241,7 +243,7 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
         per_class_budget=config.memory_per_class,
         rng_seed=config.train_seed,
     )
-    timeline = ModelTimeline(prototypes=classifier if fixed_mode else None)
+    timeline = ModelTimeline()
     previous: FeatureExtractorState | None = None
     for task in sequence.tasks:
         started = time.perf_counter()
@@ -254,7 +256,6 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
         timeline.logs.append(rows)
         timeline.task_seconds.append(time.perf_counter() - started)
         previous = checkpoint
-    timeline.final_memory = memory
     return timeline
 
 

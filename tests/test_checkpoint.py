@@ -12,26 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from compatlearn.checkpoint import (
-    MEMORY_MAGIC,
-    MEMORY_VERSION,
-    MODEL_MAGIC,
-    MODEL_VERSION,
-    PROTO_MAGIC,
-    PROTO_VERSION,
-    load_memory,
-    load_model,
-    load_prototypes,
-    save_memory,
-    save_model,
-    save_prototypes,
-)
+from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from compatlearn.container import read_container, write_container
-from compatlearn.data import LabeledDataset
 from compatlearn.errors import CompatLearnError, CorruptFileError, UnsupportedVersionError
 from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, load_gallery
-from compatlearn.geometry import build_simplex
-from compatlearn.memory import EpisodicMemory, update_memory
 from compatlearn.network import ModelConfig, TrainingHyperparams, ParamGrads, apply_gradients, init_model
 
 
@@ -94,62 +78,6 @@ def test_model_round_trip_twice_is_stable(tmp_path):
     save_model(state, p1)
     save_model(load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_prototypes_round_trip(tmp_path):
-    protos = build_simplex(12)
-    path = tmp_path / "protos.ckpt"
-    save_prototypes(protos, path)
-    loaded = load_prototypes(path)
-    assert loaded.num_vertices == 12
-    assert loaded.alpha == protos.alpha
-    assert loaded.vertices.tobytes() == protos.vertices.tobytes()
-    with pytest.raises(ValueError):
-        loaded.vertices[0, 0] = 1.0
-
-
-def small_memory():
-    rng = np.random.default_rng(1)
-    data = LabeledDataset(
-        inputs=rng.standard_normal((40, 5)),
-        labels=np.repeat(np.arange(4, dtype=np.int64), 10),
-    )
-    return update_memory(EpisodicMemory(per_class_budget=3, rng_seed=5), data, task_index=1)
-
-
-def test_memory_round_trip(tmp_path):
-    memory = small_memory()
-    path = tmp_path / "memory.ckpt"
-    save_memory(memory, path)
-    loaded = load_memory(path)
-    assert loaded.per_class_budget == 3
-    assert loaded.rng_seed == 5
-    assert len(loaded) == len(memory)
-    for name in ("labels", "source_tasks", "sample_indices", "inputs"):
-        assert getattr(loaded, name).tobytes() == getattr(memory, name).tobytes()
-
-
-def test_empty_memory_round_trip(tmp_path):
-    memory = EpisodicMemory(per_class_budget=9, rng_seed=2)
-    path = tmp_path / "memory.ckpt"
-    save_memory(memory, path)
-    loaded = load_memory(path)
-    assert len(loaded) == 0
-    assert loaded.per_class_budget == 9
-
-
-@pytest.mark.parametrize("column", ["labels", "source_tasks", "sample_indices"])
-@pytest.mark.parametrize("change", [-1, 1])
-def test_memory_column_of_the_wrong_length_is_refused(tmp_path, column, change):
-    path = tmp_path / "memory.ckpt"
-    save_memory(small_memory(), path)
-    sections = read_container(path, MEMORY_MAGIC, MEMORY_VERSION)
-    meta = json.loads(sections.pop("meta"))
-    meta[column] = meta[column][:change] if change < 0 else meta[column] + [0]
-    payload = [("meta", json.dumps(meta).encode("utf-8")), *sections.items()]
-    write_container(path, MEMORY_MAGIC, MEMORY_VERSION, payload)
-    with pytest.raises(CorruptFileError, match="rows"):
-        load_memory(path)
 
 
 @pytest.mark.parametrize(
@@ -325,18 +253,12 @@ def test_failed_write_leaves_the_old_file(tmp_path, writer):
 
 LOADERS = {
     "model": (load_model, MODEL_MAGIC, MODEL_VERSION),
-    "prototypes": (load_prototypes, PROTO_MAGIC, PROTO_VERSION),
-    "memory": (load_memory, MEMORY_MAGIC, MEMORY_VERSION),
     "gallery": (load_gallery, GALLERY_MAGIC, GALLERY_VERSION),
 }
-SECTION_NAMES = [
-    "meta", "w0", "b0", "vw0", "vb0", "vertices", "inputs", "ids", "labels", "features",
-]
+SECTION_NAMES = ["meta", "w0", "b0", "vw0", "vb0", "ids", "labels", "features"]
 META_KEYS = [
     "config", "input_dim", "hidden_layers", "feature_dim", "nonlinearity", "seed", "step",
-    "num_layers", "weight_shapes", "bias_shapes", "num_vertices", "dim", "alpha",
-    "per_class_budget", "rng_seed", "count", "labels", "source_tasks", "sample_indices",
-    "indexed_by", "has_labels",
+    "num_layers", "weight_shapes", "bias_shapes", "dim", "count", "indexed_by", "has_labels",
 ]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -83,18 +83,16 @@ def test_train_writes_a_complete_experiment(tmp_path):
     config = write_config(tmp_path)
     out = cmd_train(config, tmp_path / "exp", seed=1)
     names = {p.name for p in out.iterdir()}
-    assert {
+    assert names == {
         "config.json",
         "checkpoint_task_001.ckpt",
         "checkpoint_task_002.ckpt",
         "checkpoint_task_003.ckpt",
-        "prototypes.ckpt",
-        "memory_final.ckpt",
         "training_log.csv",
         "eval_data.csv",
         "pairs.csv",
         "manifest.json",
-    } <= names
+    }
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["schema"] == "run-manifest/1"
     assert len(manifest["task_seconds"]) == 3
@@ -303,8 +301,6 @@ def test_csv_source_trains_like_the_synthetic_preset(tmp_path):
         for name, payload in (("synthetic", synthetic), ("csv", from_csv))
     ]
     names = [f"checkpoint_task_00{t}.ckpt" for t in (1, 2, 3)] + [
-        "prototypes.ckpt",
-        "memory_final.ckpt",
         "training_log.csv",
         "eval_data.csv",
         "pairs.csv",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from compatlearn import gallery as gallery_module
 from compatlearn.container import read_container, write_artifact, write_container
 from compatlearn.errors import (
+    ConfigError,
     CorruptFileError,
     DataError,
     DegenerateFeatureError,
@@ -309,9 +310,9 @@ def test_search_rejects_a_non_finite_query_norm():
 
 def test_search_validates_inputs():
     g = one_hot_gallery()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="gallery size"):
         search(np.eye(3), identity_model(), g, top_n=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="gallery size"):
         search(np.eye(3), identity_model(), g, top_n=4)
     with pytest.raises(DataError):
         search(np.eye(4), identity_model(4), g, top_n=1)

@@ -86,6 +86,11 @@ def test_labels_not_one_per_feature_row_rejected(rows, labels):
         build_simplex(3).loss(np.ones((rows, 2)), labels, False)
 
 
+def test_features_not_one_row_per_sample_rejected():
+    with pytest.raises(DataError, match="one row per sample"):
+        build_simplex(3).loss(np.ones(2), [0, 1], False)
+
+
 def test_empty_batch_rejected():
     prototypes = build_simplex(3)
     with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ def test_same_seed_selects_same_samples():
     for _ in range(2):
         memory = EpisodicMemory(per_class_budget=4, rng_seed=42)
         updated = update_memory(memory, data, task_index=1)
-        picks.append(updated.sample_indices.tolist())
+        picks.append((updated.inputs.tobytes(), updated.labels.tobytes()))
     assert picks[0] == picks[1]
 
 
@@ -46,7 +46,7 @@ def test_different_seed_selects_differently():
     data = class_dataset([0, 1], 200, seed=3)
     a = update_memory(EpisodicMemory(4, rng_seed=1), data, task_index=1)
     b = update_memory(EpisodicMemory(4, rng_seed=2), data, task_index=1)
-    assert a.sample_indices.tolist() != b.sample_indices.tolist()
+    assert a.inputs.tobytes() != b.inputs.tobytes()
 
 
 def test_class_overlap_rejected():
@@ -57,12 +57,12 @@ def test_class_overlap_rejected():
 
 def test_existing_entries_are_untouched():
     memory = update_memory(EpisodicMemory(3, rng_seed=0), class_dataset([0, 1], 10), 1)
-    columns = ("labels", "source_tasks", "sample_indices", "inputs")
+    columns = ("labels", "inputs")
     snapshot = [getattr(memory, name).tobytes() for name in columns]
     updated = update_memory(memory, class_dataset([2, 3], 10, seed=9), task_index=2)
     kept = [getattr(updated, name)[: len(memory)].tobytes() for name in columns]
     assert kept == snapshot
-    assert set(updated.source_tasks.tolist()) == {1, 2}
+    assert set(updated.labels[len(memory) :].tolist()) == {2, 3}
 
 
 def test_budget_never_exceeded_over_many_tasks():

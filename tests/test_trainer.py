@@ -97,14 +97,27 @@ def test_fd_off_forces_zero_lambda():
     assert all(row.fd == 0.0 for row in rows)
 
 
-def test_prototypes_survive_training_bitwise():
+def recorded_task_arguments(monkeypatch, config, sequence):
+    """The (memory, classifier) that ``run_sequence`` passes to each task's ``run_task``."""
+    seen = []
+    original = trainer.run_task
+
+    def recording(state, task, previous, memory, classifier, config):
+        seen.append((memory, classifier))
+        return original(state, task, previous, memory, classifier, config)
+
+    monkeypatch.setattr(trainer, "run_task", recording)
+    run_sequence(config, sequence)
+    return seen
+
+
+def test_prototypes_survive_training_bitwise(monkeypatch):
     sequence, _ = tiny_sequence(num_tasks=2)
-    timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
-    before = timeline.prototypes.vertices.tobytes()
-    sequence2, _ = tiny_sequence(num_tasks=2)
-    timeline2 = run_sequence(tiny_config(sequence2.total_classes), sequence2)
-    assert timeline2.prototypes.vertices.tobytes() == before
-    assert before == build_simplex(sequence.total_classes).vertices.tobytes()
+    seen = recorded_task_arguments(monkeypatch, tiny_config(sequence.total_classes), sequence)
+    classifiers = [classifier for _, classifier in seen]
+    assert classifiers[0] is classifiers[1]  # one shared simplex for every task
+    expected = build_simplex(sequence.total_classes).vertices.tobytes()
+    assert classifiers[0].vertices.tobytes() == expected  # unchanged after training
 
 
 def test_sequence_is_bitwise_reproducible():
@@ -135,13 +148,14 @@ def test_lambda_follows_the_class_ratio():
     assert lam_by_task[2] == pytest.approx(5.0 * np.sqrt(3 / 6))
 
 
-def test_memory_covers_all_previous_classes():
+def test_memory_covers_all_previous_classes(monkeypatch):
     sequence, _ = tiny_sequence(num_tasks=3)
-    timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
-    expected = sorted(c for t in sequence.tasks for c in t.classes)
-    classes, sizes = np.unique(timeline.final_memory.labels, return_counts=True)
-    assert classes.tolist() == expected
-    assert all(v == 3 for v in sizes)
+    seen = recorded_task_arguments(monkeypatch, tiny_config(sequence.total_classes), sequence)
+    for index, (memory, _) in enumerate(seen):
+        expected = sorted(c for t in sequence.tasks[:index] for c in t.classes)
+        classes, sizes = np.unique(memory.labels, return_counts=True)
+        assert classes.tolist() == expected
+        assert all(v == 3 for v in sizes)
 
 
 def test_trainable_mode_with_memory_distillation_runs():
@@ -229,10 +243,15 @@ def test_persistence_writes_the_training_log(tmp_path):
         )
     )
     out = cmd_train(config, tmp_path / "exp")
-    assert (out / "checkpoint_task_001.ckpt").exists()
-    assert (out / "checkpoint_task_002.ckpt").exists()
-    assert (out / "prototypes.ckpt").exists()
-    assert (out / "memory_final.ckpt").exists()
+    assert {p.name for p in out.iterdir()} == {
+        "config.json",
+        "checkpoint_task_001.ckpt",
+        "checkpoint_task_002.ckpt",
+        "training_log.csv",
+        "eval_data.csv",
+        "pairs.csv",
+        "manifest.json",
+    }
     log = (out / "training_log.csv").read_text().splitlines()
     assert log[0] == "task,epoch,ce,fd,lambda,total"
     assert len(log) == 1 + 2 * 4  # header + tasks * epochs
@@ -319,8 +338,7 @@ def test_trainable_classifier_momentum_resets_at_task_boundaries(monkeypatch):
 
     monkeypatch.setattr(trainer, "run_task", recording)
     config = tiny_config(sequence.total_classes, classifier_mode="trainable")
-    timeline = run_sequence(config, sequence)
-    assert timeline.prototypes is None
+    run_sequence(config, sequence)
     # The classifier grows by each task's classes before that task trains.
     per_task = [len(t.classes) for t in sequence.tasks]
     assert [v.shape[0] for v in seen] == np.cumsum(per_task).tolist()
