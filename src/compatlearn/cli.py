@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .config import DEFAULT_CONFIG, load_config, validate_config  # re-exported
+from .config import DEFAULT_CONFIG, check_fields, load_config, validate_config  # re-exported
 from .container import write_atomic
 from .data import (
     SyntheticSpec,
@@ -134,8 +134,7 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     """Run a full training sequence and write the experiment directory."""
     config = load_config(config_path)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        check_fields("model", {"seed": seed})  # the master seed obeys the seed rule
         config = apply_master_seed(config, seed)
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):

@@ -19,8 +19,22 @@ against a newer gallery has no reliable interpretation. Every checkpoint is
 extracted once, however many cells it takes part in. The summary report
 condenses the matrix into the average, backward, and forward compatibility
 numbers plus the per-task backward series.
+
+No cell depends on another, so the cells are scored in parallel across the
+CPUs the process may run on: the calling thread and one pool thread per
+further CPU. Each cell is computed exactly as it is alone (``pair_scores`` and
+then the metric), so the matrix holds the same bytes on one CPU or many. The
+cell kernels (gathers, products, sums, sorts, cumulative sums) release the GIL
+and use no BLAS. Each thread that allocates gets a malloc arena that keeps
+what it freed where later training cannot reuse it, so memory sets the rest.
+On the mid-scale benchmark (2 CPUs, glibc), peak RSS was 162 MB serial, 211 MB
+with feature extraction on the pool too, 173 MB with two pool threads beside
+an idle caller, and 161-168 MB (median 165) as built here; extraction stays
+serial.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +43,10 @@ from .errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
 METRIC_KINDS = ("accuracy", "tar_at_far")
-SCORE_BLOCK = 4096  # pairs whose gathered feature rows a cell holds at once
+# Pairs whose gathered feature rows a cell holds at once. Every worker holds its
+# own block; at 4096 rows the mid-scale peak RSS was 171 MB, against 161-168 MB
+# at 512 and the same speed.
+SCORE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -148,17 +165,18 @@ class _SampleRows:
                 f"models have different feature dimensions: "
                 f"{feats_q.shape[1]} vs {feats_g.shape[1]}"
             )
-        norms_a = norms_q[self.rows_a]
-        norms_b = norms_g[self.rows_b]
         # Gathered feature rows go block by block, so a cell holds a block of
         # them at a time rather than two copies the size of the pair set.
-        dots = np.empty(len(norms_a))
+        dots = np.empty(len(self.rows_a))
         for start in range(0, len(dots), SCORE_BLOCK):
             block = slice(start, start + SCORE_BLOCK)
             rows = feats_q[self.rows_a[block]]
             rows *= feats_g[self.rows_b[block]]
             np.sum(rows, axis=1, out=dots[block])
-        return np.clip(dots / (norms_a * norms_b), -1.0, 1.0)
+        norms = norms_q[self.rows_a]
+        norms *= norms_g[self.rows_b]
+        dots /= norms
+        return np.clip(dots, -1.0, 1.0, out=dots)
 
 
 def pair_scores(
@@ -181,15 +199,15 @@ def _threshold_sweep(scores: np.ndarray, genuine: np.ndarray):
     at their midpoint). Returns, per valid cut, the threshold and the counts
     of genuine and impostor pairs below it.
     """
-    order = np.argsort(scores, kind="stable")
+    # Tied scores share a cut, so their order changes no output: any sort will do.
+    order = np.argsort(scores)
     s = scores[order]
-    g = genuine[order]
-    cum_genuine = np.concatenate(([0], np.cumsum(g)))
-    cum_impostor = np.concatenate(([0], np.cumsum(~g)))
+    cum_genuine = np.concatenate(([0], np.cumsum(genuine[order])))
     cuts = np.flatnonzero(s[1:] != s[:-1]) + 1
     positions = np.concatenate(([0], cuts, [len(s)]))
     thresholds = np.concatenate(([-np.inf], (s[cuts - 1] + s[cuts]) / 2.0, [np.inf]))
-    return thresholds, cum_genuine[positions], cum_impostor[positions]
+    gen_below = cum_genuine[positions]
+    return thresholds, gen_below, positions - gen_below
 
 
 def verification_accuracy(scores, genuine) -> MetricResult:
@@ -237,6 +255,13 @@ def tar_at_far(scores, genuine, far_target: float) -> MetricResult:
     return MetricResult(value=tar, threshold=float(thresholds[pick]))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the system has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_compatibility_matrix(
     models,
     pairs: VerificationPairSet,
@@ -249,7 +274,9 @@ def build_compatibility_matrix(
     (t, k) with t > k scores queries from the newer model against galleries
     from the older one; the diagonal holds self-tests; cells above the
     diagonal stay zero. The same static pair set is used for every cell, and
-    each model is extracted once over the distinct samples it touches.
+    each model is extracted once over the distinct samples it touches. The
+    cells are scored by one worker per CPU, the calling thread among them; an
+    error in a cell reaches the caller once the pool's threads have ended.
     """
     models = list(models)
     if len(models) < 1:
@@ -266,17 +293,27 @@ def build_compatibility_matrix(
             features.append(samples.features(model))
         except DegenerateFeatureError as exc:
             raise DegenerateFeatureError(f"checkpoint of task {task}: {exc}") from None
+
+    def score(cell) -> MetricResult:
+        t, k = cell
+        scores = samples.cell_scores(features[t], features[k])
+        if metric == "accuracy":
+            return verification_accuracy(scores, pairs.genuine)
+        return tar_at_far(scores, pairs.genuine, far_target)
+
+    cells = [(t, k) for t in range(t_count) for k in range(t + 1)]
     values = np.zeros((t_count, t_count), dtype=np.float64)
     thresholds = np.full((t_count, t_count), np.nan, dtype=np.float64)
-    for t in range(t_count):
-        for k in range(t + 1):
-            scores = samples.cell_scores(features[t], features[k])
-            if metric == "accuracy":
-                result = verification_accuracy(scores, pairs.genuine)
-            else:
-                result = tar_at_far(scores, pairs.genuine, far_target)
-            values[t, k] = result.value
-            thresholds[t, k] = result.threshold
+    workers = min(_cpu_count(), len(cells))
+    # The calling thread takes every workers-th cell, the pool the rest; with one
+    # worker no thread is started. Cells cost the same, so the split is even.
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        helped = [(cell, pool.submit(score, cell)) for i, cell in enumerate(cells) if i % workers]
+        done = [(cell, score(cell)) for cell in cells[::workers]]
+        done += [(cell, future.result()) for cell, future in helped]
+    for (t, k), result in done:
+        values[t, k] = result.value
+        thresholds[t, k] = result.threshold
     return CompatibilityMatrix(
         values=values, metric=metric, far_target=far_target, thresholds=thresholds
     )

@@ -117,7 +117,7 @@ def softmax_cross_entropy(
         raise DataError(f"features must be one row per sample, got shape {features.shape}")
     n = len(features)
     if n == 0:
-        raise ValueError("cross-entropy mean over an empty batch is undefined")
+        raise DataError("cross-entropy mean over an empty batch is undefined")
     if features.shape[1] != weight_matrix.shape[1]:
         raise DataError(
             f"feature dimension {features.shape[1]} does not match classifier "
@@ -168,7 +168,7 @@ def feature_distillation_loss(new_features, old_features) -> tuple[float, np.nda
     if new.shape != old.shape or new.ndim != 2:
         raise DataError(f"feature shapes differ: {new.shape} vs {old.shape}")
     if len(new) == 0:
-        raise ValueError("feature distillation over an empty sample set is undefined")
+        raise DataError("feature distillation over an empty sample set is undefined")
     n_unit, n_norms = _normalize_rows(new)
     o_unit, _ = _normalize_rows(old)
     cos = np.clip(np.add.reduce(n_unit * o_unit, axis=1), -1.0, 1.0)
@@ -188,11 +188,11 @@ def lambda_for_task(lambda_base: float, new_class_count: int, old_class_count: i
     the distillation term is absent).
     """
     if lambda_base < 0:
-        raise ValueError(f"lambda_base must be non-negative, got {lambda_base}")
+        raise ConfigError(f"lambda_base must be non-negative, got {lambda_base}")
     if new_class_count < 1:
-        raise ValueError(f"new_class_count must be >= 1, got {new_class_count}")
+        raise ConfigError(f"new_class_count must be >= 1, got {new_class_count}")
     if old_class_count < 0:
-        raise ValueError(f"old_class_count must be non-negative, got {old_class_count}")
+        raise ConfigError(f"old_class_count must be non-negative, got {old_class_count}")
     if old_class_count == 0:
         return 0.0
     return lambda_base * math.sqrt(new_class_count / old_class_count)

@@ -297,10 +297,10 @@ def gradient_check(
     diagnostic: never raises on a bad gradient, only on misuse.
     """
     if not 1e-7 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon must be in [1e-7, 1e-3], got {epsilon}")
+        raise ConfigError(f"epsilon must be in [1e-7, 1e-3], got {epsilon}")
     batch_arr = np.asarray(batch, dtype=np.float64)
     if batch_arr.size == 0:
-        raise ValueError("gradient_check requires a nonempty batch")
+        raise ConfigError("gradient_check requires a nonempty batch")
 
     _, analytic = loss_fn(state, batch_arr)
     probe = state.copy()

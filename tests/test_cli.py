@@ -141,6 +141,13 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, section, key):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.5], ids=["negative", "bool", "float"])
+def test_master_seed_obeys_the_config_tables_seed_rule(tmp_path, seed):
+    with pytest.raises(ConfigError, match="invalid value for model.seed"):
+        cmd_train(write_config(tmp_path), tmp_path / "exp", seed=seed)
+    assert not (tmp_path / "exp").exists()
+
+
 @pytest.mark.parametrize(
     "payload, code",
     [

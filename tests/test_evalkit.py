@@ -1,3 +1,6 @@
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +180,43 @@ def test_threshold_sweep_matches_the_loop_bitwise(scores, data):
         assert g.tobytes() == w.tobytes()
 
 
+def stable_threshold_sweep(scores, genuine):
+    """Reference: the sweep's formula over a stable sort, so tied scores keep their order."""
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    g = genuine[order]
+    cum_genuine = np.concatenate(([0], np.cumsum(g)))
+    cum_impostor = np.concatenate(([0], np.cumsum(~g)))
+    cuts = np.flatnonzero(s[1:] != s[:-1]) + 1
+    positions = np.concatenate(([0], cuts, [len(s)]))
+    thresholds = np.concatenate(([-np.inf], (s[cuts - 1] + s[cuts]) / 2.0, [np.inf]))
+    return thresholds, cum_genuine[positions], cum_impostor[positions]
+
+
+tied_scores = st.one_of(
+    st.lists(st.floats(-1.0, 1.0).map(lambda x: round(x, 2)), min_size=2, max_size=300),
+    st.lists(st.integers(-5, 5).map(float), min_size=2, max_size=300),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_scores, st.data())
+def test_threshold_sweep_does_not_depend_on_the_order_of_ties(scores, data):
+    scores = np.asarray(scores, dtype=np.float64)
+    genuine = np.asarray(
+        data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores))),
+        dtype=bool,
+    )
+    genuine[:2] = True, False  # both metrics need a genuine and an impostor pair
+    for got, want in zip(_threshold_sweep(scores, genuine), stable_threshold_sweep(scores, genuine)):
+        assert np.array_equal(got, want)
+    far = data.draw(st.sampled_from([0.01, 0.1, 0.5, 1.0]))
+    got = verification_accuracy(scores, genuine), tar_at_far(scores, genuine, far)
+    with mock.patch.object(evalkit, "_threshold_sweep", stable_threshold_sweep):
+        want = verification_accuracy(scores, genuine), tar_at_far(scores, genuine, far)
+    assert got == want
+
+
 def test_accuracy_perfect_separation():
     result = verification_accuracy([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
     assert result.value == 1.0
@@ -315,19 +355,51 @@ def test_matrix_extracts_each_distinct_sample_once_per_checkpoint(monkeypatch):
 
 
 @pytest.mark.parametrize("metric, far", [("accuracy", None), ("tar_at_far", 0.2)])
-def test_pair_scores_reproduce_every_matrix_cell_bitwise(metric, far):
-    pairs = shared_sample_pairs(np.random.default_rng(9))
-    models = tanh_models(3)
-    matrix = build_compatibility_matrix(models, pairs, metric=metric, far_target=far)
-    for t in range(3):
+def test_pair_scores_reproduce_every_matrix_cell_bitwise(monkeypatch, metric, far):
+    pairs = shared_sample_pairs(np.random.default_rng(9), n=300)
+    models = tanh_models(4)
+    values = np.zeros((4, 4))
+    thresholds = np.full((4, 4), np.nan)
+    for t in range(4):
         for k in range(t + 1):
             scores, genuine = pair_scores(pairs, models[t], models[k])
             if metric == "accuracy":
                 result = verification_accuracy(scores, genuine)
             else:
                 result = tar_at_far(scores, genuine, far)
-            assert result.value == matrix.values[t, k]
-            assert result.threshold == matrix.thresholds[t, k]
+            values[t, k], thresholds[t, k] = result.value, result.threshold
+    # One worker, and more workers than the host may have CPUs.
+    for cpus in (1, 4):
+        monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
+        matrix = build_compatibility_matrix(models, pairs, metric=metric, far_target=far)
+        assert matrix.values.tobytes() == values.tobytes()
+        assert np.array_equal(matrix.thresholds, thresholds, equal_nan=True)
+
+
+class CellFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("metric, far", [("accuracy", None), ("tar_at_far", 0.2)])
+def test_an_error_in_one_cell_reaches_the_caller_and_no_thread_outlives_it(
+    monkeypatch, metric, far
+):
+    pairs = shared_sample_pairs(np.random.default_rng(12))
+    calls = []
+    original = getattr(evalkit, "verification_accuracy" if metric == "accuracy" else metric)
+
+    def fails_in_the_third_cell(*args):
+        calls.append(None)  # list.append is atomic under the GIL
+        if len(calls) == 3:
+            raise CellFailure("cell scoring failed")
+        return original(*args)
+
+    monkeypatch.setattr(evalkit, original.__name__, fails_in_the_third_cell)
+    monkeypatch.setattr(evalkit, "_cpu_count", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(CellFailure, match="^cell scoring failed$"):
+        build_compatibility_matrix(tanh_models(4), pairs, metric=metric, far_target=far)
+    assert threading.active_count() == threads
 
 
 def test_pair_scores_match_scoring_each_pair_on_its_own():

@@ -93,7 +93,7 @@ def test_features_not_one_row_per_sample_rejected():
 
 def test_empty_batch_rejected():
     prototypes = build_simplex(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="empty batch"):
         prototypes.loss(np.zeros((0, 2)), [], False)
 
 
@@ -180,6 +180,11 @@ def test_distillation_zero_norm_reports_index():
         feature_distillation_loss(old, new)
 
 
+def test_distillation_over_no_rows_is_a_data_error():
+    with pytest.raises(DataError, match="empty sample set"):
+        feature_distillation_loss(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
 def test_distillation_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     new = rng.standard_normal((4, 3)) + 0.2
@@ -211,11 +216,11 @@ def test_lambda_for_task_values():
     assert lambda_for_task(5.0, 3, 3) == pytest.approx(5.0)
     assert lambda_for_task(5.0, 10, 40) == pytest.approx(2.5)
     assert lambda_for_task(5.0, 10, 0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="lambda_base"):
         lambda_for_task(-1.0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="new_class_count"):
         lambda_for_task(5.0, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="old_class_count"):
         lambda_for_task(5.0, 1, -1)
 
 

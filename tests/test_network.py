@@ -252,11 +252,11 @@ def test_gradient_check_constant_loss_is_zero():
 def test_gradient_check_epsilon_bounds():
     state = init_model(small_config())
     fn = lambda s, b: (0.0, zero_grads(s))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="epsilon"):
         gradient_check(state, fn, np.zeros((1, 6)), epsilon=1e-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="epsilon"):
         gradient_check(state, fn, np.zeros((1, 6)), epsilon=1e-8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="nonempty batch"):
         gradient_check(state, fn, np.empty((0, 6)), epsilon=1e-5)
 
 
