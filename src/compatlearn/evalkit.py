@@ -20,17 +20,12 @@ extracted once, however many cells it takes part in. The summary report
 condenses the matrix into the average, backward, and forward compatibility
 numbers plus the per-task backward series.
 
-No cell depends on another, so the cells are scored in parallel across the
-CPUs the process may run on: the calling thread and one pool thread per
-further CPU. Each cell is computed exactly as it is alone (``pair_scores`` and
-then the metric), so the matrix holds the same bytes on one CPU or many. The
-cell kernels (gathers, products, sums, sorts, cumulative sums) release the GIL
-and use no BLAS. Each thread that allocates gets a malloc arena that keeps
-what it freed where later training cannot reuse it, so memory sets the rest.
-On the mid-scale benchmark (2 CPUs, glibc), peak RSS was 162 MB serial, 211 MB
-with feature extraction on the pool too, 173 MB with two pool threads beside
-an idle caller, and 161-168 MB (median 165) as built here; extraction stays
-serial.
+No cell depends on another, so ``on_every_cpu`` scores them in parallel, each
+exactly as alone (``pair_scores`` and then the metric): the matrix holds the
+same bytes on one CPU or many. The cell kernels (gathers, products, sums,
+sorts, cumulative sums) release the GIL and use no BLAS. Feature extraction
+stays serial: on the pool too, it raised the mid-scale benchmark's peak RSS
+(2 CPUs, glibc) from 161-168 MB to 211 MB.
 """
 
 import os
@@ -262,6 +257,26 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def on_every_cpu(fn, items) -> list:
+    """``[fn(item) for item in items]``, on one worker per CPU the process may run on.
+
+    ``items`` is a non-empty sequence. The calling thread takes every workers-th
+    item and a pool of workers - 1 threads the rest, so one worker starts no
+    thread. Each thread that allocates gets a glibc malloc arena that keeps what
+    it freed, so large buffers are best allocated before the split: at mid scale,
+    a pool thread beside an idle caller read 173 MB of peak RSS against 165. An
+    error reaches the caller once the pool's threads have ended.
+    """
+    workers = min(_cpu_count(), len(items))
+    done = [None] * len(items)
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        helped = [(i, pool.submit(fn, item)) for i, item in enumerate(items) if i % workers]
+        done[::workers] = [fn(item) for item in items[::workers]]
+        for i, future in helped:
+            done[i] = future.result()
+    return done
+
+
 def build_compatibility_matrix(
     models,
     pairs: VerificationPairSet,
@@ -275,8 +290,7 @@ def build_compatibility_matrix(
     from the older one; the diagonal holds self-tests; cells above the
     diagonal stay zero. The same static pair set is used for every cell, and
     each model is extracted once over the distinct samples it touches. The
-    cells are scored by one worker per CPU, the calling thread among them; an
-    error in a cell reaches the caller once the pool's threads have ended.
+    cells are scored by ``on_every_cpu``.
     """
     models = list(models)
     if len(models) < 1:
@@ -304,14 +318,7 @@ def build_compatibility_matrix(
     cells = [(t, k) for t in range(t_count) for k in range(t + 1)]
     values = np.zeros((t_count, t_count), dtype=np.float64)
     thresholds = np.full((t_count, t_count), np.nan, dtype=np.float64)
-    workers = min(_cpu_count(), len(cells))
-    # The calling thread takes every workers-th cell, the pool the rest; with one
-    # worker no thread is started. Cells cost the same, so the split is even.
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        helped = [(cell, pool.submit(score, cell)) for i, cell in enumerate(cells) if i % workers]
-        done = [(cell, score(cell)) for cell in cells[::workers]]
-        done += [(cell, future.result()) for cell, future in helped]
-    for (t, k), result in done:
+    for (t, k), result in zip(cells, on_every_cpu(score, cells)):
         values[t, k] = result.value
         thresholds[t, k] = result.threshold
     return CompatibilityMatrix(

@@ -11,17 +11,17 @@ finite for that filter. A ``Gallery`` checks every rule when it is built,
 indexed or loaded: at least one entry, unique ids, one row (and label) per id,
 and stored norms that pass ``network.feature_norms``, as query norms must.
 
-A batched search extracts every query's features once, then scores them in
-blocks of ``max(2, SEARCH_BLOCK_CELLS // len(gallery))`` query rows. Beyond
-the query features, its working memory is a few block-sized arrays (16 MB
-each) whatever the number of queries, not a queries x gallery matrix. No block
-has one row unless there is only one query: numpy sends a one-row product to
-gemv, whose results may differ from gemm's in the last bits, so a one-row tail
-joins the block before it. With gemm rows that do not depend on the row count
-(OpenBLAS), the blocks give the bits of one full product. For the same reason
-a one-query search goes through gemv and may differ from that query's row of a
-batched search in the last bits (by up to about 7e-16 in similarity); the
-ranking is the same unless two entries lie that close.
+A batched search extracts every query's features once and scores them in
+blocks of ``rows = max(2, SEARCH_BLOCK_CELLS // len(gallery))`` queries, inline
+when one block holds them all. Otherwise ``evalkit.on_every_cpu`` runs at most
+``rows // 2`` workers on blocks of ``rows // workers`` queries, with scratch the
+calling thread allocates, so the blocks in flight hold one block's 16 MB of
+similarities. Unlike the matrix cells, which use no BLAS, blocks call gemm
+concurrently, each exactly as alone. A one-row tail joins the block before it:
+numpy sends a one-row product to gemv, whose last bits may differ from gemm's.
+With gemm rows that do not depend on the row count (OpenBLAS), any blocking on
+any number of CPUs gives the bits of one full product, and a one-query search
+differs from its row of a batched one by at most about 7e-16 in similarity.
 
 On disk features are float32; in memory and in all similarity computations
 they are float64. Stored features are quantized to the float32 grid at index
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evalkit
 from .container import read_artifact, write_artifact
 from .errors import ConfigError, DataError
 from .network import FeatureExtractorState, extract_features, feature_norms
@@ -123,21 +124,45 @@ def search(
         raise ConfigError(f"top-n must be in [1, {len(gallery)}], the gallery size, got {top_n}")
     query_features = extract_features(query_model, query_inputs)
     q_norms = feature_norms(query_features, lambda i: f"query feature at index {i}")
+    ids, count = gallery.ids, len(query_features)
+    rows = max(2, SEARCH_BLOCK_CELLS // len(ids))
+    if count <= rows + 1:  # one block, inline; numpy allocates, which is faster for one query
+        return _rank_block(query_features, q_norms, gallery, top_n, None, None, np.empty(len(ids)))
+    workers = min(evalkit._cpu_count(), rows // 2)
+    step = rows // workers
+    starts = range(0, count - 1, step)  # a one-row tail joins the block before it
+    # Per worker, from the calling thread: similarities and norm products of up to
+    # step + 1 queries, and one row to partition in place.
+    scratch = np.empty((workers, 2 * step + 3, len(ids)))
+    results = [None] * count
+
+    def rank(worker):
+        own = scratch[worker]
+        for start in starts[worker::workers]:
+            n = count - start if count - start <= step + 1 else step
+            block = slice(start, start + n)
+            results[block] = _rank_block(query_features[block], q_norms[block], gallery, top_n,
+                                         own[:n], own[step + 1 : step + 1 + n], own[-1])
+
+    evalkit.on_every_cpu(rank, range(workers))
+    return results
+
+
+def _rank_block(features, norms, gallery, top_n, sims, products, row_copy):
+    """Each query's ranked (id, similarity) list, for one block of queries, scored in
+    ``sims`` and ``products`` (numpy allocates where None) and partitioned in ``row_copy``."""
     ids = gallery.ids
     cut = len(ids) - top_n
-    step = max(2, SEARCH_BLOCK_CELLS // len(ids))
-    bounds = [*range(0, len(query_features), step), len(query_features)]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]  # a one-row tail joins the block before it: one row would go to gemv
+    sims = np.matmul(features, gallery.features.T, out=sims)
+    sims /= np.outer(norms, gallery.norms, out=products)
     results = []
-    for start, stop in zip(bounds, bounds[1:]):
-        sims = query_features[start:stop] @ gallery.features.T
-        sims /= np.outer(q_norms[start:stop], gallery.norms)
-        for row in np.clip(sims, -1.0, 1.0, out=sims):
-            # Every entry at or above the n-th largest similarity, boundary ties included.
-            keep = np.flatnonzero(row >= np.partition(row, cut)[cut]) if cut else range(len(ids))
-            ranked = sorted(keep, key=lambda j: (-row[j], ids[j]))[:top_n]
-            results.append([(ids[j], float(row[j])) for j in ranked])
+    for row in np.clip(sims, -1.0, 1.0, out=sims):
+        row_copy[:] = row
+        row_copy.partition(cut)
+        # Every entry at or above the n-th largest similarity, boundary ties included.
+        keep = np.flatnonzero(row >= row_copy[cut]) if cut else range(len(ids))
+        ranked = sorted(keep, key=lambda j: (-row[j], ids[j]))[:top_n]
+        results.append([(ids[j], float(row[j])) for j in ranked])
     return results
 
 
@@ -149,7 +174,7 @@ def recall_at_1(
 ) -> float:
     """Fraction of queries whose top-1 gallery hit carries the query's label."""
     if gallery.labels is None:
-        raise ValueError("recall@1 needs a gallery with labels")
+        raise DataError("recall@1 needs a gallery with labels")
     ranked = search(query_inputs, query_model, gallery, top_n=1)
     label_by_id = dict(zip(gallery.ids, gallery.labels))
     labels = np.asarray(query_labels, dtype=np.int64)

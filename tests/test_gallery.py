@@ -1,6 +1,8 @@
 import hashlib
 import json
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compatlearn import evalkit
 from compatlearn import gallery as gallery_module
 from compatlearn.container import read_container, write_artifact, write_container
 from compatlearn.errors import (
@@ -200,28 +203,95 @@ def similarity_bits(results):
 
 @pytest.mark.parametrize("group", [1, 4])
 def test_blocked_search_equals_one_block_bitwise(monkeypatch, group):
-    gallery, queries = float_gallery(size=30, group=group, queries=9)
-    rows = 4
+    rows = 8
+    gallery, queries = float_gallery(size=30, group=group, queries=2 * rows + 1)
     model = identity_model(5)
     one_block = {
         (q, n): similarity_bits(search(queries[:q], model, gallery, n))
-        for q in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1)
+        for q in range(1, 2 * rows + 2)
         for n in (1, 5, len(gallery))
+    }
+    # Sorted block sizes per CPU count. Up to rows + 1 queries run as one block;
+    # beyond that each of at most rows // 2 workers takes blocks of rows // workers
+    # (so at least 2), and a one-row tail joins the block before it.
+    pinned_beyond_one_block = {
+        1: {10: [2, 8], 17: [8, 9]},
+        2: {10: [2, 4, 4], 17: [4, 4, 4, 5]},
+        4: {10: [2] * 5, 17: [2] * 7 + [3]},
+        8: {10: [2] * 5, 17: [2] * 7 + [3]},
     }
     blocks = []
     numpy_outer = np.outer
 
-    def outer(a, b):  # called once per block with the block's query norms
-        blocks.append(len(a))
-        return numpy_outer(a, b)
+    def outer(a, b, out):  # called once per block with the block's query norms
+        blocks.append(len(a))  # list.append is atomic under the GIL
+        return numpy_outer(a, b, out=out)
 
     monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", rows * len(gallery))
     monkeypatch.setattr(np, "outer", outer)
-    for (q, n), expected in one_block.items():
-        blocks.clear()
-        assert similarity_bits(search(queries[:q], model, gallery, n)) == expected
-        # Full blocks, and a one-row tail only for a single query.
-        assert blocks == {1: [1], 5: [5], 9: [4, 5]}.get(q, [q])
+    for cpus, pinned in pinned_beyond_one_block.items():
+        monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
+        pinned = {**{q: [q] for q in range(1, rows + 2)}, **pinned}
+        for (q, n), expected in one_block.items():
+            blocks.clear()
+            assert similarity_bits(search(queries[:q], model, gallery, n)) == expected
+            if q in pinned:
+                assert sorted(blocks) == pinned[q]
+
+
+def test_more_workers_than_cores_fill_every_result_under_fast_thread_switches(monkeypatch):
+    gallery, queries = float_gallery(size=30, queries=201, seed=4)
+    model = identity_model(5)
+    expected = similarity_bits(search(queries, model, gallery, 3))  # one block, inline
+    monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", 16 * len(gallery))
+    monkeypatch.setattr(evalkit, "_cpu_count", lambda: 8)  # 8 workers on blocks of 2 rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert similarity_bits(search(queries, model, gallery, 3)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("failing", ["calling", "pool"])
+def test_an_error_in_one_block_reaches_the_caller_and_no_thread_outlives_it(
+    monkeypatch, failing, cpus
+):
+    gallery, queries = float_gallery(size=30, queries=17)
+    numpy_outer = np.outer
+
+    def fails_in_one_thread(a, b, out):
+        thread = "calling" if threading.current_thread() is threading.main_thread() else "pool"
+        if thread == failing:
+            raise BlockFailure(f"block scoring failed in the {thread} thread")
+        return numpy_outer(a, b, out=out)
+
+    monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", 8 * len(gallery))
+    monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)  # blocks of 8 // cpus rows
+    monkeypatch.setattr(np, "outer", fails_in_one_thread)
+    threads = threading.active_count()
+    with pytest.raises(BlockFailure, match=f"^block scoring failed in the {failing} thread$"):
+        search(queries, identity_model(5), gallery, top_n=5)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("queries", [1, 4, 5])
+def test_a_one_block_search_starts_no_thread_and_reads_no_cpu_count(monkeypatch, queries):
+    gallery, inputs = float_gallery(size=30, queries=queries)
+    expected = search(inputs, identity_model(5), gallery, top_n=3)
+
+    def forbidden(*args):
+        raise AssertionError("a one-block search asked for a worker")
+
+    monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", 4 * len(gallery))
+    monkeypatch.setattr(evalkit, "_cpu_count", forbidden)
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
+    assert search(inputs, identity_model(5), gallery, top_n=3) == expected
 
 
 def search_peak_bytes(gallery, queries, model):
@@ -241,15 +311,17 @@ def test_batched_search_memory_is_bounded_by_the_block(monkeypatch):
     monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", cells)
     gallery, queries = float_gallery(size=1000, dim=3, queries=1600, seed=1)
     model = identity_model(3)
-    search(queries[:4], model, gallery, top_n=1)  # first-call allocations out of the way
-    peak_400 = search_peak_bytes(gallery, queries[:400], model)
-    peak_1600 = search_peak_bytes(gallery, queries, model)
-    # One Q x G matrix would be 3.2 MB at 400 queries and 12.8 MB at 1600.
-    assert peak_400 < 8 * cells * 8
-    assert peak_1600 < 8 * cells * 8
-    # Only the query features and their norms grow with Q: 1,200 more rows of
-    # 3 + 1 float64 (38 KB), against 9.6 MB more for a Q x G matrix.
-    assert peak_1600 - peak_400 < 2 * 1200 * (3 + 1) * 8
+    for cpus in (1, 4):  # 4 CPUs run 2 workers: blocks of 4 // 2 rows
+        monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
+        search(queries[:4], model, gallery, top_n=1)  # first-call allocations out of the way
+        peak_400 = search_peak_bytes(gallery, queries[:400], model)
+        peak_1600 = search_peak_bytes(gallery, queries, model)
+        # One Q x G matrix would be 3.2 MB at 400 queries and 12.8 MB at 1600.
+        assert peak_400 < 8 * cells * 8
+        assert peak_1600 < 8 * cells * 8
+        # Only the query features and their norms grow with Q: 1,200 more rows of
+        # 3 + 1 float64 (38 KB), against 9.6 MB more for a Q x G matrix.
+        assert peak_1600 - peak_400 < 2 * 1200 * (3 + 1) * 8
 
 
 def test_gallery_norms_are_cached_bitwise():
@@ -348,6 +420,11 @@ def test_recall_at_1_with_identity_features():
     assert value == 1.0
     value = recall_at_1(queries, [20, 30], identity_model(), g)
     assert value == 0.5
+
+
+def test_recall_at_1_needs_a_gallery_with_labels():
+    with pytest.raises(DataError, match="recall@1 needs a gallery with labels"):
+        recall_at_1(np.eye(3), [0, 1, 2], identity_model(), one_hot_gallery(labels=None))
 
 
 def test_save_load_round_trip(tmp_path):
