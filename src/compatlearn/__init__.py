@@ -48,7 +48,7 @@ from .losses import (
     feature_distillation_loss,
     lambda_for_task,
 )
-from .memory import EpisodicMemory, build_training_set, update_memory
+from .memory import build_training_set, update_memory
 from .network import (
     FeatureExtractorState,
     ModelConfig,

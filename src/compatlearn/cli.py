@@ -83,7 +83,8 @@ def apply_master_seed(config: dict, seed: int) -> dict:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON (RFC 8259): a NaN or infinite float is a ValueError, never written."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def experiment_components(config: dict):
@@ -223,7 +224,8 @@ def _write_report(matrix: CompatibilityMatrix, path) -> None:
         payload.update(dataclasses.asdict(compatibility_report(matrix)))
     if matrix.thresholds is not None:  # eval's matrix; one read from matrix.csv has none
         payload["thresholds"] = [
-            [None if np.isnan(v) else float(v) for v in row] for row in matrix.thresholds
+            [None if np.isnan(v) else float(v) if np.isfinite(v) else str(float(v)) for v in row]
+            for row in matrix.thresholds
         ]
     write_atomic(path, [canonical_json(payload).encode("utf-8")])
 

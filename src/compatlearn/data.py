@@ -69,12 +69,15 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskSequence:
-    """Ordered disjoint tasks plus the total classifier capacity."""
+    """Ordered disjoint tasks of one input width plus the total classifier capacity."""
 
     tasks: tuple[Task, ...]
     total_classes: int
 
     def __post_init__(self):
+        widths = sorted({task.data.input_dim for task in self.tasks})
+        if len(widths) > 1:
+            raise DataError(f"tasks have different input widths {widths}")
         seen: set[int] = set()
         for task in self.tasks:
             overlap = seen.intersection(task.classes)

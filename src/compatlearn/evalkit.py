@@ -185,6 +185,17 @@ def pair_scores(
     return scores, pairs.genuine.copy()
 
 
+def _scored_pairs(scores, genuine) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` as floats and ``genuine`` as flags, checked to be one finite score per flag."""
+    scores = np.asarray(scores, dtype=np.float64)
+    genuine = np.asarray(genuine, dtype=bool)
+    if scores.ndim != 1 or genuine.shape != scores.shape:
+        raise DataError(f"scores of shape {scores.shape} for flags of shape {genuine.shape}")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
+    return scores, genuine
+
+
 def _threshold_sweep(scores: np.ndarray, genuine: np.ndarray):
     """Shared machinery for the threshold sweeps.
 
@@ -213,8 +224,7 @@ def verification_accuracy(scores, genuine) -> MetricResult:
     score exceeds the threshold. Ties between equally accurate thresholds are
     broken toward the lower threshold.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    genuine = np.asarray(genuine, dtype=bool)
+    scores, genuine = _scored_pairs(scores, genuine)
     n = len(scores)
     if n == 0:
         raise DataError("verification accuracy needs at least one pair")
@@ -233,8 +243,7 @@ def tar_at_far(scores, genuine, far_target: float) -> MetricResult:
     """
     if not 0.0 < far_target <= 1.0:
         raise DataError(f"far_target must be in (0, 1], got {far_target}")
-    scores = np.asarray(scores, dtype=np.float64)
-    genuine = np.asarray(genuine, dtype=bool)
+    scores, genuine = _scored_pairs(scores, genuine)
     total_genuine = int(genuine.sum())
     total_impostor = int((~genuine).sum())
     if total_impostor == 0:

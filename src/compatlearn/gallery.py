@@ -175,9 +175,13 @@ def recall_at_1(
     """Fraction of queries whose top-1 gallery hit carries the query's label."""
     if gallery.labels is None:
         raise DataError("recall@1 needs a gallery with labels")
+    labels = np.asarray(query_labels, dtype=np.int64)
+    if len(query_inputs) == 0:
+        raise DataError("recall@1 needs at least one query")
+    if labels.shape != (len(query_inputs),):
+        raise DataError(f"{labels.size} query labels for {len(query_inputs)} queries")
     ranked = search(query_inputs, query_model, gallery, top_n=1)
     label_by_id = dict(zip(gallery.ids, gallery.labels))
-    labels = np.asarray(query_labels, dtype=np.int64)
     hits = sum(
         1 for label, result in zip(labels, ranked) if label_by_id[result[0][0]] == label
     )

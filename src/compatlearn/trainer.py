@@ -1,10 +1,13 @@
 """Sequential task training with rehearsal and frozen per-task checkpoints.
 
 Each task trains the running model on the union of its own data and the
-episodic memory, minimizing cross-entropy plus the weighted distillation term
+rehearsal memory, minimizing cross-entropy plus the weighted distillation term
 against the frozen previous checkpoint. When the task finishes, the model is
 snapshotted into an immutable checkpoint, the memory absorbs a sample of the
-task's data, and the next task warm-starts from the current parameters.
+task's data, and the next task warm-starts from the current parameters. The
+memory is a ``LabeledDataset``; ``run_sequence`` starts it empty at the
+model's input width and grows it with ``memory.per_class`` samples per class,
+drawn with ``trainer.train_seed``.
 
 The frozen previous checkpoint and the memory stay fixed for a whole task, so
 the checkpoint's features for the rows in the distillation scope are computed
@@ -19,7 +22,8 @@ Two ablation axes are exposed: the classifier is the fixed simplex (the
 proper procedure) or a trainable per-class weight matrix grown at every task
 (the plain experience-replay baseline), and distillation covers memory samples
 only, the whole batch, or nothing. ``ExperimentConfig`` meets the ``config``
-rules; ``run_sequence`` checks the simplex's dimension (capacity - 1) first.
+rules; ``run_sequence`` checks the simplex's dimension (capacity - 1) and the
+tasks' input width first.
 Only ``write_training_log`` writes a file; ``cli.cmd_train`` calls it.
 """
 
@@ -30,8 +34,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, check_fields
 from .container import write_atomic
-from .data import Task, TaskSequence
-from .errors import ConfigError, DivergenceError
+from .data import LabeledDataset, Task, TaskSequence
+from .errors import ConfigError, DataError, DivergenceError
 from .geometry import build_simplex
 from .losses import (
     LabeledBatch,
@@ -40,7 +44,7 @@ from .losses import (
     lambda_for_task,
     softmax_cross_entropy,
 )
-from .memory import EpisodicMemory, build_training_set, iter_minibatches, update_memory
+from .memory import build_training_set, iter_minibatches, update_memory
 from .network import (
     FeatureExtractorState,
     ModelConfig,
@@ -149,11 +153,11 @@ def run_task(
     state: FeatureExtractorState,
     task: Task,
     previous: FeatureExtractorState | None,
-    memory: EpisodicMemory,
+    memory: LabeledDataset,
     classifier,
     config: ExperimentConfig,
-) -> tuple[FeatureExtractorState, EpisodicMemory, list[EpochLog]]:
-    """Train one task and return (frozen checkpoint, updated memory, log rows).
+) -> tuple[FeatureExtractorState, list[EpochLog]]:
+    """Train one task on its data and the memory; return (frozen checkpoint, log rows).
 
     ``classifier`` is the shared SimplexPrototypes in fixed mode or the
     TrainableClassifier in baseline mode. The distillation weight comes from
@@ -163,7 +167,7 @@ def run_task(
     hp = config.hyperparams
     training_set = build_training_set(memory, task.data)
     new_class_count = len(task.classes)
-    old_class_count = memory.class_count()
+    old_class_count = len(memory.class_ids())
     if config.fd_mode == "off" or previous is None:
         lambda_weight = 0.0
     else:
@@ -216,9 +220,7 @@ def run_task(
             )
         )
 
-    checkpoint = state.copy().freeze()
-    new_memory = update_memory(memory, task.data, task.index)
-    return checkpoint, new_memory, rows
+    return state.copy().freeze(), rows
 
 
 def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimeline:
@@ -238,11 +240,13 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
             )
     else:
         classifier = TrainableClassifier(config.model.feature_dim)
+    widths = {task.data.input_dim for task in sequence.tasks} - {config.model.input_dim}
+    if widths:
+        raise DataError(
+            f"tasks have {widths.pop()} input columns, the model expects {config.model.input_dim}"
+        )
     state = init_model(config.model)
-    memory = EpisodicMemory(
-        per_class_budget=config.memory_per_class,
-        rng_seed=config.train_seed,
-    )
+    memory = LabeledDataset(np.zeros((0, config.model.input_dim)), np.zeros(0))
     timeline = ModelTimeline()
     previous: FeatureExtractorState | None = None
     for task in sequence.tasks:
@@ -251,7 +255,10 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
             grow_rng = np.random.default_rng([config.train_seed, 7919, task.index])
             classifier.grow(len(task.classes), grow_rng)
         state.reset_optimizer()
-        checkpoint, memory, rows = run_task(state, task, previous, memory, classifier, config)
+        checkpoint, rows = run_task(state, task, previous, memory, classifier, config)
+        memory = update_memory(
+            memory, task.data, task.index, config.memory_per_class, config.train_seed
+        )
         timeline.checkpoints.append(checkpoint)
         timeline.logs.append(rows)
         timeline.task_seconds.append(time.perf_counter() - started)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from compatlearn.cli import (
     DEFAULT_CONFIG,
     apply_master_seed,
+    canonical_json,
     cmd_eval,
     cmd_report,
     cmd_search,
@@ -561,6 +562,26 @@ def test_eval_records_tar_metadata(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["metric"] == "tar_at_far"
     assert report["far_target"] == 0.1
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_eval_report_writes_infinite_thresholds_as_strings(tmp_path):
+    config = write_config(tmp_path)
+    exp = cmd_train(config, tmp_path / "exp", seed=3)
+    _, report_path = cmd_eval(exp, metric="tar_at_far", far=1.0)
+    report = json.loads(report_path.read_text(), parse_constant=refuse_constant)
+    # At FAR 1 every impostor may pass, so each cell's loosest threshold is -inf.
+    cells = [v for row in report["thresholds"] for v in row if v is not None]
+    assert cells == ["-inf"] * 6
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_canonical_json_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        canonical_json({"thresholds": [[value]]})
 
 
 def test_eval_single_task_omits_summaries(tmp_path):

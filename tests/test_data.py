@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from compatlearn.data import (
     LabeledDataset,
     SyntheticSpec,
+    Task,
+    TaskSequence,
     generate_pairs,
     load_csv,
     load_pairs,
@@ -111,6 +113,16 @@ def test_split_insufficient_classes_rejected():
     ds = make_synthetic(spec(num_classes=6, samples_per_class=2))
     with pytest.raises(DataError):
         split_tasks(ds, num_tasks=5, eval_class_count=4, seed=0)
+
+
+def test_task_sequence_refuses_tasks_of_different_input_widths():
+    rng = np.random.default_rng(0)
+    tasks = tuple(
+        Task(index=t, data=LabeledDataset(rng.standard_normal((4, width)), [t] * 4), classes=(t,))
+        for t, width in ((1, 5), (2, 6))
+    )
+    with pytest.raises(DataError, match=r"tasks have different input widths \[5, 6\]"):
+        TaskSequence(tasks=tasks, total_classes=2)
 
 
 def test_split_is_seeded():

@@ -286,6 +286,23 @@ def test_tar_needs_impostors():
         tar_at_far([0.5, 0.6], [True, False], 0.0)
 
 
+@pytest.mark.parametrize(
+    "scores, genuine, message",
+    [
+        ([0.1, 0.9], [False, True, True], r"scores of shape \(2,\) for flags of shape \(3,\)"),
+        ([0.1, 0.9, 0.5], [False, True], r"scores of shape \(3,\) for flags of shape \(2,\)"),
+        ([[0.1, 0.9], [0.2, 0.8]], [False, True], r"scores of shape \(2, 2\) for flags"),
+        ([0.1, np.nan, 0.9], [False, True, True], "scores must be finite"),
+        ([0.1, -np.inf, 0.9], [False, True, True], "scores must be finite"),
+    ],
+)
+def test_metrics_refuse_misaligned_and_non_finite_scores(scores, genuine, message):
+    with pytest.raises(DataError, match=message):
+        verification_accuracy(scores, genuine)
+    with pytest.raises(DataError, match=message):
+        tar_at_far(scores, genuine, 0.5)
+
+
 def random_pairs(rng, n=30, dim=3):
     inputs_a = rng.standard_normal((n, dim)) + 0.5
     inputs_b = rng.standard_normal((n, dim)) + 0.5

@@ -427,6 +427,19 @@ def test_recall_at_1_needs_a_gallery_with_labels():
         recall_at_1(np.eye(3), [0, 1, 2], identity_model(), one_hot_gallery(labels=None))
 
 
+@pytest.mark.parametrize(
+    "queries, labels, message",
+    [
+        (np.empty((0, 3)), [], "recall@1 needs at least one query"),
+        (np.eye(3)[:2], [0], "1 query labels for 2 queries"),
+        (np.eye(3)[:2], [0, 1, 2], "3 query labels for 2 queries"),
+    ],
+)
+def test_recall_at_1_refuses_zero_queries_and_misaligned_labels(queries, labels, message):
+    with pytest.raises(DataError, match=message):
+        recall_at_1(queries, labels, identity_model(), one_hot_gallery(labels=(0, 1, 2)))
+
+
 def test_save_load_round_trip(tmp_path):
     g = one_hot_gallery(labels=(4, 5, 6))
     path = tmp_path / "g.gal"

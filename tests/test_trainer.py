@@ -18,12 +18,7 @@ from compatlearn.data import (
 from compatlearn.errors import ConfigError, DataError, DivergenceError
 from compatlearn.geometry import build_simplex
 from compatlearn.losses import combined_loss
-from compatlearn.memory import (
-    EpisodicMemory,
-    build_training_set,
-    iter_minibatches,
-    update_memory,
-)
+from compatlearn.memory import build_training_set, iter_minibatches, update_memory
 from compatlearn.network import ModelConfig, TrainingHyperparams, extract_features, init_model
 from compatlearn.trainer import ExperimentConfig, run_sequence
 
@@ -180,6 +175,14 @@ def test_fixed_mode_requires_matching_feature_dim():
         run_sequence(tiny_config(sequence.total_classes + 1), sequence)
 
 
+def test_tasks_of_another_width_than_the_model_are_refused_before_training(monkeypatch):
+    sequence, _ = tiny_sequence(num_tasks=2)
+    model = ModelConfig(input_dim=DIM + 1, hidden_layers=(10,), feature_dim=sequence.total_classes - 1)
+    monkeypatch.setattr(trainer, "run_task", lambda *args: pytest.fail("a task was trained"))
+    with pytest.raises(DataError, match=f"tasks have {DIM} input columns, the model expects {DIM + 1}"):
+        run_sequence(tiny_config(sequence.total_classes, model=model), sequence)
+
+
 def test_divergence_is_reported_with_context():
     sequence, _ = tiny_sequence(num_tasks=1)
     config = tiny_config(
@@ -303,7 +306,8 @@ def test_cached_teacher_matches_the_per_batch_reference(classifier_mode, fd_scop
     config = ModelConfig(input_dim=DIM, hidden_layers=(10,), feature_dim=sequence.total_classes - 1)
     previous = init_model(dataclasses.replace(config, seed=1)).freeze()
     current = init_model(dataclasses.replace(config, seed=2))
-    memory = update_memory(EpisodicMemory(per_class_budget=3, rng_seed=0), first.data, 1)
+    empty = LabeledDataset(inputs=np.zeros((0, DIM)), labels=np.zeros(0))
+    memory = update_memory(empty, first.data, 1, per_class=3, seed=0)
     training_set = trainer.with_teacher(
         build_training_set(memory, second.data), previous, fd_scope
     )
