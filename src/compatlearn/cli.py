@@ -5,6 +5,9 @@ refuses an unknown or repeated key or a value breaking a rule before any work,
 because a silent config typo invalidates an experiment. With identical config
 and seeds every command produces byte-identical primary outputs; wall-clock
 timings live only in the manifest. ``cmd_train`` writes every experiment file.
+``cmd_eval`` reads the held-out set and its pairs from ``heldout.ckpt`` alone;
+``eval_data.csv`` and ``pairs.csv`` hold the same arrays as text, for readers
+outside the package, and ``eval`` does not read them.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 divergence.
@@ -34,9 +37,10 @@ from .data import (
     SyntheticSpec,
     generate_pairs,
     load_csv,
-    load_pairs,
+    load_heldout,
     make_synthetic_tasks,
     save_csv,
+    save_heldout,
     save_pairs,
     split_tasks,
 )
@@ -163,6 +167,7 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
         write_training_log(log_rows, stage / "training_log.csv")
         save_csv(eval_dataset, stage / "eval_data.csv")
         save_pairs(pairs, stage / "pairs.csv")
+        save_heldout(eval_dataset, pairs, stage / "heldout.ckpt")
         write_manifest(stage, config_text, timeline.task_seconds)
         os.replace(stage, target)
     except BaseException:
@@ -261,8 +266,7 @@ def cmd_eval(
         raise ConfigError(f"--far must be in (0, 1], got {far}")
     exp = Path(exp_dir)
     models = [load_model(p) for p in _checkpoint_paths(exp)]
-    eval_dataset = load_csv(exp / "eval_data.csv")
-    pairs = load_pairs(exp / "pairs.csv", eval_dataset)
+    pairs = load_heldout(exp / "heldout.ckpt")
     matrix = build_compatibility_matrix(models, pairs, metric=metric, far_target=far)
     out = Path(out_dir) if out_dir else exp
     out.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,10 @@
 """Self-describing binary container used by every binary artifact.
 
-Model checkpoints (``checkpoint.py``) and gallery files (``gallery.py``)
-are both containers; only their magic, version and
-sections differ. Layout, all little-endian:
+Model checkpoints (``checkpoint.py``, magic ``MODLCKPT``: meta and the
+w/b/vw/vb parameter sections), gallery files (``gallery.py``, ``FGALLERY``:
+meta, ids, labels, features) and the held-out set (``data.py``, ``HELDOUTS``:
+meta, inputs, labels, ids_a, ids_b, genuine) are all containers; only their
+magic, version and sections differ. Layout, all little-endian:
 
     magic            8 bytes
     format version   u32

@@ -9,19 +9,37 @@ through a small CSV schema: a header row, then one label column followed by
 the input columns. The readers parse all data rows of a CSV in one numpy pass
 (``np.loadtxt``) and check them as whole arrays; a file is read again line by
 line only to name the first bad line of a file that fails.
+
+The held-out set and its pairs are stored as one ``container.py`` container
+(``save_heldout``/``load_heldout``, magic ``HELDOUTS``), which reads back
+bitwise with no text to parse: a JSON meta of ``rows``, ``input_dim`` and
+``pairs``, then the ``_HELDOUT_SECTIONS`` arrays (``genuine``: one 0/1 byte per pair).
 """
 
 import csv
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import check_fields
-from .container import write_atomic
-from .errors import DataError
+from .container import read_artifact, write_artifact, write_atomic
+from .errors import CorruptFileError, DataError
 from .evalkit import VerificationPairSet
+
+HELDOUT_MAGIC = b"HELDOUTS"
+HELDOUT_VERSION = 1
+# The held-out file's sections after "meta", as (name, dtype, meta keys of its shape);
+# inputs are row-major.
+_HELDOUT_SECTIONS = (
+    ("inputs", "<f8", ("rows", "input_dim")),
+    ("labels", "<i8", ("rows",)),
+    ("ids_a", "<i8", ("pairs",)),
+    ("ids_b", "<i8", ("pairs",)),
+    ("genuine", "u1", ("pairs",)),
+)
 
 
 @dataclass(frozen=True)
@@ -323,6 +341,44 @@ def load_pairs(path, dataset: LabeledDataset) -> VerificationPairSet:
         ids_b=np.ascontiguousarray(rows[:, 1]),
         genuine=rows[:, 2] != 0,
     )
+
+
+def save_heldout(dataset: LabeledDataset, pairs: VerificationPairSet, path) -> None:
+    """Write the held-out ``dataset`` and the ``pairs`` over its rows as one container."""
+    meta = {"rows": len(dataset), "input_dim": dataset.input_dim, "pairs": len(pairs)}
+    arrays = (dataset.inputs, dataset.labels, pairs.ids_a, pairs.ids_b, pairs.genuine)
+    sections = [
+        (name, np.ascontiguousarray(array, dtype=dtype).tobytes())
+        for (name, dtype, _), array in zip(_HELDOUT_SECTIONS, arrays)
+    ]
+    write_artifact(path, HELDOUT_MAGIC, HELDOUT_VERSION, meta, sections)
+
+
+def load_heldout(path) -> VerificationPairSet:
+    """The pair set of ``save_heldout``'s file, over its rows checked as a ``LabeledDataset``.
+
+    A missing file is a ``DataError`` naming it. A section whose length does not
+    match the meta's counts, a ``genuine`` byte other than 0 or 1, and rows or
+    pairs that break the ``LabeledDataset`` or ``VerificationPairSet`` rules are
+    a ``CorruptFileError``. The arrays are read-only views of the file's bytes.
+    """
+    if not Path(path).exists():
+        raise DataError(f"missing held-out set {path}")
+    with read_artifact(path, HELDOUT_MAGIC, HELDOUT_VERSION, "held-out set") as (meta, sections):
+        counts = [meta[key] for key in ("rows", "input_dim", "pairs")]
+        if not all(type(count) is int and count >= 0 for count in counts):
+            raise ValueError(f"rows, input_dim and pairs {counts} are not counts")
+        inputs, labels, ids_a, ids_b, genuine = (
+            np.frombuffer(sections[name], dtype=dtype).reshape([meta[key] for key in dims])
+            for name, dtype, dims in _HELDOUT_SECTIONS
+        )
+        if (genuine > 1).any():
+            raise CorruptFileError(f"{path}: genuine byte other than 0 or 1")
+    try:
+        dataset = LabeledDataset(inputs=inputs, labels=labels)
+        return VerificationPairSet(dataset.inputs, ids_a=ids_a, ids_b=ids_b, genuine=genuine != 0)
+    except DataError as exc:  # rows or pairs that save_heldout never writes
+        raise CorruptFileError(f"{path}: {exc}") from exc
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

@@ -14,6 +14,19 @@ from hypothesis import strategies as st
 
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from compatlearn.container import read_container, write_container
+from compatlearn.data import (
+    HELDOUT_MAGIC,
+    HELDOUT_VERSION,
+    generate_pairs,
+    load_csv,
+    load_heldout,
+    load_pairs,
+    make_synthetic,
+    save_csv,
+    save_heldout,
+    save_pairs,
+    SyntheticSpec,
+)
 from compatlearn.errors import CompatLearnError, CorruptFileError, UnsupportedVersionError
 from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, load_gallery
 from compatlearn.network import ModelConfig, TrainingHyperparams, ParamGrads, apply_gradients, init_model
@@ -182,6 +195,16 @@ FAILED_WRITES = {
             ids = np.arange(n)
             save_pairs(VerificationPairSet(np.zeros((n, 1)), ids, ids[::-1], ids % 2 == 0), path)
     """,
+    "save_heldout": """
+        import numpy as np
+        from compatlearn.data import LabeledDataset, save_heldout
+        from compatlearn.evalkit import VerificationPairSet
+
+        def write(path, n):
+            data = LabeledDataset(np.ones((n, 4)), np.zeros(n, dtype=np.int64))
+            ids = np.arange(n)
+            save_heldout(data, VerificationPairSet(data.inputs, ids, ids[::-1], ids % 2 == 0), path)
+    """,
     "write_training_log": """
         from compatlearn.trainer import EpochLog, write_training_log
 
@@ -254,11 +277,16 @@ def test_failed_write_leaves_the_old_file(tmp_path, writer):
 LOADERS = {
     "model": (load_model, MODEL_MAGIC, MODEL_VERSION),
     "gallery": (load_gallery, GALLERY_MAGIC, GALLERY_VERSION),
+    "heldout": (load_heldout, HELDOUT_MAGIC, HELDOUT_VERSION),
 }
-SECTION_NAMES = ["meta", "w0", "b0", "vw0", "vb0", "ids", "labels", "features"]
+SECTION_NAMES = [
+    "meta", "w0", "b0", "vw0", "vb0", "ids", "labels", "features",
+    "inputs", "ids_a", "ids_b", "genuine",
+]
 META_KEYS = [
     "config", "input_dim", "hidden_layers", "feature_dim", "nonlinearity", "seed", "step",
     "num_layers", "weight_shapes", "bias_shapes", "dim", "count", "indexed_by", "has_labels",
+    "rows", "pairs",
 ]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -317,3 +345,43 @@ def test_readers_raise_only_package_errors_on_well_formed_containers(kind, meta,
     assert_only_package_errors(
         kind, lambda path: write_container(path, magic, version, [("meta", meta), *sections])
     )
+
+
+def heldout_set(num_classes=3, samples_per_class=4, input_dim=4, num_pairs=10):
+    spec = SyntheticSpec(num_classes, samples_per_class, input_dim, cluster_sigma=0.1)
+    dataset = make_synthetic(spec)
+    return dataset, generate_pairs(dataset, num_pairs, seed=0)
+
+
+def test_heldout_round_trip_is_bitwise_the_csv_round_trip(tmp_path):
+    dataset, pairs = heldout_set(num_classes=6, samples_per_class=9, input_dim=7, num_pairs=40)
+    save_heldout(dataset, pairs, tmp_path / "heldout.ckpt")
+    save_csv(dataset, tmp_path / "eval_data.csv")
+    save_pairs(pairs, tmp_path / "pairs.csv")
+    loaded = load_heldout(tmp_path / "heldout.ckpt")
+    from_csv = load_csv(tmp_path / "eval_data.csv")
+    csv_pairs = load_pairs(tmp_path / "pairs.csv", from_csv)
+    for got, want in [
+        (loaded.inputs, from_csv.inputs),
+        (loaded.ids_a, csv_pairs.ids_a),
+        (loaded.ids_b, csv_pairs.ids_b),
+        (loaded.genuine, csv_pairs.genuine),
+    ]:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # eval discards the labels, but the file keeps them bitwise too.
+    labels = read_container(tmp_path / "heldout.ckpt", HELDOUT_MAGIC, HELDOUT_VERSION)["labels"]
+    assert labels == from_csv.labels.astype("<i8").tobytes()
+
+
+def test_every_single_byte_corruption_of_a_heldout_set_is_rejected(tmp_path):
+    path = tmp_path / "heldout.ckpt"
+    save_heldout(*heldout_set(num_classes=2, samples_per_class=2, input_dim=2, num_pairs=2), path)
+    blob = path.read_bytes()
+    corrupt = tmp_path / "corrupt.ckpt"
+    for offset in range(len(blob)):
+        for mask in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF):
+            flipped = bytearray(blob)
+            flipped[offset] ^= mask
+            corrupt.write_bytes(bytes(flipped))
+            with pytest.raises((CorruptFileError, UnsupportedVersionError)):
+                load_heldout(corrupt)

@@ -27,7 +27,16 @@ from compatlearn.cli import (
 )
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from compatlearn.container import read_container, write_artifact, write_container
-from compatlearn.data import load_csv, make_synthetic, save_csv, SyntheticSpec
+from compatlearn.data import (
+    HELDOUT_MAGIC,
+    HELDOUT_VERSION,
+    SyntheticSpec,
+    generate_pairs,
+    load_csv,
+    make_synthetic,
+    save_csv,
+    save_heldout,
+)
 from compatlearn.errors import CompatLearnError, ConfigError, CorruptFileError, DataError
 from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
@@ -92,6 +101,7 @@ def test_train_writes_a_complete_experiment(tmp_path):
         "training_log.csv",
         "eval_data.csv",
         "pairs.csv",
+        "heldout.ckpt",
         "manifest.json",
     }
     manifest = json.loads((out / "manifest.json").read_text())
@@ -312,6 +322,7 @@ def test_csv_source_trains_like_the_synthetic_preset(tmp_path):
         "training_log.csv",
         "eval_data.csv",
         "pairs.csv",
+        "heldout.ckpt",
     ]
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
@@ -337,10 +348,7 @@ def test_unreadable_config_is_a_config_error(tmp_path, content):
 
 
 def small_experiment(tmp_path):
-    """An experiment directory with one checkpoint and valid eval inputs."""
-    from compatlearn.checkpoint import save_model
-    from compatlearn.data import generate_pairs, save_csv, save_pairs
-
+    """An experiment directory with one checkpoint and a valid held-out set."""
     exp = tmp_path / "exp"
     exp.mkdir()
     (exp / "config.json").write_text(json.dumps({"data": {"num_tasks": 1}}))
@@ -351,27 +359,54 @@ def small_experiment(tmp_path):
     held_out = make_synthetic(
         SyntheticSpec(num_classes=3, samples_per_class=4, input_dim=4, cluster_sigma=0.1)
     )
-    save_csv(held_out, exp / "eval_data.csv")
-    save_pairs(generate_pairs(held_out, 10, seed=0), exp / "pairs.csv")
+    save_heldout(held_out, generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
     return exp
 
 
-@pytest.mark.parametrize(
-    "name, content",
-    [
-        ("eval_data.csv", b"label,x0,x1,x2,x3\n0,1,2,3,\xff\n"),
-        ("eval_data.csv", b"label,x0,x1,x2,x3\n0,1,2,3," + b"9" * 200_000 + b"\n"),
-        ("eval_data.csv", b"label,x0,x1,x2,x" + b"3" * 200_000 + b"\n0,1,2,3,4\n"),
-        ("eval_data.csv", b"label,x0,x1,x2,x3\n0,1,2,3,4\n1,1,2,3," + b"a" * 200_000 + b"\n"),
-        ("pairs.csv", b"id_a,id_b,genuine\n0,1,\xff\n"),
-    ],
-    ids=["undecodable-data", "long-number", "long-header-cell", "long-bad-cell", "undecodable-pairs"],
-)
-def test_unreadable_eval_inputs_are_data_errors(tmp_path, name, content):
+def edit_heldout(path, edit):
+    """Rewrite the held-out file with ``edit(sections)`` applied, checksums recomputed."""
+    sections = read_container(path, HELDOUT_MAGIC, HELDOUT_VERSION)
+    edit(sections)
+    write_container(path, HELDOUT_MAGIC, HELDOUT_VERSION, list(sections.items()))
+
+
+def edit_meta(old: bytes, new: bytes):
+    return lambda sections: sections.update(meta=sections["meta"].replace(old, new))
+
+
+def set_entry(name, dtype, index, value):
+    def edit(sections):
+        array = np.frombuffer(sections[name], dtype=dtype).copy()
+        array[index] = value
+        sections[name] = array.tobytes()
+
+    return edit
+
+
+# Edits of small_experiment's held-out file (meta {"input_dim": 4, "pairs": 10,
+# "rows": 12}) with valid checksums. The CSV parser's cases of the first five
+# names are in tests/test_data.py.
+HELDOUT_EDITS = {
+    "undecodable-data": edit_meta(b"}", b"\xff}"),
+    "long-number": edit_meta(b'"rows": 12', b'"rows": ' + b"9" * 200_000),
+    "long-header-cell": edit_meta(b'"rows"', b'"' + b"r" * 200_000 + b'"'),
+    "long-bad-cell": lambda sections: sections.update(inputs=sections["inputs"] + bytes(8)),
+    "undecodable-pairs": set_entry("genuine", "u1", 0, 2),
+    "missing-section": lambda sections: sections.pop("ids_b"),
+    "negative-count": edit_meta(b'"pairs": 10', b'"pairs": -1'),
+    "non-finite-input": set_entry("inputs", "<f8", 5, np.inf),
+    "pair-id-out-of-range": set_entry("ids_a", "<i8", 0, 12),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HELDOUT_EDITS))
+def test_unreadable_eval_inputs_are_data_errors(tmp_path, capsys, edit):
     exp = small_experiment(tmp_path)
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "ok")]) == 0
-    (exp / name).write_bytes(content)
+    edit_heldout(exp / "heldout.ckpt", HELDOUT_EDITS[edit])
+    capsys.readouterr()
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err.startswith(f"error[data]: {exp / 'heldout.ckpt'}: ")
     assert not (tmp_path / "bad").exists()
 
 
@@ -383,9 +418,9 @@ def test_unreadable_eval_inputs_are_data_errors(tmp_path, name, content):
 )
 def test_bad_far_is_a_config_error_before_any_work(tmp_path, capsys, metric, far):
     exp = small_experiment(tmp_path)
-    # The arguments are checked before any checkpoint is loaded or CSV parsed.
+    # The arguments are checked before any checkpoint or the held-out set is read.
     (exp / "checkpoint_task_001.ckpt").unlink()
-    (exp / "eval_data.csv").write_bytes(b"label,x0,x1,x2,x3\n0,1,2,3,\xff\n")
+    (exp / "heldout.ckpt").write_bytes(b"\xff")
     argv = ["eval", "--exp", str(exp), "--metric", metric, "--out", str(tmp_path / "bad")]
     assert main(argv if far is None else [*argv, "--far", far]) == 2
     assert capsys.readouterr().err.startswith("error[config]: ")
@@ -419,6 +454,43 @@ def test_eval_scores_exactly_the_trained_checkpoints(tmp_path, capsys, kind, nam
     assert err.startswith(f"error[data]: {kind} checkpoint ")
     assert name in err
     assert not (exp / "matrix.csv").exists()
+
+
+def test_eval_refuses_a_flipped_byte_in_the_heldout_set(tmp_path, capsys):
+    exp = trained_experiment(tmp_path)
+    path = exp / "heldout.ckpt"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01  # inside the inputs section's payload
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error[data]: {path}: checksum mismatch in section 'inputs'"
+    )
+    assert not (tmp_path / "bad").exists()
+
+
+def test_eval_without_a_heldout_set_names_the_file(tmp_path, capsys):
+    exp = trained_experiment(tmp_path)
+    (exp / "heldout.ckpt").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err == f"error[data]: missing held-out set {exp / 'heldout.ckpt'}\n"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_eval_reads_neither_csv_export(tmp_path):
+    exp = trained_experiment(tmp_path)
+    argv = [["--metric", "accuracy"], ["--metric", "tar_at_far", "--far", "0.1"]]
+    for i, args in enumerate(argv):
+        assert main(["eval", "--exp", str(exp), *args, "--out", str(tmp_path / f"full{i}")]) == 0
+    (exp / "eval_data.csv").unlink()
+    (exp / "pairs.csv").unlink()
+    for i, args in enumerate(argv):
+        assert main(["eval", "--exp", str(exp), *args, "--out", str(tmp_path / f"bare{i}")]) == 0
+        for name in ("matrix.csv", "report.json"):
+            full, bare = tmp_path / f"full{i}" / name, tmp_path / f"bare{i}" / name
+            assert bare.read_bytes() == full.read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,7 @@ def test_persistence_writes_the_training_log(tmp_path):
         "training_log.csv",
         "eval_data.csv",
         "pairs.csv",
+        "heldout.ckpt",
         "manifest.json",
     }
     log = (out / "training_log.csv").read_text().splitlines()
