@@ -20,7 +20,6 @@ import csv
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -357,13 +356,11 @@ def save_heldout(dataset: LabeledDataset, pairs: VerificationPairSet, path) -> N
 def load_heldout(path) -> VerificationPairSet:
     """The pair set of ``save_heldout``'s file, over its rows checked as a ``LabeledDataset``.
 
-    A missing file is a ``DataError`` naming it. A section whose length does not
-    match the meta's counts, a ``genuine`` byte other than 0 or 1, and rows or
-    pairs that break the ``LabeledDataset`` or ``VerificationPairSet`` rules are
-    a ``CorruptFileError``. The arrays are read-only views of the file's bytes.
+    A section whose length does not match the meta's counts, a ``genuine`` byte
+    other than 0 or 1, and rows or pairs that break the ``LabeledDataset`` or
+    ``VerificationPairSet`` rules are a ``CorruptFileError``. The arrays are
+    read-only views of the file's bytes.
     """
-    if not Path(path).exists():
-        raise DataError(f"missing held-out set {path}")
     with read_artifact(path, HELDOUT_MAGIC, HELDOUT_VERSION, "held-out set") as (meta, sections):
         counts = [meta[key] for key in ("rows", "input_dim", "pairs")]
         if not all(type(count) is int and count >= 0 for count in counts):

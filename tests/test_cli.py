@@ -385,7 +385,7 @@ def set_entry(name, dtype, index, value):
 
 # Edits of small_experiment's held-out file (meta {"input_dim": 4, "pairs": 10,
 # "rows": 12}) with valid checksums. The CSV parser's cases of the first five
-# names are in tests/test_data.py.
+# names are tests/test_data.py::test_unreadable_csv_bytes_are_data_errors.
 HELDOUT_EDITS = {
     "undecodable-data": edit_meta(b"}", b"\xff}"),
     "long-number": edit_meta(b'"rows": 12', b'"rows": ' + b"9" * 200_000),
@@ -475,7 +475,8 @@ def test_eval_without_a_heldout_set_names_the_file(tmp_path, capsys):
     (exp / "heldout.ckpt").unlink()
     capsys.readouterr()
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
-    assert capsys.readouterr().err == f"error[data]: missing held-out set {exp / 'heldout.ckpt'}\n"
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: ") and str(exp / "heldout.ckpt") in err
     assert not (tmp_path / "bad").exists()
 
 

@@ -438,6 +438,30 @@ def test_load_csv_edge_cases(tmp_path, text, expected):
         assert loaded.inputs.tobytes() == np.array(inputs).tobytes()
 
 
+@pytest.mark.parametrize(
+    "reader, content, expected",
+    [
+        ("csv", b"label,x0,x1,x2,x3\n0,1,2,3,\xff\n", "unreadable CSV"),
+        ("csv", b"label,x0,x1,x2,x3\n0,1,2,3," + b"9" * 200_000 + b"\n", ":2: non-finite value"),
+        ("csv", b"label,x0,x1,x2,x" + b"3" * 200_000 + b"\n0,1,2,3,4\n", "unreadable CSV"),
+        (
+            "csv",
+            b"label,x0,x1,x2,x3\n0,1,2,3,4\n1,1,2,3," + b"a" * 200_000 + b"\n",
+            "unreadable CSV",
+        ),
+        ("pairs", b"id_a,id_b,genuine\n0,1,\xff\n", "unreadable CSV"),
+    ],
+    ids=["undecodable-data", "long-number", "long-header-cell", "long-bad-cell", "undecodable-pairs"],
+)
+def test_unreadable_csv_bytes_are_data_errors(tmp_path, reader, content, expected):
+    # Undecodable bytes, and cells past the csv module's 131,072-character field
+    # limit; the numpy parser reads a 200,000-digit number as inf.
+    path = tmp_path / "unreadable.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=expected):
+        load_csv(path) if reader == "csv" else load_pairs(path, eval_dataset())
+
+
 CSV_ISH = st.text(alphabet='label,x0123456789.-+e_"inf \t\r\n\x00\xa0\xff', max_size=80).map(
     lambda text: text.encode("utf-8", "surrogatepass")
 )
