@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .container import read_artifact, write_artifact
+from .container import read_array, read_artifact, write_artifact
 from .errors import CorruptFileError
 from .network import FeatureExtractorState, ModelConfig
 
@@ -27,14 +27,6 @@ _MODEL_SECTIONS = (
 )
 
 
-def _array_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _array_from(payload: bytes, shape) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-
-
 def save_model(state: FeatureExtractorState, path) -> None:
     meta = {
         "config": dataclasses.asdict(state.config),
@@ -44,7 +36,7 @@ def save_model(state: FeatureExtractorState, path) -> None:
         "bias_shapes": [list(b.shape) for b in state.biases],
     }
     sections = [
-        (f"{prefix}{i}", _array_bytes(array))
+        (f"{prefix}{i}", np.ascontiguousarray(array, dtype="<f8").tobytes())
         for prefix, attr, _ in _MODEL_SECTIONS
         for i, array in enumerate(getattr(state, attr))
     ]
@@ -67,7 +59,8 @@ def load_model(path) -> FeatureExtractorState:
         ):
             raise CorruptFileError(f"{path}: stored layer shapes do not match layer sizes {sizes}")
         arrays = {
-            attr: [_array_from(sections[f"{prefix}{i}"], meta[shapes][i]) for i in range(n)]
+            attr: [read_array(sections, f"{prefix}{i}", "<f8", meta[shapes][i]).astype(np.float64)
+                   for i in range(n)]
             for prefix, attr, shapes in _MODEL_SECTIONS
         }
         state = FeatureExtractorState(config, **arrays, step=int(meta["step"]))

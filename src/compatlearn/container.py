@@ -17,7 +17,9 @@ magic, version and sections differ. Layout, all little-endian:
         checksum     u32 (CRC-32 of the payload)
 
 Readers refuse wrong magic, truncated data, checksum mismatches, trailing
-garbage, and any version other than the one they read. Every file the
+garbage, and any version other than the one they read. ``read_array`` is the
+one decoder of an array section: a read-only view of its bytes, whose length
+must fit a shape of non-negative ints. Every file the
 package writes, container or text, goes through ``write_atomic``: a
 ``<path>.tmp`` file renamed onto ``path`` only once complete, so a write
 that fails leaves the old file (or none), never half a file.
@@ -29,6 +31,8 @@ import struct
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, CorruptFileError, UnsupportedVersionError
 
@@ -103,6 +107,15 @@ def read_container(path, magic: bytes, version: int) -> dict[str, bytes]:
     if offset != len(blob):
         raise CorruptFileError(f"{path}: {len(blob) - offset} trailing bytes")
     return sections
+
+
+def read_array(sections, name: str, dtype: str, shape) -> np.ndarray:
+    """Section ``name`` as a read-only ``dtype`` view of ``shape``. A shape entry that is
+    not a non-negative int (numpy would infer a -1), or a payload that does not fit the
+    shape, is a ValueError."""
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"section {name!r}: shape {shape!r} is not a list of counts")
+    return np.frombuffer(sections[name], dtype=dtype).reshape(shape)
 
 
 def write_artifact(path, magic: bytes, version: int, meta: dict, sections) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields
-from .container import read_artifact, write_artifact, write_atomic
+from .container import read_array, read_artifact, write_artifact, write_atomic
 from .errors import CorruptFileError, DataError
 from .evalkit import VerificationPairSet
 
@@ -362,11 +362,8 @@ def load_heldout(path) -> VerificationPairSet:
     read-only views of the file's bytes.
     """
     with read_artifact(path, HELDOUT_MAGIC, HELDOUT_VERSION, "held-out set") as (meta, sections):
-        counts = [meta[key] for key in ("rows", "input_dim", "pairs")]
-        if not all(type(count) is int and count >= 0 for count in counts):
-            raise ValueError(f"rows, input_dim and pairs {counts} are not counts")
         inputs, labels, ids_a, ids_b, genuine = (
-            np.frombuffer(sections[name], dtype=dtype).reshape([meta[key] for key in dims])
+            read_array(sections, name, dtype, [meta[key] for key in dims])
             for name, dtype, dims in _HELDOUT_SECTIONS
         )
         if (genuine > 1).any():

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evalkit
-from .container import read_artifact, write_artifact
+from .container import read_array, read_artifact, write_artifact
 from .errors import ConfigError, DataError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
@@ -212,8 +212,8 @@ def load_gallery(path) -> Gallery:
             raise ValueError("ids section is not a list of strings")
         labels = None
         if meta["has_labels"]:
-            labels = tuple(np.frombuffer(sections["labels"], dtype="<i8").reshape(count).tolist())
-        features = np.frombuffer(sections["features"], dtype="<f4").reshape(count, dim)
+            labels = tuple(read_array(sections, "labels", "<i8", [count]).tolist())
+        features = read_array(sections, "features", "<f4", [count, dim])
         return Gallery(
             ids=tuple(ids),
             features=features.astype(np.float64),
