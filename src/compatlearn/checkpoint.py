@@ -3,8 +3,8 @@
 A checkpoint is a container from ``container.py`` with a JSON "meta" section
 describing shapes and little-endian float64 blobs for the parameters, which
 makes round trips bit-exact. Writes are atomic. Malformed meta
-(``container.read_artifact``) and weights or biases that are not finite
-become a ``CorruptFileError``.
+(``container.read_artifact``), a step that is not a non-negative int, and
+weights or biases that are not finite become a ``CorruptFileError``.
 """
 
 import dataclasses
@@ -63,7 +63,9 @@ def load_model(path) -> FeatureExtractorState:
                    for i in range(n)]
             for prefix, attr, shapes in _MODEL_SECTIONS
         }
-        state = FeatureExtractorState(config, **arrays, step=int(meta["step"]))
+        if type(meta["step"]) is not int or meta["step"] < 0:
+            raise CorruptFileError(f"{path}: step {meta['step']!r} is not a non-negative int")
+        state = FeatureExtractorState(config, **arrays, step=meta["step"])
         if not state.all_finite():
             raise CorruptFileError(f"{path}: non-finite weight or bias")
         return state

@@ -9,8 +9,8 @@ timings live only in the manifest. ``cmd_train`` writes every experiment file.
 ``eval_data.csv`` and ``pairs.csv`` hold the same arrays as text, for readers
 outside the package, and ``eval`` does not read them.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-divergence.
+Exit codes: 0 success, 2 configuration error, 3 data error (an allocation larger
+than the machine can make included), 4 numeric divergence.
 """
 
 import argparse
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except (ConfigError, MetricUndefinedError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as exc:

@@ -17,12 +17,13 @@ magic, version and sections differ. Layout, all little-endian:
         checksum     u32 (CRC-32 of the payload)
 
 Readers refuse wrong magic, truncated data, checksum mismatches, trailing
-garbage, and any version other than the one they read. ``read_array`` is the
-one decoder of an array section: a read-only view of its bytes, whose length
-must fit a shape of non-negative ints. Every file the
-package writes, container or text, goes through ``write_atomic``: a
-``<path>.tmp`` file renamed onto ``path`` only once complete, so a write
-that fails leaves the old file (or none), never half a file.
+garbage, a section name given twice (the last copy would otherwise win), and
+any version other than the one they read. ``read_array`` is the one decoder
+of an array section: a read-only view of its bytes, whose length must fit a
+shape of non-negative ints. Every file the package writes, container or text,
+goes through ``write_atomic``: a ``<path>.tmp`` file renamed onto ``path``
+only once complete, so a write that fails leaves the old file (or none),
+never half a file.
 """
 
 import json
@@ -103,6 +104,8 @@ def read_container(path, magic: bytes, version: int) -> dict[str, bytes]:
         (crc,) = struct.unpack("<I", take(4, "section checksum"))
         if zlib.crc32(payload) != crc:
             raise CorruptFileError(f"{path}: checksum mismatch in section {name!r}")
+        if name in sections:
+            raise CorruptFileError(f"{path}: section {name!r} is given twice")
         sections[name] = payload
     if offset != len(blob):
         raise CorruptFileError(f"{path}: {len(blob) - offset} trailing bytes")

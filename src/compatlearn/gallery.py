@@ -30,7 +30,7 @@ time so a save/load cycle is bit-exact.
 A gallery file is a ``container.py`` container (magic ``FGALLERY``, format
 version 2) with these sections:
 
-    meta      JSON: indexed_by, dim, count, has_labels
+    meta      JSON: indexed_by (an int), dim and count (counts), has_labels (a bool)
     ids       UTF-8 JSON array of the ids, as strings
     labels    little-endian int64, one per id; present only with labels
     features  little-endian float32, count x dim, row-major
@@ -206,17 +206,18 @@ def save_gallery(gallery: Gallery, path) -> None:
 
 def load_gallery(path) -> Gallery:
     with read_artifact(path, GALLERY_MAGIC, GALLERY_VERSION, "gallery file") as (meta, sections):
-        count, dim = meta["count"], meta["dim"]
+        if type(meta["indexed_by"]) is not int or type(meta["has_labels"]) is not bool:
+            raise ValueError("indexed_by is not an int or has_labels is not a bool")
         ids = json.loads(sections["ids"].decode("utf-8"))
         if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
             raise ValueError("ids section is not a list of strings")
         labels = None
         if meta["has_labels"]:
-            labels = tuple(read_array(sections, "labels", "<i8", [count]).tolist())
-        features = read_array(sections, "features", "<f4", [count, dim])
+            labels = tuple(read_array(sections, "labels", "<i8", [meta["count"]]).tolist())
+        features = read_array(sections, "features", "<f4", [meta["count"], meta["dim"]])
         return Gallery(
             ids=tuple(ids),
             features=features.astype(np.float64),
-            indexed_by=int(meta["indexed_by"]),
+            indexed_by=meta["indexed_by"],
             labels=labels,
         )

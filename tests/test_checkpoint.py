@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -13,10 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
-from compatlearn.container import read_container, write_container
+from compatlearn.container import read_container, write_artifact, write_container
 from compatlearn.data import (
     HELDOUT_MAGIC,
     HELDOUT_VERSION,
+    LabeledDataset,
     generate_pairs,
     load_csv,
     load_heldout,
@@ -28,7 +30,14 @@ from compatlearn.data import (
     SyntheticSpec,
 )
 from compatlearn.errors import CompatLearnError, CorruptFileError, UnsupportedVersionError
-from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, load_gallery
+from compatlearn.evalkit import VerificationPairSet
+from compatlearn.gallery import (
+    GALLERY_MAGIC,
+    GALLERY_VERSION,
+    Gallery,
+    load_gallery,
+    save_gallery,
+)
 from compatlearn.network import ModelConfig, TrainingHyperparams, ParamGrads, apply_gradients, init_model
 
 
@@ -108,6 +117,56 @@ def test_model_config_with_a_missing_or_unknown_key_is_refused(tmp_path, edit):
     write_container(path, MODEL_MAGIC, MODEL_VERSION, payload)
     with pytest.raises(CorruptFileError, match="model config keys"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "step", [1.7, 2.0, "3", -5, True], ids=["float", "whole-float", "string", "negative", "bool"]
+)
+def test_load_model_refuses_a_step_that_is_not_a_count(tmp_path, step):
+    path = tmp_path / "model.ckpt"
+    save_model(trained_state(), path)
+    sections = read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    meta = {**json.loads(sections.pop("meta")), "step": step}
+    write_artifact(path, MODEL_MAGIC, MODEL_VERSION, meta, list(sections.items()))
+    with pytest.raises(CorruptFileError, match="step"):
+        load_model(path)
+
+
+def test_a_section_given_twice_is_refused(tmp_path):
+    """A second ``w0`` copied in from another model must not replace the first."""
+    save_model(trained_state(seed=3), tmp_path / "a.ckpt")
+    save_model(trained_state(seed=4), tmp_path / "b.ckpt")
+    sections = read_container(tmp_path / "a.ckpt", MODEL_MAGIC, MODEL_VERSION)
+    other = read_container(tmp_path / "b.ckpt", MODEL_MAGIC, MODEL_VERSION)["w0"]
+    assert other != sections["w0"]
+    path = tmp_path / "mixed.ckpt"
+    write_container(path, MODEL_MAGIC, MODEL_VERSION, [*sections.items(), ("w0", other)])
+    with pytest.raises(CorruptFileError, match="section 'w0' is given twice"):
+        load_model(path)
+
+
+# The sha256 of each binary format's bytes for fixed contents. The model's values
+# come from rng.uniform alone, the gallery's features are float32-exact and the
+# held-out arrays are integer-valued: no digest depends on the CPU or the BLAS.
+GOLDEN_SHA256 = {
+    "model": "53632258c0ab37ff95742cc6a087817976365d60398166f426d2ae8f5aa44158",
+    "gallery": "2edfc8c6cc8ba6dcfef5d0cc388a5080a1b43a9ef81d3168ac3efc09b2fcc84d",
+    "heldout": "09422c6bd6c20de0baa1349ff1e26e8dd0da2c1bab62c07da67787bb42661126",
+}
+
+
+def test_every_format_keeps_its_bytes(tmp_path):
+    config = ModelConfig(input_dim=3, hidden_layers=(4,), feature_dim=2, seed=5)
+    save_model(init_model(config), tmp_path / "model")
+    features = np.array([[1.0, -0.5], [0.25, 2.0], [-3.0, 0.125]])
+    gallery = Gallery(("a", "b", "c"), features, indexed_by=2, labels=(7, 8, 7))
+    save_gallery(gallery, tmp_path / "gallery")
+    data = LabeledDataset(np.arange(12.0).reshape(4, 3) - 5.0, np.array([0, 0, 1, 1]))
+    genuine = np.array([True, False, True])
+    pairs = VerificationPairSet(data.inputs, np.array([0, 1, 2]), np.array([1, 2, 3]), genuine)
+    save_heldout(data, pairs, tmp_path / "heldout")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()) for name in GOLDEN_SHA256}
+    assert {name: digest.hexdigest() for name, digest in digests.items()} == GOLDEN_SHA256
 
 
 def test_truncation_detected(tmp_path):

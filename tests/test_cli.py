@@ -127,6 +127,16 @@ def test_train_cli_exit_codes(tmp_path):
     assert missing == 2
 
 
+def test_an_allocation_the_machine_cannot_make_is_a_data_error(tmp_path, capsys):
+    """10**12 samples per class asks numpy for petabytes at once, which fails
+    before anything is allocated: a data error, not a traceback."""
+    config = write_config(tmp_path, {"data": {"samples_per_class": 10**12}})
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: Unable to allocate") and "Traceback" not in err
+    assert not (tmp_path / "exp").exists()
+
+
 SEED_KEYS = [
     ("data", "mean_seed"),
     ("data", "noise_seed"),
@@ -847,10 +857,21 @@ def test_search_with_a_non_finite_stored_feature_is_a_data_error(tmp_path, capsy
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("ids", [["a", "a", "b"], []], ids=["duplicate-id", "empty"])
-def test_search_on_a_gallery_breaking_a_gallery_rule_is_a_data_error(tmp_path, capsys, ids):
+@pytest.mark.parametrize(
+    "ids, forged",
+    [
+        (["a", "a", "b"], {}),
+        ([], {}),
+        (["a", "b", "c"], {"dim": -1}),  # numpy would infer the -1
+        (["a", "b", "c"], {"count": -1}),
+    ],
+    ids=["duplicate-id", "empty", "dim-minus-one", "count-minus-one"],
+)
+def test_search_on_a_gallery_breaking_a_gallery_rule_is_a_data_error(
+    tmp_path, capsys, ids, forged
+):
     odd_id_gallery(tmp_path, ["x"])  # the checkpoint and the queries
-    meta = {"indexed_by": 1, "dim": 5, "count": len(ids), "has_labels": False}
+    meta = {"indexed_by": 1, "dim": 5, "count": len(ids), "has_labels": False, **forged}
     features = np.ones((len(ids), 5), dtype="<f4").tobytes()
     sections = [("ids", json.dumps(ids).encode("utf-8")), ("features", features)]
     write_artifact(tmp_path / "g.gal", GALLERY_MAGIC, GALLERY_VERSION, meta, sections)

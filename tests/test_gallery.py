@@ -98,6 +98,36 @@ def test_load_gallery_enforces_the_gallery_rules(tmp_path, ids, message):
         load_gallery(tmp_path / "g.gal")
 
 
+# Forged values in the meta of a labelled 3 x 3 gallery file with valid checksums.
+# Each loaded before: numpy inferred a -1 count, int() truncated or parsed
+# indexed_by, and any truthy has_labels counted as true.
+FORGED_METAS = {
+    "dim-minus-one": {"dim": -1},
+    "count-minus-one": {"count": -1},
+    "indexed-by-float": {"indexed_by": 1.5},
+    "indexed-by-string": {"indexed_by": "3"},
+    "indexed-by-bool": {"indexed_by": True},
+    "has-labels-string": {"has_labels": "yes"},
+    "has-labels-int": {"has_labels": 1},
+}
+
+
+@pytest.mark.parametrize("forged", FORGED_METAS.values(), ids=FORGED_METAS)
+def test_load_gallery_refuses_a_forged_meta(tmp_path, forged):
+    sections = [
+        ("ids", json.dumps(["a", "b", "c"]).encode("utf-8")),
+        ("labels", np.arange(3, dtype="<i8").tobytes()),
+        ("features", np.eye(3, dtype="<f4").tobytes()),
+    ]
+    meta = {"indexed_by": 1, "dim": 3, "count": 3, "has_labels": True}
+    path = tmp_path / "g.gal"
+    write_artifact(path, GALLERY_MAGIC, GALLERY_VERSION, meta, sections)
+    assert load_gallery(path).labels == (0, 1, 2)  # unforged, it loads
+    write_artifact(path, GALLERY_MAGIC, GALLERY_VERSION, {**meta, **forged}, sections)
+    with pytest.raises(CorruptFileError, match="malformed gallery file"):
+        load_gallery(path)
+
+
 def test_search_top1_exact_hit():
     g = one_hot_gallery()
     results = search(np.array([[0.0, 1.0, 0.0]]), identity_model(), g, top_n=1)
