@@ -165,8 +165,8 @@ def test_every_format_keeps_its_bytes(tmp_path):
     genuine = np.array([True, False, True])
     pairs = VerificationPairSet(data.inputs, np.array([0, 1, 2]), np.array([1, 2, 3]), genuine)
     save_heldout(data, pairs, tmp_path / "heldout")
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()) for name in GOLDEN_SHA256}
-    assert {name: digest.hexdigest() for name, digest in digests.items()} == GOLDEN_SHA256
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_truncation_detected(tmp_path):
