@@ -283,24 +283,31 @@ def generate_pairs(
         raise DataError("pair generation needs at least two classes")
     want = num_pairs // 2
 
-    # Candidates are the pairs (i, j) with i < j in row-major order, held as
-    # flat positions i * n + j in the n x n grid: one integer per candidate.
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    same = dataset.labels[:, None] == dataset.labels[None, :]
-    genuine_candidates = np.flatnonzero(upper & same)
-    impostor_candidates = np.flatnonzero(upper & ~same)
-    if len(genuine_candidates) < want:
-        raise DataError(
-            f"cannot draw {want} genuine pairs: only {len(genuine_candidates)} exist"
-        )
-    if len(impostor_candidates) < want:
-        raise DataError(
-            f"cannot draw {want} impostor pairs: only {len(impostor_candidates)} exist"
-        )
+    # Candidates are the pairs (i, j) with i < j in row-major order. Row i has
+    # later[i] genuine ones, the later rows of its class, and others[i] impostor
+    # ones, the later rows outside it. A drawn position is unranked to its row
+    # and column from these counts, so no n x n grid is built.
+    _, cls, sizes = np.unique(dataset.labels, return_inverse=True, return_counts=True)
+    order = np.argsort(cls, kind="stable")  # each class's rows, ascending, class by class
+    starts = np.cumsum(sizes) - sizes
+    rank = np.empty(n, dtype=np.int64)  # rows of the same class before row i
+    rank[order] = np.arange(n) - starts[cls[order]]
+    later = sizes[cls] - rank - 1
+    others = np.arange(n - 1, -1, -1) - later
+    for kind, counts in (("genuine", later), ("impostor", others)):
+        if counts.sum() < want:
+            raise DataError(f"cannot draw {want} {kind} pairs: only {counts.sum()} exist")
     rng = np.random.default_rng(seed)
-    gen_pick = genuine_candidates[rng.choice(len(genuine_candidates), size=want, replace=False)]
-    imp_pick = impostor_candidates[rng.choice(len(impostor_candidates), size=want, replace=False)]
-    ids_a, ids_b = np.divmod(np.concatenate([gen_pick, imp_pick]), n)
+    gen_a, gen_k = _unrank(later, rng.choice(int(later.sum()), size=want, replace=False))
+    imp_a, imp_k = _unrank(others, rng.choice(int(others.sum()), size=want, replace=False))
+    gen_b = order[starts[cls[gen_a]] + rank[gen_a] + 1 + gen_k]
+    # An impostor's column is the m-th row outside its row's class, m = a - rank[a] + k,
+    # which is m plus the class rows r (the l-th of its class) with r - l <= m.
+    outside = imp_a - rank[imp_a] + imp_k
+    gaps = cls[order] * n + order - rank[order]
+    imp_b = outside + np.searchsorted(gaps, cls[imp_a] * n + outside, side="right")
+    imp_b -= starts[cls[imp_a]]
+    ids_a, ids_b = np.concatenate([gen_a, imp_a]), np.concatenate([gen_b, imp_b])
     genuine = np.concatenate([np.ones(want, dtype=bool), np.zeros(want, dtype=bool)])
     return VerificationPairSet(
         inputs=dataset.inputs,
@@ -308,6 +315,13 @@ def generate_pairs(
         ids_b=ids_b,
         genuine=genuine,
     )
+
+
+def _unrank(counts: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and rank within the row of each position in rows holding ``counts`` items."""
+    ends = np.cumsum(counts)
+    rows = np.searchsorted(ends, positions, side="right")
+    return rows, positions - (ends[rows] - counts[rows])
 
 
 def save_pairs(pairs: VerificationPairSet, path) -> None:

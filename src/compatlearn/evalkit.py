@@ -20,12 +20,14 @@ extracted once, however many cells it takes part in. The summary report
 condenses the matrix into the average, backward, and forward compatibility
 numbers plus the per-task backward series.
 
-No cell depends on another, so ``on_every_cpu`` scores them in parallel, each
-exactly as alone (``pair_scores`` and then the metric): the matrix holds the
-same bytes on one CPU or many. The cell kernels (gathers, products, sums,
-sorts, cumulative sums) release the GIL and use no BLAS. Feature extraction
-stays serial: on the pool too, it raised the mid-scale benchmark's peak RSS
-(2 CPUs, glibc) from 161-168 MB to 211 MB.
+No cell depends on another, so ``on_every_cpu`` hands them to a pool, each
+scored exactly as alone (``pair_scores`` and then the metric): the matrix holds
+the same bytes on one CPU or many. The cell kernels (gathers, products, sums,
+sorts, cumulative sums) use no BLAS, but at these sizes they hold the GIL: with
+numpy 2.4.6, a gather of a 512 x 99 block and a row sum do not overlap across
+threads, and mid-scale cells on 2 workers ran at CPU/wall 1.00. Feature
+extraction stays serial: on the pool too, it raised the mid-scale benchmark's
+peak RSS (2 CPUs, glibc) from 161-168 MB to 211 MB.
 """
 
 import os

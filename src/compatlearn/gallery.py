@@ -4,24 +4,32 @@ A gallery is indexed once with one model version and holds features only (no
 raw inputs). Later models query it directly: query features are extracted
 with the current model and compared against the stored ones by cosine
 similarity, so the store is never re-extracted. Search is exact: it returns
-the top n of a full sort by (descending similarity, ascending id). Per query,
-``np.partition`` finds the n-th largest similarity and only the entries at or
-above it, every tie at that boundary included, are sorted. Features must be
-finite for that filter. A ``Gallery`` checks every rule when it is built,
-indexed or loaded: at least one entry, unique ids, one row (and label) per id,
-and stored norms that pass ``network.feature_norms``, as query norms must.
+the top n of a full sort by (descending similarity, ascending id), yet gives
+the exact cosine only to candidates. Per query, ``dots * inv_norms`` is the
+cosine times the query norm within a few ulps, with the dot's sign. Cut into
+chunks of ``len(gallery) // max(SEARCH_CHUNKS, 4 * n)`` entries (one entry when
+that is under ``SEARCH_CHUNKS``), its n-th largest chunk maximum is at most its
+n-th largest value: each of the n best chunks holds an entry that large. Lowered
+by 1e-9 of its magnitude, far above those ulps, this bound keeps every entry
+whose exact cosine is at or above the n-th largest, ties included, as long as
+norm products and cosines are normal floats (norms above about 1e-154). A
+``Gallery`` checks every rule when it is built, indexed or loaded: at least one
+entry, unique ids, an ``indexed_by`` that is a non-negative int, one row (and
+label) per id, and stored norms that pass ``network.feature_norms``, as query
+norms must.
 
 A batched search extracts every query's features once and scores them in
 blocks of ``rows = max(2, SEARCH_BLOCK_CELLS // len(gallery))`` queries, inline
 when one block holds them all. Otherwise ``evalkit.on_every_cpu`` runs at most
 ``rows // 2`` workers on blocks of ``rows // workers`` queries, with scratch the
 calling thread allocates, so the blocks in flight hold one block's 16 MB of
-similarities. Unlike the matrix cells, which use no BLAS, blocks call gemm
-concurrently, each exactly as alone. A one-row tail joins the block before it:
-numpy sends a one-row product to gemv, whose last bits may differ from gemm's.
-With gemm rows that do not depend on the row count (OpenBLAS), any blocking on
-any number of CPUs gives the bits of one full product, and a one-query search
-differs from its row of a batched one by at most about 7e-16 in similarity.
+products (and as much of approximate cosines). Unlike the matrix cells, which
+use no BLAS, blocks call gemm concurrently, each exactly as alone. A one-row
+tail joins the block before it: numpy sends a one-row product to gemv, whose
+last bits may differ from gemm's. With gemm rows that do not depend on the row
+count (OpenBLAS), any blocking on any number of CPUs gives the bits of one full
+product, and a one-query search differs from its row of a batched one by at
+most about 7e-16 in similarity.
 
 On disk features are float32; in memory and in all similarity computations
 they are float64. Stored features are quantized to the float32 grid at index
@@ -37,19 +45,23 @@ version 2) with these sections:
 """
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from . import evalkit
 from .container import read_array, read_artifact, write_artifact
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateFeatureError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
 GALLERY_MAGIC = b"FGALLERY"
 GALLERY_VERSION = 2
 # Similarities scored at once by a batched search: 2**21 float64 cells, 16 MB.
 SEARCH_BLOCK_CELLS = 2**21
+# The least count of chunks, and of entries per chunk, in a search's candidate bound.
+SEARCH_CHUNKS = 64
 
 
 @dataclass(frozen=True)
@@ -59,10 +71,13 @@ class Gallery:
     indexed_by: int
     labels: tuple[int, ...] | None = None
     norms: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ids:
             raise DataError("a gallery needs at least one entry")
+        if type(self.indexed_by) is not int or self.indexed_by < 0:
+            raise DataError(f"indexed_by must be a non-negative int, got {self.indexed_by!r}")
         if len(set(self.ids)) < len(self.ids):
             seen: set[str] = set()
             first = next(i for i in self.ids if i in seen or seen.add(i))
@@ -75,7 +90,7 @@ class Gallery:
         if self.labels is not None and len(self.labels) != len(self.ids):
             raise DataError("labels, when given, need one entry per id")
         norms = feature_norms(features, lambda i: f"stored feature of gallery id {self.ids[i]!r}")
-        for name, array in (("features", features), ("norms", norms)):
+        for name, array in (("features", features), ("norms", norms), ("inv_norms", 1 / norms)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -127,13 +142,13 @@ def search(
     ids, count = gallery.ids, len(query_features)
     rows = max(2, SEARCH_BLOCK_CELLS // len(ids))
     if count <= rows + 1:  # one block, inline; numpy allocates, which is faster for one query
-        return _rank_block(query_features, q_norms, gallery, top_n, None, None, np.empty(len(ids)))
+        return _rank_block(query_features, q_norms, gallery, top_n, None, None)
     workers = min(evalkit._cpu_count(), rows // 2)
     step = rows // workers
     starts = range(0, count - 1, step)  # a one-row tail joins the block before it
-    # Per worker, from the calling thread: similarities and norm products of up to
-    # step + 1 queries, and one row to partition in place.
-    scratch = np.empty((workers, 2 * step + 3, len(ids)))
+    # Per worker, from the calling thread: products and approximate cosines of up to
+    # step + 1 queries.
+    scratch = np.empty((workers, 2 * step + 2, len(ids)))
     results = [None] * count
 
     def rank(worker):
@@ -142,28 +157,34 @@ def search(
             n = count - start if count - start <= step + 1 else step
             block = slice(start, start + n)
             results[block] = _rank_block(query_features[block], q_norms[block], gallery, top_n,
-                                         own[:n], own[step + 1 : step + 1 + n], own[-1])
+                                         own[:n], own[step + 1 : step + 1 + n])
 
     evalkit.on_every_cpu(rank, range(workers))
     return results
 
 
-def _rank_block(features, norms, gallery, top_n, sims, products, row_copy):
+def _rank_block(features, norms, gallery, top_n, dots, approx):
     """Each query's ranked (id, similarity) list, for one block of queries, scored in
-    ``sims`` and ``products`` (numpy allocates where None) and partitioned in ``row_copy``."""
-    ids = gallery.ids
-    cut = len(ids) - top_n
-    sims = np.matmul(features, gallery.features.T, out=sims)
-    sims /= np.outer(norms, gallery.norms, out=products)
-    results = []
-    for row in np.clip(sims, -1.0, 1.0, out=sims):
-        row_copy[:] = row
-        row_copy.partition(cut)
-        # Every entry at or above the n-th largest similarity, boundary ties included.
-        keep = np.flatnonzero(row >= row_copy[cut]) if cut else range(len(ids))
-        ranked = sorted(keep, key=lambda j: (-row[j], ids[j]))[:top_n]
-        results.append([(ids[j], float(row[j])) for j in ranked])
-    return results
+    ``dots`` and ``approx`` (numpy allocates where None)."""
+    ids, size = gallery.ids, len(gallery)
+    dots = np.matmul(features, gallery.features.T, out=dots)
+    approx = np.multiply(dots, gallery.inv_norms, out=approx)  # cosine times query norm
+    step = size // max(SEARCH_CHUNKS, 4 * top_n)  # so more than top_n chunks
+    # Below SEARCH_CHUNKS entries a chunk saves less than its reduction costs: use one each.
+    peaks = approx if step < SEARCH_CHUNKS else np.maximum.reduceat(
+        approx, np.arange(0, size, step), 1)
+    bound = np.partition(peaks, -top_n)[:, -top_n, None]
+    flat = np.flatnonzero(approx >= bound - abs(bound) * 1e-9)
+    rows, cols = np.divmod(flat, size)
+    # The exact cosine, by the element-wise formula of a full sort, for the candidates only.
+    sims = dots.take(flat) / (norms[rows] * gallery.norms[cols])
+    sims = np.minimum(np.maximum(sims, -1.0), 1.0).tolist()  # clipped to [-1, 1]
+    hits = list(zip([ids[j] for j in cols.tolist()], sims))
+    rows = rows.tolist()
+    ends = [bisect_left(rows, r) for r in range(len(dots) + 1)]
+    # By ascending id, then stably by descending similarity.
+    return [sorted(sorted(hits[lo:hi]), key=itemgetter(1), reverse=True)[:top_n]
+            for lo, hi in zip(ends, ends[1:])]
 
 
 def recall_at_1(
@@ -206,8 +227,8 @@ def save_gallery(gallery: Gallery, path) -> None:
 
 def load_gallery(path) -> Gallery:
     with read_artifact(path, GALLERY_MAGIC, GALLERY_VERSION, "gallery file") as (meta, sections):
-        if type(meta["indexed_by"]) is not int or type(meta["has_labels"]) is not bool:
-            raise ValueError("indexed_by is not an int or has_labels is not a bool")
+        if type(meta["has_labels"]) is not bool:
+            raise ValueError("has_labels is not a bool")
         ids = json.loads(sections["ids"].decode("utf-8"))
         if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
             raise ValueError("ids section is not a list of strings")
@@ -215,9 +236,14 @@ def load_gallery(path) -> Gallery:
         if meta["has_labels"]:
             labels = tuple(read_array(sections, "labels", "<i8", [meta["count"]]).tolist())
         features = read_array(sections, "features", "<f4", [meta["count"], meta["dim"]])
-        return Gallery(
-            ids=tuple(ids),
-            features=features.astype(np.float64),
-            indexed_by=meta["indexed_by"],
-            labels=labels,
-        )
+        try:
+            return Gallery(
+                ids=tuple(ids),
+                features=features.astype(np.float64),
+                indexed_by=meta["indexed_by"],
+                labels=labels,
+            )
+        except DegenerateFeatureError:  # float32 storage can make a saved norm zero or inf
+            raise
+        except DataError as exc:  # a rule that every saved gallery meets
+            raise ValueError(str(exc)) from exc

@@ -194,10 +194,11 @@ def feature_norms(features: np.ndarray, describe) -> np.ndarray:
     A zero or non-finite norm raises ``DegenerateFeatureError`` naming ``describe(row)``.
     """
     norms = row_norms(features)
+    if norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf:  # NaN fails it
+        return norms
     for kind, bad in (("zero-norm", norms == 0.0), ("non-finite", ~np.isfinite(norms))):
         if bad.any():
             raise DegenerateFeatureError(f"{kind} {describe(np.flatnonzero(bad)[0])}")
-    return norms
 
 
 def backprop_feature_grads(

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,21 @@ def test_pair_generation_matches_the_listed_candidates(num_pairs, seed):
         ids_a, ids_b = triu_reference_pairs(data, num_pairs, seed)
         assert pairs.ids_a.dtype == ids_a.dtype and pairs.ids_b.dtype == ids_b.dtype
         assert np.array_equal(pairs.ids_a, ids_a) and np.array_equal(pairs.ids_b, ids_b)
+
+
+def test_pair_generation_memory_grows_with_rows_and_pairs_not_rows_squared():
+    # mid's held-out shape: 2,000 rows of 10 classes, 60,000 pairs. An n x n grid
+    # of candidates peaked at 28 MB here; unranking needs a few bytes per row and pair.
+    labels = np.random.default_rng(0).permutation(np.arange(2000) % 10)
+    held_out = LabeledDataset(inputs=np.zeros((2000, 1)), labels=labels)
+    tracemalloc.start()
+    try:
+        pairs = generate_pairs(held_out, 60000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 60000
+    assert peak < 8_000_000
 
 
 def test_pair_generation_rejects_impossible_requests():

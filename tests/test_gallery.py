@@ -199,6 +199,45 @@ def test_search_matches_a_full_sort_on_grid_features(data):
     )
 
 
+def chunked_case(kind, size, seed):
+    """A gallery of ``size`` 4-d rows of one ``kind``, and queries that stress its bound."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        features = rng.integers(-2, 3, size=(size, 4)).astype(np.float64)
+        features[~features.any(axis=1), 0] = 1.0
+        queries = np.vstack([features[:3], rng.normal(size=(3, 4))])
+    elif kind == "parallel":  # one direction at many scales and both signs: cosines of exactly +-1
+        base = rng.normal(size=4)
+        features = np.outer(rng.choice([-3.0, -1.0, 0.5, 1.0, 7.0, 1e3], size=size), base)
+        features[: size // 3] = rng.normal(size=(size // 3, 4))
+        queries = np.vstack([base, -2.5 * base, 1e-3 * base, rng.normal(size=(2, 4))])
+    else:  # all negative rows against positive queries: every cosine, so every bound, below 0
+        features = -np.abs(rng.normal(size=(size, 4)))
+        queries = np.abs(rng.normal(size=(5, 4)))
+    names = [f"g{i:03d}" for i in rng.permutation(size)]
+    return index_gallery(names, features, identity_model(4), 1), queries
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 4, 64])
+@pytest.mark.parametrize("kind", ["grid", "parallel", "negative"])
+@pytest.mark.parametrize("size", [63, 65, 130, 257, 300])
+def test_search_matches_a_full_sort_on_chunked_galleries(monkeypatch, chunks, kind, size):
+    # Below 4,096 entries search uses no chunks at the default SEARCH_CHUNKS = 64,
+    # so smaller values make chunks of several entries here, the last one ragged.
+    # The chunk count grows with top_n, and at top_n = size every entry is a candidate.
+    monkeypatch.setattr(gallery_module, "SEARCH_CHUNKS", chunks)
+    model = identity_model(4)
+    for seed in range(3):
+        gallery, queries = chunked_case(kind, size, seed)
+        for top_n in {1, 2, 5, 52, 59, 60, 63, 64, 65, size}:
+            if top_n <= size:
+                expected = full_sort_reference(queries, model, gallery, top_n)
+                assert search(queries, model, gallery, top_n) == expected
+                for query in queries[:, None]:  # one-row products go through gemv
+                    single = full_sort_reference(query, model, gallery, top_n)
+                    assert search(query, model, gallery, top_n) == single
+
+
 def test_batched_search_equals_single_queries():
     gallery, queries = tied_gallery(group=3, distinct=20, seed=2)
     model = identity_model()
@@ -251,14 +290,14 @@ def test_blocked_search_equals_one_block_bitwise(monkeypatch, group):
         8: {10: [2] * 5, 17: [2] * 7 + [3]},
     }
     blocks = []
-    numpy_outer = np.outer
+    rank_block = gallery_module._rank_block
 
-    def outer(a, b, out):  # called once per block with the block's query norms
-        blocks.append(len(a))  # list.append is atomic under the GIL
-        return numpy_outer(a, b, out=out)
+    def counted(features, *args):  # called once per block with the block's query features
+        blocks.append(len(features))  # list.append is atomic under the GIL
+        return rank_block(features, *args)
 
     monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", rows * len(gallery))
-    monkeypatch.setattr(np, "outer", outer)
+    monkeypatch.setattr(gallery_module, "_rank_block", counted)
     for cpus, pinned in pinned_beyond_one_block.items():
         monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
         pinned = {**{q: [q] for q in range(1, rows + 2)}, **pinned}
@@ -293,17 +332,17 @@ def test_an_error_in_one_block_reaches_the_caller_and_no_thread_outlives_it(
     monkeypatch, failing, cpus
 ):
     gallery, queries = float_gallery(size=30, queries=17)
-    numpy_outer = np.outer
+    rank_block = gallery_module._rank_block
 
-    def fails_in_one_thread(a, b, out):
+    def fails_in_one_thread(*args):
         thread = "calling" if threading.current_thread() is threading.main_thread() else "pool"
         if thread == failing:
             raise BlockFailure(f"block scoring failed in the {thread} thread")
-        return numpy_outer(a, b, out=out)
+        return rank_block(*args)
 
     monkeypatch.setattr(gallery_module, "SEARCH_BLOCK_CELLS", 8 * len(gallery))
     monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)  # blocks of 8 // cpus rows
-    monkeypatch.setattr(np, "outer", fails_in_one_thread)
+    monkeypatch.setattr(gallery_module, "_rank_block", fails_in_one_thread)
     threads = threading.active_count()
     with pytest.raises(BlockFailure, match=f"^block scoring failed in the {failing} thread$"):
         search(queries, identity_model(5), gallery, top_n=5)
@@ -352,6 +391,16 @@ def test_batched_search_memory_is_bounded_by_the_block(monkeypatch):
         # Only the query features and their norms grow with Q: 1,200 more rows of
         # 3 + 1 float64 (38 KB), against 9.6 MB more for a Q x G matrix.
         assert peak_1600 - peak_400 < 2 * 1200 * (3 + 1) * 8
+
+
+@pytest.mark.parametrize("indexed_by", [1.5, True, "2", -3, None])
+def test_gallery_refuses_an_indexed_by_that_is_not_a_version(tmp_path, indexed_by):
+    # One rule for the writer and the reader: no Gallery, so no file, holds such a value.
+    with pytest.raises(DataError, match="indexed_by must be a non-negative int"):
+        Gallery(ids=("a",), features=np.ones((1, 2)), indexed_by=indexed_by)
+    for version in (0, 7):
+        save_gallery(Gallery(ids=("a",), features=np.ones((1, 2)), indexed_by=version), tmp_path / "g")
+        assert load_gallery(tmp_path / "g").indexed_by == version
 
 
 def test_gallery_norms_are_cached_bitwise():
