@@ -2,9 +2,9 @@
 
 A checkpoint is a container from ``container.py`` with a JSON "meta" section
 describing shapes and little-endian float64 blobs for the parameters, which
-makes round trips bit-exact. Writes are atomic. Malformed meta
-(``container.read_artifact``), a step that is not a non-negative int, and
-weights or biases that are not finite become a ``CorruptFileError``.
+makes round trips bit-exact. Writes are atomic and refuse a step that is not a
+non-negative int (a DataError). On reading, such a step, malformed meta and
+non-finite weights or biases become a ``CorruptFileError``.
 """
 
 import dataclasses
@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from .container import read_array, read_artifact, write_artifact
-from .errors import CorruptFileError
+from .errors import CorruptFileError, DataError
 from .network import FeatureExtractorState, ModelConfig
 
 MODEL_MAGIC = b"MODLCKPT"
@@ -27,7 +27,14 @@ _MODEL_SECTIONS = (
 )
 
 
+def _check_step(step) -> None:
+    """The one rule for a stored ``step``, shared by the writer and the reader."""
+    if type(step) is not int or step < 0:
+        raise DataError(f"step {step!r} is not a non-negative int")
+
+
 def save_model(state: FeatureExtractorState, path) -> None:
+    _check_step(state.step)
     meta = {
         "config": dataclasses.asdict(state.config),
         "step": state.step,
@@ -63,8 +70,7 @@ def load_model(path) -> FeatureExtractorState:
                    for i in range(n)]
             for prefix, attr, shapes in _MODEL_SECTIONS
         }
-        if type(meta["step"]) is not int or meta["step"] < 0:
-            raise CorruptFileError(f"{path}: step {meta['step']!r} is not a non-negative int")
+        _check_step(meta["step"])
         state = FeatureExtractorState(config, **arrays, step=meta["step"])
         if not state.all_finite():
             raise CorruptFileError(f"{path}: non-finite weight or bias")

@@ -20,10 +20,11 @@ Readers refuse wrong magic, truncated data, checksum mismatches, trailing
 garbage, a section name given twice (the last copy would otherwise win), and
 any version other than the one they read. ``read_array`` is the one decoder
 of an array section: a read-only view of its bytes, whose length must fit a
-shape of non-negative ints. Every file the package writes, container or text,
-goes through ``write_atomic``: a ``<path>.tmp`` file renamed onto ``path``
-only once complete, so a write that fails leaves the old file (or none),
-never half a file.
+shape of non-negative ints; ``read_artifact`` is the one place where a value
+that breaks its type's rule in a reader becomes a ``CorruptFileError``. Every
+file the package writes, container or text, goes through ``write_atomic``: a
+``<path>.tmp`` file renamed onto ``path`` only once complete, so a write that
+fails leaves the old file (or none), never half a file.
 """
 
 import json
@@ -35,14 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorruptFileError, UnsupportedVersionError
+from .errors import (CompatLearnError, CorruptFileError, DegenerateFeatureError,
+                     UnsupportedVersionError)
 
 MAGIC_LEN = 8
 
-# Raised by malformed meta or sections: missing keys, wrong types or shapes,
-# undecodable text, numbers too large, JSON nested past the recursion limit,
-# and a stored config (a checkpoint's model config) that breaks a config rule.
-_MALFORMED = (LookupError, TypeError, ValueError, OverflowError, RecursionError, ConfigError)
+# Raised by malformed meta or sections (missing keys, wrong types or shapes, undecodable
+# text, numbers too large, JSON too deep) and by an object that breaks its type's rule.
+_MALFORMED = (LookupError, TypeError, ValueError, OverflowError, RecursionError, CompatLearnError)
 
 
 def write_atomic(path, chunks) -> None:
@@ -131,10 +132,13 @@ def write_artifact(path, magic: bytes, version: int, meta: dict, sections) -> No
 def read_artifact(path, magic: bytes, version: int, kind: str):
     """Read a container; yield its decoded "meta" JSON and its sections.
 
-    Malformed meta or sections met in the ``with`` body become a CorruptFileError.
+    Malformed meta or sections, or objects that break their type's rule, met in the
+    ``with`` body become a CorruptFileError (a DegenerateFeatureError stays one).
     """
     sections = read_container(path, magic, version)
     try:
         yield json.loads(sections["meta"].decode("utf-8")), sections
+    except (CorruptFileError, DegenerateFeatureError):
+        raise
     except _MALFORMED as exc:
         raise CorruptFileError(f"{path}: malformed {kind} ({exc!r})") from exc

@@ -358,6 +358,8 @@ def load_pairs(path, dataset: LabeledDataset) -> VerificationPairSet:
 
 def save_heldout(dataset: LabeledDataset, pairs: VerificationPairSet, path) -> None:
     """Write the held-out ``dataset`` and the ``pairs`` over its rows as one container."""
+    if pairs.inputs is not dataset.inputs:
+        raise DataError("the pairs must index the rows of the dataset saved with them")
     meta = {"rows": len(dataset), "input_dim": dataset.input_dim, "pairs": len(pairs)}
     arrays = (dataset.inputs, dataset.labels, pairs.ids_a, pairs.ids_b, pairs.genuine)
     sections = [
@@ -372,8 +374,8 @@ def load_heldout(path) -> VerificationPairSet:
 
     A section whose length does not match the meta's counts, a ``genuine`` byte
     other than 0 or 1, and rows or pairs that break the ``LabeledDataset`` or
-    ``VerificationPairSet`` rules are a ``CorruptFileError``. The arrays are
-    read-only views of the file's bytes.
+    ``VerificationPairSet`` rules are a ``CorruptFileError`` (``read_artifact``).
+    The arrays are read-only views of the file's bytes.
     """
     with read_artifact(path, HELDOUT_MAGIC, HELDOUT_VERSION, "held-out set") as (meta, sections):
         inputs, labels, ids_a, ids_b, genuine = (
@@ -382,11 +384,8 @@ def load_heldout(path) -> VerificationPairSet:
         )
         if (genuine > 1).any():
             raise CorruptFileError(f"{path}: genuine byte other than 0 or 1")
-    try:
         dataset = LabeledDataset(inputs=inputs, labels=labels)
         return VerificationPairSet(dataset.inputs, ids_a=ids_a, ids_b=ids_b, genuine=genuine != 0)
-    except DataError as exc:  # rows or pairs that save_heldout never writes
-        raise CorruptFileError(f"{path}: {exc}") from exc
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

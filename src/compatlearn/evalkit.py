@@ -25,7 +25,9 @@ scored exactly as alone (``pair_scores`` and then the metric): the matrix holds
 the same bytes on one CPU or many. The cell kernels (gathers, products, sums,
 sorts, cumulative sums) use no BLAS, but at these sizes they hold the GIL: with
 numpy 2.4.6, a gather of a 512 x 99 block and a row sum do not overlap across
-threads, and mid-scale cells on 2 workers ran at CPU/wall 1.00. Feature
+threads, and mid-scale cells on 2 workers ran at CPU/wall 1.00. The pool still
+saves some wall time, for reasons not pinned down: on 2 vCPUs a mid-scale eval
+took a median 0.429 s with it and 0.481 s on one worker (10 runs each). Feature
 extraction stays serial: on the pool too, it raised the mid-scale benchmark's
 peak RSS (2 CPUs, glibc) from 161-168 MB to 211 MB.
 """

@@ -29,7 +29,12 @@ from compatlearn.data import (
     save_pairs,
     SyntheticSpec,
 )
-from compatlearn.errors import CompatLearnError, CorruptFileError, UnsupportedVersionError
+from compatlearn.errors import (
+    CompatLearnError,
+    CorruptFileError,
+    DataError,
+    UnsupportedVersionError,
+)
 from compatlearn.evalkit import VerificationPairSet
 from compatlearn.gallery import (
     GALLERY_MAGIC,
@@ -130,6 +135,18 @@ def test_load_model_refuses_a_step_that_is_not_a_count(tmp_path, step):
     write_artifact(path, MODEL_MAGIC, MODEL_VERSION, meta, list(sections.items()))
     with pytest.raises(CorruptFileError, match="step"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "step", [1.5, 2.0, "3", -1, True], ids=["float", "whole-float", "string", "negative", "bool"]
+)
+def test_save_model_refuses_a_step_that_load_model_refuses(tmp_path, step):
+    # Before, state.step = 1.5 saved, and load_model refused the file.
+    state = trained_state()
+    state.step = step
+    with pytest.raises(DataError, match=f"step {step!r} is not a non-negative int"):
+        save_model(state, tmp_path / "model.ckpt")
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_a_section_given_twice_is_refused(tmp_path):
@@ -430,6 +447,18 @@ def test_heldout_round_trip_is_bitwise_the_csv_round_trip(tmp_path):
     # eval discards the labels, but the file keeps them bitwise too.
     labels = read_container(tmp_path / "heldout.ckpt", HELDOUT_MAGIC, HELDOUT_VERSION)["labels"]
     assert labels == from_csv.labels.astype("<i8").tobytes()
+
+
+@pytest.mark.parametrize("rows", ["fewer", "copied"])
+def test_save_heldout_refuses_pairs_over_other_rows_than_it_writes(tmp_path, rows):
+    # Before, pairs drawn over 24 rows saved beside 12 of them, in a file that
+    # load_heldout refused ("pair 0 side a indexes row 18, but the inputs have 12 rows").
+    wide, pairs = heldout_set(num_classes=6, samples_per_class=4, num_pairs=20)
+    inputs = wide.inputs[:12] if rows == "fewer" else wide.inputs.copy()
+    dataset = LabeledDataset(inputs, wide.labels[: len(inputs)])
+    with pytest.raises(DataError, match="the pairs must index the rows of the dataset"):
+        save_heldout(dataset, pairs, tmp_path / "heldout.ckpt")
+    assert not (tmp_path / "heldout.ckpt").exists()
 
 
 def test_every_single_byte_corruption_of_a_heldout_set_is_rejected(tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from compatlearn import evalkit
@@ -401,6 +401,71 @@ def test_gallery_refuses_an_indexed_by_that_is_not_a_version(tmp_path, indexed_b
     for version in (0, 7):
         save_gallery(Gallery(ids=("a",), features=np.ones((1, 2)), indexed_by=version), tmp_path / "g")
         assert load_gallery(tmp_path / "g").indexed_by == version
+
+
+@pytest.mark.parametrize("version", [1.5, True, "2", 2.9])
+def test_index_gallery_passes_its_model_version_to_the_gallery_rule(version):
+    # Coerced before: 1.5 and True were stored as 1, "2" as 2 and 2.9 as 2.
+    with pytest.raises(DataError, match="indexed_by must be a non-negative int"):
+        index_gallery(["a"], np.eye(3)[:1], identity_model(), version)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[1.7], (1.5,), (True,), (2**63,), ("1",)],
+    ids=["float-list", "float", "bool", "past-int64", "string"],
+)
+@pytest.mark.parametrize("build", ["index", "construct"])
+def test_gallery_refuses_labels_that_are_not_one_int64_integer_per_id(build, labels):
+    # Before, [1.7] was stored as (1,), and (1.5,) saved and loaded as (1,).
+    with pytest.raises(DataError, match="labels, when given, must be one int64 integer per id"):
+        if build == "index":
+            index_gallery(["a"], np.eye(3)[:1], identity_model(), 1, labels=labels)
+        else:
+            Gallery(ids=("a",), features=np.ones((1, 3)), indexed_by=1, labels=labels)
+
+
+@pytest.mark.parametrize("ids", [(1, 2), ("a", None), ("a", b"b")], ids=["ints", "none", "bytes"])
+def test_gallery_refuses_ids_that_are_not_strings(ids):
+    # Before, Gallery(ids=(1, 2)) saved a file that load_gallery refused.
+    with pytest.raises(DataError, match="gallery ids must be strings"):
+        Gallery(ids=ids, features=np.eye(3)[:2], indexed_by=1)
+
+
+@pytest.mark.parametrize("features", [[[0.1, 0.2]], [[1 / 3, 1e-3]], [[1.0, 1 + 2.0**-40]]])
+def test_features_off_the_float32_grid_round_trip_bitwise(tmp_path, features):
+    # Before, Gallery(features=[[0.1, 0.2]]) changed by 3e-9 over a save/load cycle.
+    gallery = Gallery(ids=("a",), features=features, indexed_by=1)
+    save_gallery(gallery, tmp_path / "g")
+    loaded = load_gallery(tmp_path / "g")
+    assert loaded.features.tobytes() == gallery.features.tobytes()
+    assert Gallery(ids=("a",), features=loaded.features, indexed_by=1).features is loaded.features
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_every_gallery_that_constructs_round_trips_through_its_file(tmp_path, data):
+    ids = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True))
+    dim = data.draw(st.integers(1, 4))
+    rows = st.lists(st.floats(-1e38, 1e38), min_size=dim, max_size=dim)
+    features = data.draw(st.lists(rows, min_size=len(ids), max_size=len(ids)))
+    label = st.integers(-(2**63), 2**63 - 1)
+    labels = data.draw(st.none() | st.lists(label, min_size=len(ids), max_size=len(ids)))
+    indexed_by = data.draw(st.integers(min_value=0))
+    try:
+        gallery = Gallery(ids=ids, features=features, indexed_by=indexed_by, labels=labels)
+    except DataError:  # a zero norm: a float32 underflow, or zeros drawn
+        reject()
+    save_gallery(gallery, tmp_path / "g")
+    loaded = load_gallery(tmp_path / "g")
+    assert (loaded.ids, loaded.labels, loaded.indexed_by) == (
+        gallery.ids, gallery.labels, gallery.indexed_by
+    )
+    assert loaded.features.dtype == gallery.features.dtype
+    assert loaded.features.shape == gallery.features.shape
+    assert loaded.features.tobytes() == gallery.features.tobytes()
 
 
 def test_gallery_norms_are_cached_bitwise():
