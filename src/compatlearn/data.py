@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import check_fields
 from .container import read_array, read_artifact, write_artifact, write_atomic
-from .errors import CorruptFileError, DataError
-from .evalkit import VerificationPairSet
+from .errors import DataError
+from .evalkit import VerificationPairSet, fits_int64
 
 HELDOUT_MAGIC = b"HELDOUTS"
 HELDOUT_VERSION = 1
@@ -50,9 +50,12 @@ class LabeledDataset:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if inputs.ndim != 2:
             raise DataError(f"inputs must be a 2-d array, got shape {inputs.shape}")
+        if not fits_int64(labels):  # nothing is truncated: 1.7 is no label 1
+            raise DataError(f"labels must be integers that fit int64, got {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         if labels.ndim != 1 or len(labels) != len(inputs):
             raise DataError(
                 f"labels must be 1-d with one entry per input row, got {labels.shape}"
@@ -372,9 +375,9 @@ def save_heldout(dataset: LabeledDataset, pairs: VerificationPairSet, path) -> N
 def load_heldout(path) -> VerificationPairSet:
     """The pair set of ``save_heldout``'s file, over its rows checked as a ``LabeledDataset``.
 
-    A section whose length does not match the meta's counts, a ``genuine`` byte
-    other than 0 or 1, and rows or pairs that break the ``LabeledDataset`` or
-    ``VerificationPairSet`` rules are a ``CorruptFileError`` (``read_artifact``).
+    A section whose length does not match the meta's counts, and rows or pairs that
+    break the ``LabeledDataset`` or ``VerificationPairSet`` rules (a ``genuine`` byte
+    other than 0 or 1 among them) are a ``CorruptFileError`` (``read_artifact``).
     The arrays are read-only views of the file's bytes.
     """
     with read_artifact(path, HELDOUT_MAGIC, HELDOUT_VERSION, "held-out set") as (meta, sections):
@@ -382,10 +385,8 @@ def load_heldout(path) -> VerificationPairSet:
             read_array(sections, name, dtype, [meta[key] for key in dims])
             for name, dtype, dims in _HELDOUT_SECTIONS
         )
-        if (genuine > 1).any():
-            raise CorruptFileError(f"{path}: genuine byte other than 0 or 1")
         dataset = LabeledDataset(inputs=inputs, labels=labels)
-        return VerificationPairSet(dataset.inputs, ids_a=ids_a, ids_b=ids_b, genuine=genuine != 0)
+        return VerificationPairSet(dataset.inputs, ids_a=ids_a, ids_b=ids_b, genuine=genuine)
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

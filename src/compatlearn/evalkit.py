@@ -20,16 +20,16 @@ extracted once, however many cells it takes part in. The summary report
 condenses the matrix into the average, backward, and forward compatibility
 numbers plus the per-task backward series.
 
-No cell depends on another, so ``on_every_cpu`` hands them to a pool, each
-scored exactly as alone (``pair_scores`` and then the metric): the matrix holds
-the same bytes on one CPU or many. The cell kernels (gathers, products, sums,
-sorts, cumulative sums) use no BLAS, but at these sizes they hold the GIL: with
-numpy 2.4.6, a gather of a 512 x 99 block and a row sum do not overlap across
-threads, and mid-scale cells on 2 workers ran at CPU/wall 1.00. The pool still
-saves some wall time, for reasons not pinned down: on 2 vCPUs a mid-scale eval
-took a median 0.429 s with it and 0.481 s on one worker (10 runs each). Feature
-extraction stays serial: on the pool too, it raised the mid-scale benchmark's
-peak RSS (2 CPUs, glibc) from 161-168 MB to 211 MB.
+No extraction depends on another, nor any cell, so ``on_every_cpu`` runs the
+checkpoints' extractions and then the cells on a pool, each exactly as alone
+(``pair_scores`` and then the metric): the matrix holds the same bytes on one CPU
+or many. Extraction is gemm, which runs outside the GIL. The cell kernels
+(gathers, products, sums, sorts) use no BLAS and at these sizes hold it: with
+numpy 2.4.6, mid-scale cells on 2 workers ran at CPU/wall 1.00. Pooled extraction
+is affordable because a forward pass keeps one array per layer: with the former
+pass it raised the mid-scale benchmark's peak RSS to 211 MB. On 2 vCPUs (10 runs
+each) mid-scale eval took a median 0.321 s of wall time against 0.352 s with
+serial extraction, at a peak RSS of 163 MB against 160 MB.
 """
 
 import os
@@ -48,12 +48,18 @@ METRIC_KINDS = ("accuracy", "tar_at_far")
 SCORE_BLOCK = 512
 
 
+def fits_int64(array: np.ndarray) -> bool:
+    """Whether ``array`` holds integers (no bools, floats or objects) that int64 holds."""
+    return array.dtype.kind in "iu" and bool((array <= np.iinfo(np.int64).max).all())
+
+
 @dataclass(frozen=True)
 class VerificationPairSet:
     """Static (A, B, genuine) verification pairs over held-out classes.
 
     ``inputs`` is the held-out input array itself (never a gathered copy);
-    pair ``i`` compares rows ``ids_a[i]`` and ``ids_b[i]`` of it.
+    pair ``i`` compares rows ``ids_a[i]`` and ``ids_b[i]`` of it. Nothing is cast:
+    ids are integers that fit int64, ``genuine`` holds bools or integers 0 and 1.
     """
 
     inputs: np.ndarray
@@ -63,9 +69,15 @@ class VerificationPairSet:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
-        object.__setattr__(self, "ids_a", np.asarray(self.ids_a, dtype=np.int64))
-        object.__setattr__(self, "ids_b", np.asarray(self.ids_b, dtype=np.int64))
-        object.__setattr__(self, "genuine", np.asarray(self.genuine, dtype=bool))
+        for side in ("ids_a", "ids_b"):
+            ids = np.asarray(getattr(self, side))
+            if not fits_int64(ids):
+                raise DataError(f"{side} must be integers that fit int64, got {ids.dtype}")
+            object.__setattr__(self, side, ids.astype(np.int64, copy=False))
+        genuine = np.asarray(self.genuine)
+        if genuine.dtype.kind not in "biu" or not ((genuine == 0) | (genuine == 1)).all():
+            raise DataError("genuine must be bools, or integers with none other than 0 or 1")
+        object.__setattr__(self, "genuine", genuine.astype(bool, copy=False))
         if self.inputs.ndim != 2:
             raise DataError(f"pair inputs must be a 2-d array, got shape {self.inputs.shape}")
         n = len(self.genuine)
@@ -277,17 +289,14 @@ def on_every_cpu(fn, items) -> list:
     item and a pool of workers - 1 threads the rest, so one worker starts no
     thread. Each thread that allocates gets a glibc malloc arena that keeps what
     it freed, so large buffers are best allocated before the split: at mid scale,
-    a pool thread beside an idle caller read 173 MB of peak RSS against 165. An
-    error reaches the caller once the pool's threads have ended.
+    a pool thread beside an idle caller read 173 MB of peak RSS against 165. The
+    results are taken in item order, so the error of the lowest-indexed item that
+    fails reaches the caller, whatever the CPU count, once the pool's threads end.
     """
     workers = min(_cpu_count(), len(items))
-    done = [None] * len(items)
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        helped = [(i, pool.submit(fn, item)) for i, item in enumerate(items) if i % workers]
-        done[::workers] = [fn(item) for item in items[::workers]]
-        for i, future in helped:
-            done[i] = future.result()
-    return done
+        helped = {i: pool.submit(fn, item) for i, item in enumerate(items) if i % workers}
+        return [helped[i].result() if i in helped else fn(item) for i, item in enumerate(items)]
 
 
 def build_compatibility_matrix(
@@ -303,7 +312,7 @@ def build_compatibility_matrix(
     from the older one; the diagonal holds self-tests; cells above the
     diagonal stay zero. The same static pair set is used for every cell, and
     each model is extracted once over the distinct samples it touches. The
-    cells are scored by ``on_every_cpu``.
+    extractions, then the cells, run on ``on_every_cpu``.
     """
     models = list(models)
     if len(models) < 1:
@@ -314,12 +323,14 @@ def build_compatibility_matrix(
         raise DataError("tar_at_far requires a far_target")
     t_count = len(models)
     samples = _SampleRows(pairs)
-    features = []
-    for task, model in enumerate(models, start=1):
+
+    def extract(t):
         try:
-            features.append(samples.features(model))
+            return samples.features(models[t])
         except DegenerateFeatureError as exc:
-            raise DegenerateFeatureError(f"checkpoint of task {task}: {exc}") from None
+            raise DegenerateFeatureError(f"checkpoint of task {t + 1}: {exc}") from None
+
+    features = on_every_cpu(extract, range(t_count))
 
     def score(cell) -> MetricResult:
         t, k = cell

@@ -65,14 +65,14 @@ SEARCH_BLOCK_CELLS = 2**21
 SEARCH_CHUNKS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gallery:
     ids: tuple[str, ...]
     features: np.ndarray
     indexed_by: int
     labels: tuple[int, ...] | None = None
-    norms: np.ndarray = field(init=False, repr=False, compare=False)
-    inv_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False)
+    inv_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -96,14 +96,20 @@ class Gallery:
         features = features if np.array_equal(stored, features) else stored.astype(np.float64)
         if self.labels is not None:
             labels = np.asarray(self.labels)
-            fits = labels.dtype.kind in "iu" and (labels <= np.iinfo(np.int64).max).all()
-            if not fits or labels.shape != (len(self.ids),):
+            if not evalkit.fits_int64(labels) or labels.shape != (len(self.ids),):
                 raise DataError("labels, when given, must be one int64 integer per id")
             object.__setattr__(self, "labels", tuple(labels.tolist()))
         norms = feature_norms(features, lambda i: f"stored feature of gallery id {self.ids[i]!r}")
         for name, array in (("features", features), ("norms", norms), ("inv_norms", 1 / norms)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    def __eq__(self, other):  # defined in the class body, it leaves galleries unhashable
+        """Equal ids, ``indexed_by``, labels and feature values; the cached norms follow."""
+        if not isinstance(other, Gallery):
+            return NotImplemented
+        mine, theirs = ((g.ids, g.indexed_by, g.labels) for g in (self, other))
+        return mine == theirs and np.array_equal(self.features, other.features)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -160,19 +160,21 @@ def forward_features(state: FeatureExtractorState, batch) -> tuple[np.ndarray, l
     """Forward pass returning features and the cache needed for the reverse pass.
 
     Hidden layers apply the configured nonlinearity; the final layer is linear.
+    Each layer computes ``h @ w + b`` and then its nonlinearity in one array, and
+    the cache holds one ``(input, activation)`` pair per layer.
     """
-    x = _as_input_matrix(state, batch)
+    h = _as_input_matrix(state, batch)
     nl = state.config.nonlinearity
     cache = []
-    h = x
     last = len(state.weights) - 1
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        z = h @ w + b
-        if i < last:
-            a = np.maximum(z, 0.0) if nl == "relu" else np.tanh(z)
-        else:
-            a = z
-        cache.append((h, z, a))
+        a = h @ w
+        a += b
+        if i < last and nl == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif i < last:
+            np.tanh(a, out=a)
+        cache.append((h, a))
         h = a
     return h, cache
 
@@ -211,10 +213,10 @@ def backprop_feature_grads(
     dbiases = [None] * len(state.biases)
     delta = np.asarray(dfeatures, dtype=np.float64)
     for i in range(last, -1, -1):
-        h_in, z, a = cache[i]
+        h_in, a = cache[i]
         if i < last:
             if nl == "relu":
-                delta = delta * (z > 0.0)
+                delta = delta * (a > 0.0)  # max(z, 0) > 0 exactly where z > 0
             else:
                 delta = delta * (1.0 - a**2)
         dweights[i] = h_in.T @ delta

@@ -246,7 +246,7 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
             f"tasks have {widths.pop()} input columns, the model expects {config.model.input_dim}"
         )
     state = init_model(config.model)
-    memory = LabeledDataset(np.zeros((0, config.model.input_dim)), np.zeros(0))
+    memory = LabeledDataset(np.zeros((0, config.model.input_dim)), np.zeros(0, np.int64))
     timeline = ModelTimeline()
     previous: FeatureExtractorState | None = None
     for task in sequence.tasks:

@@ -461,6 +461,16 @@ def test_save_heldout_refuses_pairs_over_other_rows_than_it_writes(tmp_path, row
     assert not (tmp_path / "heldout.ckpt").exists()
 
 
+def test_load_heldout_refuses_a_genuine_byte_other_than_0_or_1(tmp_path):
+    path = tmp_path / "heldout.ckpt"
+    save_heldout(*heldout_set(), path)
+    sections = read_container(path, HELDOUT_MAGIC, HELDOUT_VERSION)
+    sections["genuine"] = b"\x02" + sections["genuine"][1:]
+    write_container(path, HELDOUT_MAGIC, HELDOUT_VERSION, list(sections.items()))  # valid CRCs
+    with pytest.raises(CorruptFileError, match="malformed held-out set .*other than 0 or 1"):
+        load_heldout(path)
+
+
 def test_every_single_byte_corruption_of_a_heldout_set_is_rejected(tmp_path):
     path = tmp_path / "heldout.ckpt"
     save_heldout(*heldout_set(num_classes=2, samples_per_class=2, input_dim=2, num_pairs=2), path)

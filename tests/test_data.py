@@ -34,6 +34,27 @@ def spec(**overrides):
     return SyntheticSpec(**base)
 
 
+@pytest.mark.parametrize(
+    "labels, dtype",
+    [
+        ([1.7, 0.2], "float64"),
+        ([True, False], "bool"),
+        (np.array([2**63, 0], np.uint64), "uint64"),
+        (["1", "0"], "<U1"),
+    ],
+)
+def test_dataset_refuses_labels_that_are_not_int64_integers(labels, dtype):
+    # Before, [1.7, 0.2] became labels [1, 0].
+    with pytest.raises(DataError, match=f"labels must be integers that fit int64, got {dtype}"):
+        LabeledDataset(np.ones((2, 2)), labels)
+
+
+def test_dataset_takes_labels_of_any_integer_dtype_that_fits():
+    for labels in ([3, 4], np.array([3, 4], np.uint64), np.array([3, 4], np.int8)):
+        dataset = LabeledDataset(np.ones((2, 2)), labels)
+        assert dataset.labels.dtype == np.int64 and dataset.labels.tolist() == [3, 4]
+
+
 def test_synthetic_counts_match_spec():
     ds = make_synthetic(spec())
     assert len(ds) == 48

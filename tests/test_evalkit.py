@@ -132,6 +132,33 @@ def test_pair_set_rejects_ids_outside_the_inputs():
         VerificationPairSet(inputs=inputs, ids_a=[0, 1], ids_b=[1], genuine=[True, False])
 
 
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("ids_a", [0.9, 1.5], "ids_a must be integers that fit int64, got float64"),
+        ("ids_b", [True, False], "ids_b must be integers that fit int64, got bool"),
+        ("ids_a", np.array([2**63, 0], np.uint64), "ids_a must be integers that fit int64"),
+        ("genuine", [2, 0], "other than 0 or 1"),
+        ("genuine", [1, -1], "other than 0 or 1"),
+        ("genuine", [1.0, 0.0], "other than 0 or 1"),
+        ("genuine", ["1", "0"], "other than 0 or 1"),
+    ],
+)
+def test_pair_set_refuses_ids_and_flags_it_used_to_cast(field, values, message):
+    # Before, ids [0.9, 1.5] became rows [0, 1] and a genuine of 2 became True.
+    fields = dict(inputs=np.eye(3), ids_a=[0, 1], ids_b=[1, 2], genuine=[True, False])
+    with pytest.raises(DataError, match=message):
+        VerificationPairSet(**{**fields, field: values})
+
+
+def test_pair_set_takes_any_integer_ids_and_0_1_flags():
+    pairs = VerificationPairSet(
+        np.eye(3), np.array([0, 1], np.uint8), np.array([1, 2], np.int32), np.array([1, 0])
+    )
+    assert (pairs.ids_a.dtype, pairs.ids_b.dtype, pairs.genuine.dtype) == (np.int64, np.int64, bool)
+    assert pairs.genuine.tolist() == [True, False]
+
+
 def test_pair_scores_rejects_models_of_different_feature_dimensions():
     pairs = make_pairs(np.eye(3)[:2], np.eye(3)[1:], [True, False])
     narrow = init_model(ModelConfig(input_dim=3, hidden_layers=(), feature_dim=2, seed=0))
@@ -416,6 +443,41 @@ def test_an_error_in_one_cell_reaches_the_caller_and_no_thread_outlives_it(
     threads = threading.active_count()
     with pytest.raises(CellFailure, match="^cell scoring failed$"):
         build_compatibility_matrix(tanh_models(4), pairs, metric=metric, far_target=far)
+    assert threading.active_count() == threads
+
+
+class ItemFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3, 5}, {5}])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_on_every_cpu_raises_the_failure_of_the_lowest_indexed_item(monkeypatch, cpus, failing):
+    # On 2 CPUs the calling thread takes items 0, 2 and 4, a pool thread 1, 3 and 5:
+    # with items 1 and 2 failing, the caller's own failure used to win.
+    def square(item):
+        if item in failing:
+            raise ItemFailure(f"item {item}")
+        return item * item
+
+    monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    assert evalkit.on_every_cpu(lambda item: item * item, range(6)) == [0, 1, 4, 9, 16, 25]
+    with pytest.raises(ItemFailure, match=f"^item {min(failing)}$"):
+        evalkit.on_every_cpu(square, range(6))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_the_first_degenerate_checkpoint_is_named_on_any_cpu_count(monkeypatch, cpus):
+    pairs = shared_sample_pairs(np.random.default_rng(13))
+    models = tanh_models(4)
+    for model in models[1:3]:  # tasks 2 and 3 map every sample to a zero feature
+        model.weights[-1][:] = 0.0
+    monkeypatch.setattr(evalkit, "_cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(DegenerateFeatureError, match="^checkpoint of task 2: zero-norm"):
+        build_compatibility_matrix(models, pairs)
     assert threading.active_count() == threads
 
 

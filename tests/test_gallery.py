@@ -478,6 +478,26 @@ def test_gallery_norms_are_cached_bitwise():
     assert twin == gallery  # the cached norms are not compared
 
 
+def test_galleries_compare_by_value_and_are_unhashable(tmp_path):
+    # Before, two loads of one file raised "The truth value of an array ... is ambiguous".
+    save_gallery(one_hot_gallery(), tmp_path / "g")
+    first, second = load_gallery(tmp_path / "g"), load_gallery(tmp_path / "g")
+    assert first.features is not second.features
+    assert first == second and not first != second
+    fields = dict(ids=first.ids, features=first.features, indexed_by=1, labels=first.labels)
+    for change in (
+        {"ids": ("a", "b", "d")},
+        {"features": first.features * 2.0},
+        {"indexed_by": 2},
+        {"labels": (0, 1, 3)},
+        {"labels": None},
+    ):
+        assert first != Gallery(**{**fields, **change})
+    assert first != (first.ids, first.features)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gallery_rejects_non_finite_features(bad):
     features = np.eye(3)

@@ -13,7 +13,7 @@ def class_dataset(class_ids, samples_per_class, dim=4, seed=0):
 
 
 def empty_memory(dim=4):
-    return LabeledDataset(inputs=np.zeros((0, dim)), labels=np.zeros(0))
+    return LabeledDataset(inputs=np.zeros((0, dim)), labels=np.zeros(0, np.int64))
 
 
 def test_update_respects_budget_and_counts():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,56 @@ def ce_loss_fn(prototypes, labels):
         return loss, backprop_feature_grads(state, cache, dfeat)
 
     return fn
+
+
+def textbook_features_and_grads(state, x, dfeatures):
+    """The layers as formulas: z = h @ w + b, then the nonlinearity on hidden layers."""
+    hs, zs, h = [], [], x
+    for i, (w, b) in enumerate(zip(state.weights, state.biases)):
+        hs.append(h)
+        zs.append(h @ w + b)
+        hidden = i < len(state.weights) - 1
+        relu = state.config.nonlinearity == "relu"
+        h = (np.maximum(zs[-1], 0.0) if relu else np.tanh(zs[-1])) if hidden else zs[-1]
+    delta, grads = dfeatures, []
+    for i in reversed(range(len(state.weights))):
+        if i < len(state.weights) - 1:
+            relu = state.config.nonlinearity == "relu"
+            delta = delta * ((zs[i] > 0.0) if relu else (1.0 - np.tanh(zs[i]) ** 2))
+        grads[:0] = [hs[i].T @ delta, delta.sum(axis=0)]
+        delta = delta @ state.weights[i].T
+    return h, grads
+
+
+@pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
+def test_forward_and_backward_are_bitwise_the_textbook_layers(nonlinearity):
+    state = init_model(small_config(seed=3, nonlinearity=nonlinearity))
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((33, 6))
+    x[0] = 0.0  # relu units at exactly zero and below it
+    dfeatures = rng.standard_normal((33, 3))
+    features, cache = forward_features(state, x)
+    want_features, want_grads = textbook_features_and_grads(state, x, dfeatures)
+    grads = backprop_feature_grads(state, cache, dfeatures)
+    assert features.tobytes() == want_features.tobytes()
+    got = [g for pair in zip(grads.weights, grads.biases) for g in pair]
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want_grads]
+
+
+def test_extraction_allocates_one_array_per_layer():
+    # The forward pass keeps one activation per layer and makes no temporaries;
+    # it used to keep h @ w + b and its tanh apart (and h @ w for a moment), 20 MB here.
+    rows, width = 2000, 256
+    state = init_model(ModelConfig(width, (width, width), width, nonlinearity="tanh"))
+    x = np.random.default_rng(0).standard_normal((rows, width))
+    tracemalloc.start()
+    try:
+        features = extract_features(state, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hidden = 2 * rows * width * 8  # the two hidden activations, 8 MB
+    assert peak - features.nbytes < hidden + 2**20
 
 
 @pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])

@@ -307,7 +307,7 @@ def test_cached_teacher_matches_the_per_batch_reference(classifier_mode, fd_scop
     config = ModelConfig(input_dim=DIM, hidden_layers=(10,), feature_dim=sequence.total_classes - 1)
     previous = init_model(dataclasses.replace(config, seed=1)).freeze()
     current = init_model(dataclasses.replace(config, seed=2))
-    empty = LabeledDataset(inputs=np.zeros((0, DIM)), labels=np.zeros(0))
+    empty = LabeledDataset(inputs=np.zeros((0, DIM)), labels=np.zeros(0, np.int64))
     memory = update_memory(empty, first.data, 1, per_class=3, seed=0)
     training_set = trainer.with_teacher(
         build_training_set(memory, second.data), previous, fd_scope
