@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import shutil
 import sys
@@ -99,7 +98,7 @@ def experiment_components(config: dict):
         eval_class_count=data_cfg["eval_classes"],
         seed=data_cfg["split_seed"],
     )
-    if data_cfg["source"] == "csv":
+    if data_cfg["csv_path"]:
         sequence, eval_dataset = split_tasks(load_csv(data_cfg["csv_path"]), **split)
     else:
         names = {f.name for f in dataclasses.fields(SyntheticSpec)} - {"cluster_sigma"}
@@ -206,8 +205,6 @@ def read_matrix_csv(path) -> CompatibilityMatrix:
         far = None if header["far_target"] == "none" else float(header["far_target"])
     except ValueError as exc:
         raise DataError(f"{path}: far_target {header['far_target']!r} is not a number") from exc
-    if far is not None and not math.isfinite(far):
-        raise DataError(f"{path}: far_target {header['far_target']!r} is not finite")
     try:
         values = np.array(
             [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=np.float64

@@ -48,11 +48,11 @@ def _is_seed(v):
 # name: training holds exactly TrainingHyperparams' fields, trainer the rest
 # of ExperimentConfig's, model ModelConfig's besides input_dim, pairs the
 # arguments of generate_pairs, and data SyntheticSpec's (sigma for
-# cluster_sigma) plus the source and the task split.
+# cluster_sigma) plus csv_path and the task split. A csv_path (a non-empty
+# string) selects the CSV reader; None selects the synthetic dataset.
 _SCHEMA = {
     "data": {
-        "source": ("synthetic", lambda v: v in ("synthetic", "csv")),
-        "csv_path": (None, lambda v: v is None or isinstance(v, str)),
+        "csv_path": (None, lambda v: v is None or (isinstance(v, str) and v != "")),
         "num_classes": (30, lambda v: _is_int(v) and v >= 2),
         "samples_per_class": (60, lambda v: _is_int(v) and v >= 1),
         "input_dim": (64, lambda v: _is_int(v) and v >= 1),
@@ -135,10 +135,7 @@ def validate_config(user: dict) -> dict:
     for section, values in merged.items():
         check_fields(section, values)
     data = merged["data"]
-    if (data["source"] == "csv") != bool(data["csv_path"]):
-        raise ConfigError("data.csv_path must be set exactly when data.source is 'csv'")
-    synthetic = data["source"] == "synthetic"
-    if synthetic and data["eval_classes"] + data["num_tasks"] > data["num_classes"]:
+    if data["csv_path"] is None and data["eval_classes"] + data["num_tasks"] > data["num_classes"]:
         raise ConfigError("data.num_classes is less than data.eval_classes + data.num_tasks")
     return merged
 

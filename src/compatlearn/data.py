@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import check_fields
 from .container import read_array, read_artifact, write_artifact, write_atomic
-from .errors import DataError
-from .evalkit import VerificationPairSet, fits_int64
+from .errors import DataError, DisjointnessError
+from .evalkit import VerificationPairSet, as_int64
 
 HELDOUT_MAGIC = b"HELDOUTS"
 HELDOUT_VERSION = 1
@@ -50,12 +50,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels)
         if inputs.ndim != 2:
             raise DataError(f"inputs must be a 2-d array, got shape {inputs.shape}")
-        if not fits_int64(labels):  # nothing is truncated: 1.7 is no label 1
-            raise DataError(f"labels must be integers that fit int64, got {labels.dtype}")
-        labels = labels.astype(np.int64, copy=False)
+        labels = as_int64(self.labels, "labels")
         if labels.ndim != 1 or len(labels) != len(inputs):
             raise DataError(
                 f"labels must be 1-d with one entry per input row, got {labels.shape}"
@@ -80,16 +77,19 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class Task:
-    """One step of a task sequence: its data and the classes it introduces."""
+    """One step of a task sequence: its data, whose labels are the classes it introduces."""
 
     index: int
     data: LabeledDataset
-    classes: tuple[int, ...]
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        return self.data.class_ids()
 
 
 @dataclass(frozen=True)
 class TaskSequence:
-    """Ordered disjoint tasks of one input width plus the total classifier capacity."""
+    """Ordered tasks of one input width, no label in two of them, and the class capacity."""
 
     tasks: tuple[Task, ...]
     total_classes: int
@@ -102,7 +102,7 @@ class TaskSequence:
         for task in self.tasks:
             overlap = seen.intersection(task.classes)
             if overlap:
-                raise DataError(f"task {task.index} reuses classes {sorted(overlap)}")
+                raise DisjointnessError(f"task {task.index} reuses classes {sorted(overlap)}")
             seen.update(task.classes)
         if len(seen) > self.total_classes:
             raise DataError(
@@ -186,40 +186,25 @@ def _split_plan(all_classes, num_tasks: int, eval_class_count: int, seed: int):
         raise DataError(f"num_tasks must be >= 1, got {num_tasks}")
     if eval_class_count < 2:
         raise DataError(f"eval_class_count must be >= 2, got {eval_class_count}")
-    train_count = len(all_classes) - eval_class_count
-    if train_count < num_tasks:
+    if len(all_classes) - eval_class_count < num_tasks:
         raise DataError(
             f"{len(all_classes)} classes cannot supply {eval_class_count} evaluation "
             f"classes and {num_tasks} nonempty tasks"
         )
     rng = np.random.default_rng(seed)
     shuffled = rng.permutation(all_classes)
-    eval_classes = sorted(int(c) for c in shuffled[:eval_class_count])
-    train_order = [int(c) for c in shuffled[eval_class_count:]]
-
-    base, extra = divmod(train_count, num_tasks)
-    groups = []
-    cursor = 0
-    for t in range(num_tasks):
-        size = base + (1 if t < extra else 0)
-        groups.append(train_order[cursor : cursor + size])
-        cursor += size
-    return groups, eval_classes
+    eval_classes = sorted(shuffled[:eval_class_count].tolist())
+    groups = np.array_split(shuffled[eval_class_count:], num_tasks)  # the larger ones first
+    return [group.tolist() for group in groups], eval_classes
 
 
 def _task_sequence(groups, parts) -> TaskSequence:
     """Tasks from each group's (inputs, original labels), labels remapped by arrival."""
     remap = {c: i for i, c in enumerate(c for group in groups for c in group)}
-    tasks = []
-    for t, (group, (inputs, labels)) in enumerate(zip(groups, parts)):
-        new_labels = np.array([remap[int(c)] for c in labels], dtype=np.int64)
-        tasks.append(
-            Task(
-                index=t + 1,
-                data=LabeledDataset(inputs=inputs, labels=new_labels),
-                classes=tuple(remap[c] for c in group),
-            )
-        )
+    tasks = [
+        Task(t, LabeledDataset(inputs, np.array([remap[int(c)] for c in labels], dtype=np.int64)))
+        for t, (inputs, labels) in enumerate(parts, start=1)
+    ]
     return TaskSequence(tasks=tuple(tasks), total_classes=len(remap))
 
 

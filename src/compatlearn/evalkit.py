@@ -11,6 +11,11 @@ gallery-side model, and the score is their cosine similarity. From the scored
 pairs two metrics are available: best-threshold verification accuracy and the
 true acceptance rate at a false acceptance rate target.
 
+Wherever the package reads labels or ids they meet ``as_int64``, and flags
+``as_flags``: the checked array or a DataError, never a cast (a label 1.7 or a
+flag 2 is refused), and no value scan of a bool or signed-integer array.
+``check_metric`` is the one rule for a metric and its far target.
+
 Scoring every (newer model, older model) combination of a training timeline
 on one static pair set fills the lower triangle of the compatibility matrix:
 diagonal cells are self-tests, cells below the diagonal are cross-tests, and
@@ -48,9 +53,32 @@ METRIC_KINDS = ("accuracy", "tar_at_far")
 SCORE_BLOCK = 512
 
 
-def fits_int64(array: np.ndarray) -> bool:
-    """Whether ``array`` holds integers (no bools, floats or objects) that int64 holds."""
-    return array.dtype.kind in "iu" and bool((array <= np.iinfo(np.int64).max).all())
+def as_int64(values, name: str) -> np.ndarray:
+    """``values`` as int64 if they are integers that int64 holds, else a DataError."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "i" or (kind == "u" and not (array > np.iinfo(np.int64).max).any()):
+        return array.astype(np.int64, copy=False)
+    raise DataError(f"{name} must be integers that fit int64, got {array.dtype}")
+
+
+def as_flags(values, name: str) -> np.ndarray:
+    """``values`` as bools if they are bools or integers 0 and 1, else a DataError."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "b" or (kind in "iu" and ((array == 0) | (array == 1)).all()):
+        return array.astype(bool, copy=False)
+    raise DataError(f"{name} must be bools, or integers with none other than 0 or 1")
+
+
+def check_metric(metric: str, far_target: float | None) -> None:
+    """A known metric, with a far target in (0, 1] for tar_at_far and none for others."""
+    if metric not in METRIC_KINDS:
+        raise DataError(f"metric must be one of {METRIC_KINDS}, got {metric!r}")
+    if (metric == "tar_at_far") != (far_target is not None):
+        raise DataError(f"{metric} with far_target {far_target}: tar_at_far alone takes one")
+    if far_target is not None and not 0.0 < far_target <= 1.0:  # NaN fails too
+        raise DataError(f"far_target must be in (0, 1], got {far_target}")
 
 
 @dataclass(frozen=True)
@@ -70,14 +98,8 @@ class VerificationPairSet:
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
         for side in ("ids_a", "ids_b"):
-            ids = np.asarray(getattr(self, side))
-            if not fits_int64(ids):
-                raise DataError(f"{side} must be integers that fit int64, got {ids.dtype}")
-            object.__setattr__(self, side, ids.astype(np.int64, copy=False))
-        genuine = np.asarray(self.genuine)
-        if genuine.dtype.kind not in "biu" or not ((genuine == 0) | (genuine == 1)).all():
-            raise DataError("genuine must be bools, or integers with none other than 0 or 1")
-        object.__setattr__(self, "genuine", genuine.astype(bool, copy=False))
+            object.__setattr__(self, side, as_int64(getattr(self, side), side))
+        object.__setattr__(self, "genuine", as_flags(self.genuine, "genuine"))
         if self.inputs.ndim != 2:
             raise DataError(f"pair inputs must be a 2-d array, got shape {self.inputs.shape}")
         n = len(self.genuine)
@@ -125,8 +147,7 @@ class CompatibilityMatrix:
         # Written so that NaN, which fails every comparison, fails the check.
         if not np.all((tril >= 0.0) & (tril <= 1.0)):
             raise DataError("compatibility matrix entries must lie in [0, 1]")
-        if self.metric not in METRIC_KINDS:
-            raise DataError(f"unknown metric kind {self.metric!r}")
+        check_metric(self.metric, self.far_target)
         object.__setattr__(self, "values", values)
 
     @property
@@ -204,12 +225,14 @@ def pair_scores(
 def _scored_pairs(scores, genuine) -> tuple[np.ndarray, np.ndarray]:
     """``scores`` as floats and ``genuine`` as flags, checked to be one finite score per flag."""
     scores = np.asarray(scores, dtype=np.float64)
-    genuine = np.asarray(genuine, dtype=bool)
+    genuine = np.asarray(genuine)
     if scores.ndim != 1 or genuine.shape != scores.shape:
         raise DataError(f"scores of shape {scores.shape} for flags of shape {genuine.shape}")
+    if not len(scores):
+        raise DataError("verification metrics need at least one pair")
     if not np.isfinite(scores).all():
         raise DataError("scores must be finite")
-    return scores, genuine
+    return scores, as_flags(genuine, "genuine")
 
 
 def _threshold_sweep(scores: np.ndarray, genuine: np.ndarray):
@@ -242,8 +265,6 @@ def verification_accuracy(scores, genuine) -> MetricResult:
     """
     scores, genuine = _scored_pairs(scores, genuine)
     n = len(scores)
-    if n == 0:
-        raise DataError("verification accuracy needs at least one pair")
     thresholds, gen_below, imp_below = _threshold_sweep(scores, genuine)
     total_genuine = int(genuine.sum())
     correct = (imp_below + (total_genuine - gen_below)).astype(np.float64)
@@ -257,8 +278,7 @@ def tar_at_far(scores, genuine, far_target: float) -> MetricResult:
     Chooses the smallest threshold whose measured false acceptance rate does
     not exceed ``far_target`` and reports the true acceptance rate there.
     """
-    if not 0.0 < far_target <= 1.0:
-        raise DataError(f"far_target must be in (0, 1], got {far_target}")
+    check_metric("tar_at_far", far_target)
     scores, genuine = _scored_pairs(scores, genuine)
     total_genuine = int(genuine.sum())
     total_impostor = int((~genuine).sum())
@@ -317,10 +337,7 @@ def build_compatibility_matrix(
     models = list(models)
     if len(models) < 1:
         raise DataError("need at least one checkpoint to build a compatibility matrix")
-    if metric not in METRIC_KINDS:
-        raise DataError(f"metric must be one of {METRIC_KINDS}, got {metric!r}")
-    if metric == "tar_at_far" and far_target is None:
-        raise DataError("tar_at_far requires a far_target")
+    check_metric(metric, far_target)
     t_count = len(models)
     samples = _SampleRows(pairs)
 

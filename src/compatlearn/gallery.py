@@ -95,8 +95,8 @@ class Gallery:
         stored = features.astype(np.float32)  # the file's grid; a copy only when off it
         features = features if np.array_equal(stored, features) else stored.astype(np.float64)
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if not evalkit.fits_int64(labels) or labels.shape != (len(self.ids),):
+            labels = evalkit.as_int64(self.labels, "labels")
+            if labels.shape != (len(self.ids),):
                 raise DataError("labels, when given, must be one int64 integer per id")
             object.__setattr__(self, "labels", tuple(labels.tolist()))
         norms = feature_norms(features, lambda i: f"stored feature of gallery id {self.ids[i]!r}")
@@ -209,9 +209,9 @@ def recall_at_1(
     """Fraction of queries whose top-1 gallery hit carries the query's label."""
     if gallery.labels is None:
         raise DataError("recall@1 needs a gallery with labels")
-    labels = np.asarray(query_labels, dtype=np.int64)
     if len(query_inputs) == 0:
         raise DataError("recall@1 needs at least one query")
+    labels = evalkit.as_int64(query_labels, "query labels")
     if labels.shape != (len(query_inputs),):
         raise DataError(f"{labels.size} query labels for {len(query_inputs)} queries")
     ranked = search(query_inputs, query_model, gallery, top_n=1)

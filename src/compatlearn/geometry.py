@@ -21,11 +21,9 @@ from .losses import softmax_cross_entropy
 class SimplexPrototypes:
     """Immutable prototype matrix: one row per class slot.
 
-    ``vertices`` has shape ``(num_vertices, dim)`` with ``dim == num_vertices - 1``
-    and is marked read-only; trainers must never modify it.
+    ``vertices`` has shape ``(dim + 1, dim)`` and is read-only; trainers must never modify it.
     """
 
-    num_vertices: int
     dim: int
     vertices: np.ndarray
     alpha: float
@@ -57,4 +55,4 @@ def build_simplex(total_classes: int) -> SimplexPrototypes:
     vertices[:dim, :] = np.eye(dim, dtype=np.float64)
     vertices[dim, :] = alpha
     vertices.setflags(write=False)
-    return SimplexPrototypes(num_vertices=n, dim=dim, vertices=vertices, alpha=alpha)
+    return SimplexPrototypes(dim=dim, vertices=vertices, alpha=alpha)

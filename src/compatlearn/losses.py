@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateFeatureError
+from .evalkit import as_flags, as_int64
 from .network import (
     FeatureExtractorState,
     ParamGrads,
@@ -53,8 +54,8 @@ class LabeledBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "from_memory", np.asarray(self.from_memory, dtype=bool))
+        object.__setattr__(self, "labels", np.asarray(self.labels))  # checked by the loss
+        object.__setattr__(self, "from_memory", as_flags(self.from_memory, "from_memory"))
         if not (len(self.inputs) == len(self.labels) == len(self.from_memory)):
             raise DataError(
                 f"batch field lengths differ: {len(self.inputs)} inputs, "
@@ -112,12 +113,12 @@ def softmax_cross_entropy(
     Returns (loss, dloss/dfeatures, dloss/dW or None).
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2:
         raise DataError(f"features must be one row per sample, got shape {features.shape}")
     n = len(features)
     if n == 0:
         raise DataError("cross-entropy mean over an empty batch is undefined")
+    labels = as_int64(labels, "labels")
     if features.shape[1] != weight_matrix.shape[1]:
         raise DataError(
             f"feature dimension {features.shape[1]} does not match classifier "

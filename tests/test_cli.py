@@ -250,14 +250,19 @@ def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, text, key):
 
 
 @pytest.mark.parametrize(
-    "data",
-    [{"csv_path": "nonexistent.csv"}, {"source": "csv"}, {"source": "csv", "csv_path": ""}],
-    ids=["path-with-synthetic-source", "csv-source-without-path", "csv-source-with-empty-path"],
+    "data, status, message",
+    [
+        ({"csv_path": "nonexistent.csv"}, 3, "error[data]: "),
+        ({"source": "csv"}, 2, "error[config]: unknown config key data.source"),
+        ({"csv_path": ""}, 2, "error[config]: invalid value for data.csv_path: ''"),
+    ],
+    ids=["path-selects-the-csv-reader", "source-key-is-unknown", "empty-path"],
 )
-def test_csv_path_is_set_exactly_when_the_source_is_csv(tmp_path, capsys, data):
+def test_csv_path_alone_selects_csv_data(tmp_path, capsys, data, status, message):
+    # Before, data.source repeated whether data.csv_path was set, and both had to agree.
     config = write_config(tmp_path, {"data": {"num_tasks": 2, **data}})
-    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 2
-    assert capsys.readouterr().err.startswith("error[config]: data.csv_path ")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == status
+    assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "exp").exists()
 
 
@@ -323,7 +328,7 @@ def test_csv_source_trains_like_the_synthetic_preset(tmp_path):
     )
     save_csv(make_synthetic(spec), tmp_path / "preset.csv")
     synthetic = {"data": {"num_tasks": 3}}
-    from_csv = {"data": {"num_tasks": 3, "source": "csv", "csv_path": str(tmp_path / "preset.csv")}}
+    from_csv = {"data": {"num_tasks": 3, "csv_path": str(tmp_path / "preset.csv")}}
     runs = [
         cmd_train(write_config(tmp_path, payload, name=f"{name}.json"), tmp_path / name, seed=1)
         for name, payload in (("synthetic", synthetic), ("csv", from_csv))
@@ -522,6 +527,22 @@ def test_eval_refuses_an_unreadable_experiment_config(tmp_path, capsys, content)
     assert not (tmp_path / "bad").exists()
 
 
+def test_eval_refuses_an_experiment_config_that_still_holds_data_source(tmp_path, capsys):
+    # data.source repeated whether data.csv_path was set; eval reads config.json, so a
+    # directory written before the key was dropped is refused until the key is deleted.
+    exp = trained_experiment(tmp_path, num_tasks=2)
+    config = json.loads((exp / "config.json").read_text())
+    config["data"]["source"] = "synthetic"
+    (exp / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
+    assert "unknown config key data.source" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    del config["data"]["source"]
+    (exp / "config.json").write_text(json.dumps(config))
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "good")]) == 0
+
+
 def test_checkpoint_meta_nested_too_deep_is_a_data_error(tmp_path, capsys):
     exp = small_experiment(tmp_path)
     meta = b"[" * 100_000
@@ -717,6 +738,24 @@ def test_report_rejects_a_malformed_matrix_header(tmp_path, header):
     with pytest.raises(DataError):
         read_matrix_csv(path)
     assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "metric=accuracy far_target=5.0",
+        "metric=accuracy far_target=0.1",
+        "metric=tar_at_far far_target=none",
+        "metric=tar_at_far far_target=5.0",
+    ],
+)
+def test_report_refuses_a_far_target_its_metric_does_not_take(tmp_path, capsys, header):
+    # Before, metric=accuracy far_target=5.0 exited 0 and wrote "far_target": 5.0.
+    path = tmp_path / "matrix.csv"
+    path.write_text(f"# schema=compat-matrix/1 {header} tasks=1\n0.5\n")
+    assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.startswith("error[data]: ")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -969,6 +1008,15 @@ def test_matrix_reader_accepts_only_finite_values_in_range(content):
         assert np.all(np.isfinite(matrix.values))
         assert np.all((matrix.values >= 0.0) & (matrix.values <= 1.0))
         assert matrix.far_target is None or math.isfinite(matrix.far_target)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_valid_matrices())
+def test_matrix_reader_keeps_only_a_far_target_its_metric_takes(content):
+    matrix = read_fuzzed(read_matrix_csv, content)
+    if matrix is not None:
+        far = matrix.far_target
+        assert far is None if matrix.metric == "accuracy" else 0.0 < far <= 1.0
 
 
 CONFIG_KEYS = sorted({key for values in DEFAULT_CONFIG.values() for key in values})

@@ -93,7 +93,7 @@ def test_check_fields_applies_a_pair_rule_only_where_both_keys_are_given():
 
 
 def test_a_csv_source_still_meets_the_synthetic_pair_rule():
-    csv = {"source": "csv", "csv_path": "data.csv"}
+    csv = {"csv_path": "data.csv"}
     assert validate_config({"data": csv})["data"]["csv_path"] == "data.csv"
     with pytest.raises(ConfigError, match=r"data\.intrinsic_dim"):
         validate_config({"data": {**csv, "intrinsic_dim": 100}})

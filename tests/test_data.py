@@ -22,7 +22,7 @@ from compatlearn.data import (
     save_pairs,
     split_tasks,
 )
-from compatlearn.errors import CompatLearnError, ConfigError, DataError
+from compatlearn.errors import CompatLearnError, ConfigError, DataError, DisjointnessError
 from compatlearn.evalkit import VerificationPairSet
 
 
@@ -140,11 +140,24 @@ def test_split_insufficient_classes_rejected():
 def test_task_sequence_refuses_tasks_of_different_input_widths():
     rng = np.random.default_rng(0)
     tasks = tuple(
-        Task(index=t, data=LabeledDataset(rng.standard_normal((4, width)), [t] * 4), classes=(t,))
+        Task(index=t, data=LabeledDataset(rng.standard_normal((4, width)), [t] * 4))
         for t, width in ((1, 5), (2, 6))
     )
     with pytest.raises(DataError, match=r"tasks have different input widths \[5, 6\]"):
         TaskSequence(tasks=tasks, total_classes=2)
+
+
+def test_task_sequence_refuses_tasks_that_share_a_label_before_any_training():
+    # Before, a Task stated its classes beside its labels: two tasks that both held
+    # label 1 made a sequence, and run_sequence refused it only after task 2 trained.
+    rng = np.random.default_rng(0)
+    tasks = tuple(
+        Task(t, LabeledDataset(rng.standard_normal((4, 3)), labels))
+        for t, labels in ((1, [0, 1, 0, 1]), (2, [2, 1, 2, 1]))
+    )
+    assert [task.classes for task in tasks] == [(0, 1), (1, 2)]
+    with pytest.raises(DisjointnessError, match=r"task 2 reuses classes \[1\]"):
+        TaskSequence(tasks=tasks, total_classes=3)
 
 
 def test_split_is_seeded():

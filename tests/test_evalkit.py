@@ -12,6 +12,8 @@ from compatlearn.evalkit import (
     CompatibilityMatrix,
     VerificationPairSet,
     _threshold_sweep,
+    as_flags,
+    as_int64,
     build_compatibility_matrix,
     compatibility_report,
     pair_scores,
@@ -618,3 +620,50 @@ def test_matrix_validation_rejects_bad_shapes_and_values():
         CompatibilityMatrix(values=np.array([[0.5, 0.0], [np.nan, 0.5]]), metric="accuracy")
     with pytest.raises(DataError):
         CompatibilityMatrix(values=np.tril(np.ones((2, 2)) * 0.5), metric="bogus")
+
+
+@pytest.mark.parametrize("genuine", [[2, 0], [1.0, 0.0], [1, -1]], ids=["two", "floats", "minus-one"])
+def test_metrics_refuse_flags_they_used_to_cast(genuine):
+    # Before, verification_accuracy([0.9, 0.1], [2, 0]) counted the flag 2 as genuine.
+    message = "genuine must be bools, or integers with none other than 0 or 1"
+    with pytest.raises(DataError, match=message):
+        verification_accuracy([0.9, 0.1], genuine)
+    with pytest.raises(DataError, match=message):
+        tar_at_far([0.9, 0.1], genuine, 0.5)
+
+
+def test_metrics_refuse_an_empty_pair_list_before_reading_its_dtype():
+    for metric in (verification_accuracy, lambda s, g: tar_at_far(s, g, 0.5)):
+        with pytest.raises(DataError, match="verification metrics need at least one pair"):
+            metric([], [])
+
+
+def test_the_label_and_flag_rules_return_int64_and_bool_arrays_as_they_are():
+    labels, flags = np.array([3, -1]), np.array([True, False])
+    assert as_int64(labels, "labels") is labels and as_flags(flags, "flags") is flags
+    assert as_int64(np.array([3], np.uint64), "labels").dtype == np.int64
+    assert as_flags(np.array([1, 0], np.uint8), "flags").tolist() == [True, False]
+    with pytest.raises(DataError, match="labels must be integers that fit int64, got bool"):
+        as_int64(flags, "labels")
+
+
+@pytest.mark.parametrize(
+    "metric, far, message",
+    [
+        ("tar_at_far", None, "tar_at_far with far_target None: tar_at_far alone"),
+        ("accuracy", -3.0, "accuracy with far_target -3.0: tar_at_far alone takes one"),
+        ("accuracy", 0.1, "accuracy with far_target 0.1: tar_at_far alone takes one"),
+        ("tar_at_far", 5.0, r"far_target must be in \(0, 1\], got 5.0"),
+        ("tar_at_far", 0.0, r"far_target must be in \(0, 1\], got 0.0"),
+        ("tar_at_far", float("nan"), r"far_target must be in \(0, 1\], got nan"),
+        ("auc", None, r"metric must be one of \('accuracy', 'tar_at_far'\), got 'auc'"),
+    ],
+)
+def test_a_matrix_owns_its_metric_and_far_rule(metric, far, message):
+    # Before, CompatibilityMatrix(v, "tar_at_far") and (v, "accuracy", far_target=-3.0)
+    # constructed.
+    with pytest.raises(DataError, match=message):
+        CompatibilityMatrix(values=np.full((1, 1), 0.5), metric=metric, far_target=far)
+    # Checked before any work: neither the models nor the pairs are read.
+    with pytest.raises(DataError, match=message):
+        build_compatibility_matrix([object()], None, metric=metric, far_target=far)

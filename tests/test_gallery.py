@@ -418,7 +418,7 @@ def test_index_gallery_passes_its_model_version_to_the_gallery_rule(version):
 @pytest.mark.parametrize("build", ["index", "construct"])
 def test_gallery_refuses_labels_that_are_not_one_int64_integer_per_id(build, labels):
     # Before, [1.7] was stored as (1,), and (1.5,) saved and loaded as (1,).
-    with pytest.raises(DataError, match="labels, when given, must be one int64 integer per id"):
+    with pytest.raises(DataError, match="labels must be integers that fit int64"):
         if build == "index":
             index_gallery(["a"], np.eye(3)[:1], identity_model(), 1, labels=labels)
         else:
@@ -602,6 +602,13 @@ def test_recall_at_1_needs_a_gallery_with_labels():
 def test_recall_at_1_refuses_zero_queries_and_misaligned_labels(queries, labels, message):
     with pytest.raises(DataError, match=message):
         recall_at_1(queries, labels, identity_model(), one_hot_gallery(labels=(0, 1, 2)))
+
+
+def test_recall_at_1_refuses_query_labels_it_used_to_truncate():
+    # Before, the query label 1.7 was scored as label 1.
+    g = one_hot_gallery(labels=(0, 1, 2))
+    with pytest.raises(DataError, match="query labels must be integers that fit int64, got float64"):
+        recall_at_1(np.eye(3)[1:2], [1.7], identity_model(), g)
 
 
 def test_save_load_round_trip(tmp_path):

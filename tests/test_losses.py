@@ -471,3 +471,25 @@ def test_distillation_zero_norm_row_is_named_by_index(side, row):
     rows[side][row] = 0.0
     with pytest.raises(DegenerateFeatureError, match=rf"sample index {row}$"):
         feature_distillation_loss(rows["new"], rows["old"])
+
+
+def test_batch_refuses_memory_flags_it_used_to_cast():
+    # Before, from_memory=[2, 0] was held as [True, False].
+    with pytest.raises(DataError, match="from_memory must be bools, or integers with none other"):
+        LabeledBatch(np.ones((2, 3)), [1, 0], [2, 0])
+    assert LabeledBatch(np.ones((2, 3)), [1, 0], [1, 0]).from_memory.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("labels", [[0.9, 1.0], [True, False], ["0", "1"]])
+def test_cross_entropy_refuses_labels_it_used_to_truncate(labels):
+    # Before, the label 0.9 was truncated to 0.
+    with pytest.raises(DataError, match="labels must be integers that fit int64"):
+        build_simplex(3).loss(np.ones((2, 2)), labels, False)
+
+
+def test_a_batch_leaves_its_labels_to_the_loss():
+    batch = LabeledBatch(np.ones((2, 3)), [0.9, 1.0], [False, False])
+    assert batch.labels.tolist() == [0.9, 1.0]
+    model = init_model(ModelConfig(3, (4,), 2, "tanh", 0))
+    with pytest.raises(DataError, match="labels must be integers that fit int64, got float64"):
+        combined_loss(batch, model, None, build_simplex(3), 0.0)

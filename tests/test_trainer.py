@@ -164,7 +164,7 @@ def test_trainable_mode_rejects_labels_beyond_the_grown_classifier():
     # Task 1 introduces two classes, so the classifier has rows 0 and 1 only.
     inputs = np.random.default_rng(0).standard_normal((16, DIM))
     data = LabeledDataset(inputs=inputs, labels=np.array([2, 3] * 8))
-    sequence = TaskSequence(tasks=(Task(index=1, data=data, classes=(2, 3)),), total_classes=4)
+    sequence = TaskSequence(tasks=(Task(index=1, data=data),), total_classes=4)
     with pytest.raises(DataError):
         run_sequence(tiny_config(4, classifier_mode="trainable"), sequence)
 
