@@ -211,7 +211,10 @@ def read_matrix_csv(path) -> CompatibilityMatrix:
         )
     except ValueError as exc:
         raise DataError(f"{path}: malformed matrix row ({exc})") from exc
-    return CompatibilityMatrix(values=values, metric=header["metric"], far_target=far)
+    try:
+        return CompatibilityMatrix(values=values, metric=header["metric"], far_target=far)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _write_report(matrix: CompatibilityMatrix, path) -> None:

@@ -29,12 +29,10 @@ No extraction depends on another, nor any cell, so ``on_every_cpu`` runs the
 checkpoints' extractions and then the cells on a pool, each exactly as alone
 (``pair_scores`` and then the metric): the matrix holds the same bytes on one CPU
 or many. Extraction is gemm, which runs outside the GIL. The cell kernels
-(gathers, products, sums, sorts) use no BLAS and at these sizes hold it: with
-numpy 2.4.6, mid-scale cells on 2 workers ran at CPU/wall 1.00. Pooled extraction
-is affordable because a forward pass keeps one array per layer: with the former
-pass it raised the mid-scale benchmark's peak RSS to 211 MB. On 2 vCPUs (10 runs
-each) mid-scale eval took a median 0.321 s of wall time against 0.352 s with
-serial extraction, at a peak RSS of 163 MB against 160 MB.
+(gathers, products, sums, sorts) use no BLAS and at these sizes hold it, so
+they run about one at a time. Pooled extraction shortens eval, and it is
+affordable because a forward pass keeps one array per layer: a pass that kept
+three raised peak RSS well above serial extraction's.
 """
 
 import os
@@ -48,8 +46,7 @@ from .network import FeatureExtractorState, extract_features, feature_norms
 
 METRIC_KINDS = ("accuracy", "tar_at_far")
 # Pairs whose gathered feature rows a cell holds at once. Every worker holds its
-# own block; at 4096 rows the mid-scale peak RSS was 171 MB, against 161-168 MB
-# at 512 and the same speed.
+# own block; larger blocks raised peak RSS at the same speed.
 SCORE_BLOCK = 512
 
 
@@ -308,8 +305,7 @@ def on_every_cpu(fn, items) -> list:
     ``items`` is a non-empty sequence. The calling thread takes every workers-th
     item and a pool of workers - 1 threads the rest, so one worker starts no
     thread. Each thread that allocates gets a glibc malloc arena that keeps what
-    it freed, so large buffers are best allocated before the split: at mid scale,
-    a pool thread beside an idle caller read 173 MB of peak RSS against 165. The
+    it freed, so large buffers are best allocated before the split. The
     results are taken in item order, so the error of the lowest-indexed item that
     fails reaches the caller, whatever the CPU count, once the pool's threads end.
     """

@@ -1,36 +1,38 @@
 """Versioned feature store and exact nearest-neighbor search.
 
-A gallery is indexed once with one model version and holds features only (no
-raw inputs). Later models query it directly: query features are extracted
-with the current model and compared against the stored ones by cosine
-similarity, so the store is never re-extracted. Search is exact: it returns
-the top n of a full sort by (descending similarity, ascending id), yet gives
-the exact cosine only to candidates. Per query, ``dots * inv_norms`` is the
-cosine times the query norm within a few ulps, with the dot's sign. Cut into
+A gallery is indexed once with one model version and holds features only (no raw
+inputs). Later models query it directly: query features are extracted with the
+current model and compared against the stored ones by cosine similarity, so the
+store is never re-extracted. Search is exact: it returns the top n of a full
+sort by (descending similarity, ascending id), yet gives the exact cosine only
+to candidates. A ``Gallery`` keeps its rows scaled to unit norm, so one product
+of the queries with them scores each entry's cosine times the query norm, with
+the cosine's sign, within about (dim + 2) * 2**-53 of the query norm. Cut into
 chunks of ``len(gallery) // max(SEARCH_CHUNKS, 4 * n)`` entries (one entry when
-that is under ``SEARCH_CHUNKS``), its n-th largest chunk maximum is at most its
-n-th largest value: each of the n best chunks holds an entry that large. Lowered
-by 1e-9 of its magnitude, far above those ulps, this bound keeps every entry
-whose exact cosine is at or above the n-th largest, ties included, as long as
-norm products and cosines are normal floats (norms above about 1e-154). Only
+that is under ``SEARCH_CHUNKS``), a query's scores have an n-th largest chunk
+maximum at most their n-th largest value: each of the n best chunks holds a
+score that large. Lowered by 1e-9 of the query norm, far above that error, this
+bound keeps every entry whose exact cosine is at or above the n-th largest, ties
+included, also where that cosine is near 0, as long as norm products and cosines
+are normal floats (norms above about 1e-154). A candidate's exact cosine is the
+element-wise sum of its feature products over the product of the two norms,
+clipped to [-1, 1]: it depends on that query and that entry alone. Only
 ``Gallery`` decides what a gallery holds, however it is built: at least one
 entry, unique ``str`` ids, an ``indexed_by`` that is a non-negative int, one
 feature row and one int64 label (if any) per id, and stored norms that pass
 ``network.feature_norms``, as query norms must.
 
 A batched search extracts every query's features once and scores them in
-blocks of ``rows = max(2, SEARCH_BLOCK_CELLS // len(gallery))`` queries, inline
+blocks of ``rows = max(1, SEARCH_BLOCK_CELLS // len(gallery))`` queries, inline
 when one block holds them all. Otherwise ``evalkit.on_every_cpu`` runs at most
-``rows // 2`` workers on blocks of ``rows // workers`` queries, with scratch the
+``rows`` workers on blocks of ``rows // workers`` queries, with scratch the
 calling thread allocates, so the blocks in flight hold one block's 16 MB of
-products (and as much of approximate cosines). Unlike the matrix cells, which
-use no BLAS, blocks call gemm concurrently, each exactly as alone: on 2 vCPUs
-search-large's 1,000 queries took a median 0.147 s on the pool and 0.192 s on
-one worker (10 runs each). A one-row tail joins the block before it: numpy
-sends a one-row product to gemv, whose last bits may differ from gemm's. With
-gemm rows that do not depend on the row count (OpenBLAS), any blocking on any
-number of CPUs gives the bits of one full product, and a one-query search
-differs from its row of a batched one by at most about 7e-16 in similarity.
+scores. Unlike the matrix cells, which use no BLAS, blocks call gemm
+concurrently. Since no exact cosine comes from that product, a query's result
+depends on its features alone, not on its block: any blocking on any number of
+CPUs gives the same bits. A one-query search gives the bits of its row in a
+batched one where extraction gives the query the same features, which its gemm
+need not: their last bits may depend on the row count.
 
 On disk features are float32; in memory and in all similarity computations
 they are float64. A ``Gallery`` holds them on the float32 grid, copied there
@@ -72,7 +74,7 @@ class Gallery:
     indexed_by: int
     labels: tuple[int, ...] | None = None
     norms: np.ndarray = field(init=False, repr=False)
-    inv_norms: np.ndarray = field(init=False, repr=False)
+    units: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -100,7 +102,8 @@ class Gallery:
                 raise DataError("labels, when given, must be one int64 integer per id")
             object.__setattr__(self, "labels", tuple(labels.tolist()))
         norms = feature_norms(features, lambda i: f"stored feature of gallery id {self.ids[i]!r}")
-        for name, array in (("features", features), ("norms", norms), ("inv_norms", 1 / norms)):
+        units = features * (1 / norms)[:, None]
+        for name, array in (("features", features), ("norms", norms), ("units", units)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -152,49 +155,47 @@ def search(
         raise ConfigError(f"top-n must be in [1, {len(gallery)}], the gallery size, got {top_n}")
     query_features = extract_features(query_model, query_inputs)
     q_norms = feature_norms(query_features, lambda i: f"query feature at index {i}")
-    ids, count = gallery.ids, len(query_features)
-    rows = max(2, SEARCH_BLOCK_CELLS // len(ids))
-    if count <= rows + 1:  # one block, inline; numpy allocates, which is faster for one query
-        return _rank_block(query_features, q_norms, gallery, top_n, None, None)
-    workers = min(evalkit._cpu_count(), rows // 2)
+    count = len(query_features)
+    rows = max(1, SEARCH_BLOCK_CELLS // len(gallery))
+    if count <= rows:  # one block, inline; numpy allocates, which is faster for one query
+        return _rank_block(query_features, q_norms, gallery, top_n, None)
+    workers = min(evalkit._cpu_count(), rows)
     step = rows // workers
-    starts = range(0, count - 1, step)  # a one-row tail joins the block before it
-    # Per worker, from the calling thread: products and approximate cosines of up to
-    # step + 1 queries.
-    scratch = np.empty((workers, 2 * step + 2, len(ids)))
+    starts = range(0, count, step)
+    scratch = np.empty((workers, step, len(gallery)))  # per worker, from the calling thread
     results = [None] * count
 
     def rank(worker):
-        own = scratch[worker]
         for start in starts[worker::workers]:
-            n = count - start if count - start <= step + 1 else step
-            block = slice(start, start + n)
+            block = slice(start, start + step)
             results[block] = _rank_block(query_features[block], q_norms[block], gallery, top_n,
-                                         own[:n], own[step + 1 : step + 1 + n])
+                                         scratch[worker, : min(step, count - start)])
 
     evalkit.on_every_cpu(rank, range(workers))
     return results
 
 
-def _rank_block(features, norms, gallery, top_n, dots, approx):
+def _rank_block(features, norms, gallery, top_n, approx):
     """Each query's ranked (id, similarity) list, for one block of queries, scored in
-    ``dots`` and ``approx`` (numpy allocates where None)."""
+    ``approx`` (numpy allocates where None)."""
     ids, size = gallery.ids, len(gallery)
-    dots = np.matmul(features, gallery.features.T, out=dots)
-    approx = np.multiply(dots, gallery.inv_norms, out=approx)  # cosine times query norm
+    approx = np.matmul(features, gallery.units.T, out=approx)  # cosine times query norm
     step = size // max(SEARCH_CHUNKS, 4 * top_n)  # so more than top_n chunks
     # Below SEARCH_CHUNKS entries a chunk saves less than its reduction costs: use one each.
     peaks = approx if step < SEARCH_CHUNKS else np.maximum.reduceat(
         approx, np.arange(0, size, step), 1)
     bound = np.partition(peaks, -top_n)[:, -top_n, None]
-    flat = np.flatnonzero(approx >= bound - abs(bound) * 1e-9)
+    flat = np.flatnonzero(approx >= bound - 1e-9 * norms[:, None])
     rows, cols = np.divmod(flat, size)
     # The exact cosine, by the element-wise formula of a full sort, for the candidates only.
-    sims = dots.take(flat) / (norms[rows] * gallery.norms[cols])
+    products = features.take(rows, 0)
+    products *= gallery.features.take(cols, 0)
+    sims = np.add.reduce(products, 1)
+    sims /= norms.take(rows) * gallery.norms.take(cols)
     sims = np.minimum(np.maximum(sims, -1.0), 1.0).tolist()  # clipped to [-1, 1]
     hits = list(zip([ids[j] for j in cols.tolist()], sims))
     rows = rows.tolist()
-    ends = [bisect_left(rows, r) for r in range(len(dots) + 1)]
+    ends = [bisect_left(rows, r) for r in range(len(features) + 1)]
     # By ascending id, then stably by descending similarity.
     return [sorted(sorted(hits[lo:hi]), key=itemgetter(1), reverse=True)[:top_n]
             for lo, hi in zip(ends, ends[1:])]

@@ -13,7 +13,6 @@ generator seeded with ``ModelConfig.seed``, layers drawn in order; biases
 start at zero.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +119,6 @@ class FeatureExtractorState:
         return all(
             np.all(np.isfinite(a)) for a in (*self.weights, *self.biases)
         )
-
-    def parameter_checksum(self) -> str:
-        """SHA-256 over the raw parameter bytes (weights and biases only)."""
-        h = hashlib.sha256()
-        for arr in (*self.weights, *self.biases):
-            h.update(arr.tobytes())
-        return h.hexdigest()
 
 
 def init_model(config: ModelConfig) -> FeatureExtractorState:

@@ -759,6 +759,23 @@ def test_report_refuses_a_far_target_its_metric_does_not_take(tmp_path, capsys, 
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# schema=compat-matrix/1 metric=accuracy far_target=5.0 tasks=1\n0.5\n",
+        "# schema=compat-matrix/1 metric=accuracy far_target=none tasks=2\n0.5,0.1\n0.5,0.5\n",
+    ],
+    ids=["far-target-on-accuracy", "entry-above-the-diagonal"],
+)
+def test_report_names_the_matrix_file_in_a_matrix_rule_error(tmp_path, capsys, text):
+    # Before, these errors came from CompatibilityMatrix without the file's path.
+    path = tmp_path / "matrix.csv"
+    path.write_text(text)
+    assert main(["report", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.startswith(f"error[data]: {path}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_report_rejects_a_nan_cell(tmp_path):
     path = tmp_path / "matrix.csv"
     path.write_text("# schema=compat-matrix/1 metric=accuracy far_target=none tasks=2\n0.5,0\nnan,0.5\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checksums import parameter_checksum
 from compatlearn.errors import ConfigError, DataError, DivergenceError
 from compatlearn.geometry import build_simplex
 from compatlearn.network import (
@@ -37,13 +38,13 @@ def zero_grads(state):
 def test_same_seed_same_parameters():
     a = init_model(small_config(seed=7))
     b = init_model(small_config(seed=7))
-    assert a.parameter_checksum() == b.parameter_checksum()
+    assert parameter_checksum(a) == parameter_checksum(b)
 
 
 def test_different_seed_different_parameters():
     a = init_model(small_config(seed=7))
     b = init_model(small_config(seed=8))
-    assert a.parameter_checksum() != b.parameter_checksum()
+    assert parameter_checksum(a) != parameter_checksum(b)
 
 
 def test_no_hidden_layers_is_a_linear_map():
@@ -79,9 +80,9 @@ def test_zero_parameters_give_zero_features():
 
 def test_extraction_is_pure():
     state = init_model(small_config())
-    before = state.parameter_checksum()
+    before = parameter_checksum(state)
     extract_features(state, np.random.default_rng(3).standard_normal((8, 6)))
-    assert state.parameter_checksum() == before
+    assert parameter_checksum(state) == before
 
 
 def test_bad_input_dimension_rejected():
@@ -94,10 +95,10 @@ def test_bad_input_dimension_rejected():
 
 def test_zero_gradient_step_is_identity():
     state = init_model(small_config())
-    before = state.parameter_checksum()
+    before = parameter_checksum(state)
     hp = TrainingHyperparams(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
     apply_gradients(state, zero_grads(state), hp, epoch=0)
-    assert state.parameter_checksum() == before
+    assert parameter_checksum(state) == before
     assert state.step == 1
 
 
@@ -183,7 +184,7 @@ def test_divergent_gradient_names_its_array_and_changes_nothing(name, layer, val
     hp = TrainingHyperparams(learning_rate=0.1)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=rf"{name}\[{layer}\]"):
         apply_gradients(state, grads, hp, epoch=0)
-    assert state.parameter_checksum() == before.parameter_checksum()
+    assert parameter_checksum(state) == parameter_checksum(before)
     assert state.step == 0
 
 
@@ -318,4 +319,4 @@ def test_frozen_copy_is_independent_and_read_only():
     with pytest.raises(ValueError):
         frozen.weights[0][0, 0] = 1.0
     state.weights[0][0, 0] += 1.0  # the live state stays writable
-    assert frozen.parameter_checksum() != state.parameter_checksum()
+    assert parameter_checksum(frozen) != parameter_checksum(state)

@@ -5,6 +5,7 @@ import pytest
 
 import dataclasses
 
+from checksums import parameter_checksum
 from compatlearn import losses, trainer
 from compatlearn.cli import cmd_train
 from compatlearn.data import (
@@ -120,14 +121,14 @@ def test_sequence_is_bitwise_reproducible():
     for _ in range(2):
         sequence, _ = tiny_sequence(num_tasks=3)
         timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
-        checksums.append([c.parameter_checksum() for c in timeline.checkpoints])
+        checksums.append([parameter_checksum(c) for c in timeline.checkpoints])
     assert checksums[0] == checksums[1]
 
 
 def test_checkpoints_are_frozen_and_distinct():
     sequence, _ = tiny_sequence(num_tasks=3)
     timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
-    sums = [c.parameter_checksum() for c in timeline.checkpoints]
+    sums = [parameter_checksum(c) for c in timeline.checkpoints]
     assert len(set(sums)) == 3  # warm start but training moves the weights
     with pytest.raises(ValueError):
         timeline.checkpoints[0].weights[0][0, 0] = 1.0
@@ -226,7 +227,7 @@ def test_full_batch_fd_mode_covers_current_samples():
     t_all = run_sequence(cfg_all, sequence2)
     # same seeds, different scope: the trained weights must differ
     assert (
-        t_mem.checkpoints[1].parameter_checksum() != t_all.checkpoints[1].parameter_checksum()
+        parameter_checksum(t_mem.checkpoints[1]) != parameter_checksum(t_all.checkpoints[1])
     )
 
 
