@@ -5,9 +5,11 @@ refuses an unknown or repeated key or a value breaking a rule before any work,
 because a silent config typo invalidates an experiment. With identical config
 and seeds every command produces byte-identical primary outputs; wall-clock
 timings live only in the manifest. ``cmd_train`` writes every experiment file.
-``cmd_eval`` reads the held-out set and its pairs from ``heldout.ckpt`` alone;
-``eval_data.csv`` and ``pairs.csv`` hold the same arrays as text, for readers
-outside the package, and ``eval`` does not read them.
+``eval`` reads only what ``manifest.json`` lists (``load_experiment``): each file
+must hold the sha256 recorded there, and ``config.json`` is never parsed, so an
+experiment outlives a config key. The held-out set and its pairs come from
+``heldout.ckpt``; ``eval_data.csv`` and ``pairs.csv`` hold the same arrays as
+text, for readers outside the package, and ``eval`` does not read them.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (an allocation larger
 than the machine can make included), 4 numeric divergence.
@@ -24,6 +26,7 @@ import shutil
 import sys
 import tempfile
 import time
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +55,9 @@ from .errors import (
 )
 from .evalkit import (
     CompatibilityMatrix,
+    VerificationPairSet,
     build_compatibility_matrix,
+    check_metric,
     compatibility_report,
 )
 from .gallery import load_gallery, search
@@ -67,6 +72,8 @@ EXIT_DIVERGED = 4
 MATRIX_SCHEMA = "compat-matrix/1"
 REPORT_SCHEMA = "compat-report/1"
 MANIFEST_SCHEMA = "run-manifest/1"
+MANIFEST_NAME = "manifest.json"
+HELDOUT_NAME = "heldout.ckpt"
 CHECKPOINT_NAME = "checkpoint_task_{:03d}.ckpt"  # of 1-based task t: .format(t)
 
 
@@ -120,7 +127,7 @@ def experiment_components(config: dict):
 def write_manifest(out_dir: Path, config_text: str, task_seconds: list[float]) -> None:
     artifacts = {}
     for path in sorted(out_dir.iterdir()):
-        if path.name == "manifest.json" or not path.is_file():
+        if path.name == MANIFEST_NAME or not path.is_file():
             continue
         artifacts[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest = {
@@ -131,7 +138,7 @@ def write_manifest(out_dir: Path, config_text: str, task_seconds: list[float]) -
         "task_seconds": task_seconds,
         "created_unix": time.time(),
     }
-    write_atomic(out_dir / "manifest.json", [canonical_json(manifest).encode("utf-8")])
+    write_atomic(out_dir / MANIFEST_NAME, [canonical_json(manifest).encode("utf-8")])
 
 
 def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
@@ -166,7 +173,7 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
         write_training_log(log_rows, stage / "training_log.csv")
         save_csv(eval_dataset, stage / "eval_data.csv")
         save_pairs(pairs, stage / "pairs.csv")
-        save_heldout(eval_dataset, pairs, stage / "heldout.ckpt")
+        save_heldout(eval_dataset, pairs, stage / HELDOUT_NAME)
         write_manifest(stage, config_text, timeline.task_seconds)
         os.replace(stage, target)
     except BaseException:
@@ -235,22 +242,34 @@ def _write_report(matrix: CompatibilityMatrix, path) -> None:
     write_atomic(path, [canonical_json(payload).encode("utf-8")])
 
 
-def _checkpoint_paths(exp: Path) -> list[Path]:
-    """Checkpoints 1..T in task order, T being ``data.num_tasks`` in the experiment's config."""
+def load_experiment(exp) -> tuple[list, VerificationPairSet]:
+    """The checkpoints 1..T its manifest lists, in task order, and the held-out pairs.
+
+    Each file must hold the sha256 the manifest records once its own reader accepts it.
+    Anything else, an unlisted checkpoint on disk included, is a DataError naming a path.
+    """
+    exp, pattern = Path(exp), CHECKPOINT_NAME.replace("{:03d}", "*")
     try:
-        num_tasks = load_config(exp / "config.json")["data"]["num_tasks"]
-    except ConfigError as exc:  # the experiment's own file: bad data, not a bad argument
-        raise DataError(f"experiment config {exp / 'config.json'}: {exc}") from exc
-    present = {p.name for p in exp.glob("checkpoint_task_*.ckpt")}
-    names = []
-    for task in range(1, num_tasks + 1):  # stops at the first gap, so at most len(present) + 1
-        names.append(CHECKPOINT_NAME.format(task))
-        if names[-1] not in present:
-            raise DataError(f"missing checkpoint {exp / names[-1]}: the run has {num_tasks} tasks")
-    extra = sorted(present - set(names))
+        artifacts = json.loads((exp / MANIFEST_NAME).read_bytes())["artifacts"]
+        listed = {name for name in artifacts.keys() if fnmatchcase(name, pattern)}
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
+        raise DataError(f"unreadable manifest {exp / MANIFEST_NAME}: {exc!r}") from exc
+    names = [CHECKPOINT_NAME.format(task) for task in range(1, len(listed) + 1)]
+    for name in names:
+        if name not in listed or not (exp / name).is_file():
+            raise DataError(f"missing checkpoint {exp / name}: the run has {len(names)} tasks")
+    extra = sorted(listed.union(p.name for p in exp.glob(pattern)) - set(names))
     if extra:
-        raise DataError(f"unexpected checkpoint {exp / extra[0]}: the run has {num_tasks} tasks")
-    return [exp / name for name in names]
+        raise DataError(f"unexpected checkpoint {exp / extra[0]}: the run has {len(names)} tasks")
+
+    def verified(path, reader):
+        value = reader(path)
+        if hashlib.sha256(path.read_bytes()).hexdigest() != artifacts.get(path.name):
+            raise DataError(f"{path}: not the file {MANIFEST_NAME} records (sha256 differs)")
+        return value
+
+    return [verified(exp / name, load_model) for name in names], verified(
+        exp / HELDOUT_NAME, load_heldout)
 
 
 def cmd_eval(
@@ -260,15 +279,13 @@ def cmd_eval(
     out_dir=None,
 ) -> tuple[Path, Path]:
     """Score an experiment directory into matrix.csv and report.json."""
-    if (metric == "tar_at_far") != (far is not None):
-        raise ConfigError("--metric tar_at_far needs --far, and no other metric takes it")
-    if far is not None and not 0 < far <= 1:
-        raise ConfigError(f"--far must be in (0, 1], got {far}")
-    exp = Path(exp_dir)
-    models = [load_model(p) for p in _checkpoint_paths(exp)]
-    pairs = load_heldout(exp / "heldout.ckpt")
+    try:
+        check_metric(metric, far)
+    except DataError as exc:  # an argument, not a file
+        raise ConfigError(f"--metric/--far: {exc}") from None
+    models, pairs = load_experiment(exp_dir)
     matrix = build_compatibility_matrix(models, pairs, metric=metric, far_target=far)
-    out = Path(out_dir) if out_dir else exp
+    out = Path(out_dir) if out_dir else Path(exp_dir)
     out.mkdir(parents=True, exist_ok=True)
     matrix_path = out / "matrix.csv"
     report_path = out / "report.json"

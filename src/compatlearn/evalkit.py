@@ -45,8 +45,8 @@ from .errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
 METRIC_KINDS = ("accuracy", "tar_at_far")
-# Pairs whose gathered feature rows a cell holds at once. Every worker holds its
-# own block; larger blocks raised peak RSS at the same speed.
+# Pairs whose gathered feature rows ``gathered_cosines`` holds at once. Every worker
+# holds its own block; larger blocks raised peak RSS at the same speed.
 SCORE_BLOCK = 512
 
 
@@ -183,29 +183,23 @@ class _SampleRows:
         feats = extract_features(model, self.inputs)
         return feats, feature_norms(feats, lambda i: f"feature of held-out row {self.distinct[i]}")
 
-    def cell_scores(self, query, gallery) -> np.ndarray:
-        """Cosine per pair: query features on side A, gallery features on side B.
 
-        ``query`` and ``gallery`` are ``features()`` results.
-        """
-        (feats_q, norms_q), (feats_g, norms_g) = query, gallery
-        if feats_q.shape[1] != feats_g.shape[1]:
-            raise DataError(
-                f"models have different feature dimensions: "
-                f"{feats_q.shape[1]} vs {feats_g.shape[1]}"
-            )
-        # Gathered feature rows go block by block, so a cell holds a block of
-        # them at a time rather than two copies the size of the pair set.
-        dots = np.empty(len(self.rows_a))
-        for start in range(0, len(dots), SCORE_BLOCK):
-            block = slice(start, start + SCORE_BLOCK)
-            rows = feats_q[self.rows_a[block]]
-            rows *= feats_g[self.rows_b[block]]
-            np.sum(rows, axis=1, out=dots[block])
-        norms = norms_q[self.rows_a]
-        norms *= norms_g[self.rows_b]
-        dots /= norms
-        return np.clip(dots, -1.0, 1.0, out=dots)
+def gathered_cosines(side_a, rows_a, side_b, rows_b) -> np.ndarray:
+    """Cosine of row ``rows_a[i]`` of side A, a (features, norms) pair, with row ``rows_b[i]``
+    of side B: the element-wise sum of their products over their norms' product, clipped to
+    [-1, 1]. Gathered rows go ``SCORE_BLOCK`` pairs at a time, however many pairs there are."""
+    (feats_a, norms_a), (feats_b, norms_b) = side_a, side_b
+    dims = feats_a.shape[1], feats_b.shape[1]
+    if dims[0] != dims[1]:
+        raise DataError(f"models have different feature dimensions: {dims[0]} vs {dims[1]}")
+    dots = np.empty(len(rows_a))
+    for start in range(0, len(dots), SCORE_BLOCK):
+        block = slice(start, start + SCORE_BLOCK)
+        rows = feats_a.take(rows_a[block], 0)
+        rows *= feats_b.take(rows_b[block], 0)
+        np.add.reduce(rows, 1, out=dots[block])
+    dots /= norms_a.take(rows_a) * norms_b.take(rows_b)
+    return np.minimum(np.maximum(dots, -1.0, out=dots), 1.0, out=dots)  # np.clip costs more
 
 
 def pair_scores(
@@ -215,8 +209,8 @@ def pair_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cosine score of every pair: query model on side A, gallery model on side B."""
     samples = _SampleRows(pairs)
-    scores = samples.cell_scores(samples.features(query_model), samples.features(gallery_model))
-    return scores, pairs.genuine.copy()
+    query, gallery = samples.features(query_model), samples.features(gallery_model)
+    return gathered_cosines(query, samples.rows_a, gallery, samples.rows_b), pairs.genuine.copy()
 
 
 def _scored_pairs(scores, genuine) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +341,7 @@ def build_compatibility_matrix(
 
     def score(cell) -> MetricResult:
         t, k = cell
-        scores = samples.cell_scores(features[t], features[k])
+        scores = gathered_cosines(features[t], samples.rows_a, features[k], samples.rows_b)
         if metric == "accuracy":
             return verification_accuracy(scores, pairs.genuine)
         return tar_at_far(scores, pairs.genuine, far_target)

@@ -16,11 +16,12 @@ bound keeps every entry whose exact cosine is at or above the n-th largest, ties
 included, also where that cosine is near 0, as long as norm products and cosines
 are normal floats (norms above about 1e-154). A candidate's exact cosine is the
 element-wise sum of its feature products over the product of the two norms,
-clipped to [-1, 1]: it depends on that query and that entry alone. Only
-``Gallery`` decides what a gallery holds, however it is built: at least one
-entry, unique ``str`` ids, an ``indexed_by`` that is a non-negative int, one
-feature row and one int64 label (if any) per id, and stored norms that pass
-``network.feature_norms``, as query norms must.
+clipped to [-1, 1] by ``evalkit.gathered_cosines``, as a matrix cell's are: it
+depends on that query and that entry alone. Only ``Gallery`` decides what a
+gallery holds, however it is built: at least one entry, unique ``str`` ids, an
+``indexed_by`` that is a non-negative int, one feature row and one int64 label
+(if any) per id, and stored norms that pass ``network.feature_norms``, as query
+norms must.
 
 A batched search extracts every query's features once and scores them in
 blocks of ``rows = max(1, SEARCH_BLOCK_CELLS // len(gallery))`` queries, inline
@@ -188,11 +189,8 @@ def _rank_block(features, norms, gallery, top_n, approx):
     flat = np.flatnonzero(approx >= bound - 1e-9 * norms[:, None])
     rows, cols = np.divmod(flat, size)
     # The exact cosine, by the element-wise formula of a full sort, for the candidates only.
-    products = features.take(rows, 0)
-    products *= gallery.features.take(cols, 0)
-    sims = np.add.reduce(products, 1)
-    sims /= norms.take(rows) * gallery.norms.take(cols)
-    sims = np.minimum(np.maximum(sims, -1.0), 1.0).tolist()  # clipped to [-1, 1]
+    sims = evalkit.gathered_cosines((features, norms), rows, (gallery.features, gallery.norms),
+                                    cols).tolist()
     hits = list(zip([ids[j] for j in cols.tolist()], sims))
     rows = rows.tolist()
     ends = [bisect_left(rows, r) for r in range(len(features) + 1)]

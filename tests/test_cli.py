@@ -24,6 +24,7 @@ from compatlearn.cli import (
     main,
     read_matrix_csv,
     validate_config,
+    write_manifest,
 )
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from compatlearn.container import read_container, write_artifact, write_container
@@ -363,10 +364,11 @@ def test_unreadable_config_is_a_config_error(tmp_path, content):
 
 
 def small_experiment(tmp_path):
-    """An experiment directory with one checkpoint and a valid held-out set."""
+    """An experiment directory with one checkpoint, a valid held-out set and a manifest."""
     exp = tmp_path / "exp"
     exp.mkdir()
-    (exp / "config.json").write_text(json.dumps({"data": {"num_tasks": 1}}))
+    config_text = json.dumps({"data": {"num_tasks": 1}})
+    (exp / "config.json").write_text(config_text)
     model = init_model(
         ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3, nonlinearity="tanh", seed=0)
     )
@@ -375,6 +377,7 @@ def small_experiment(tmp_path):
         SyntheticSpec(num_classes=3, samples_per_class=4, input_dim=4, cluster_sigma=0.1)
     )
     save_heldout(held_out, generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
+    write_manifest(exp, config_text, [0.0])
     return exp
 
 
@@ -511,36 +514,107 @@ def test_eval_reads_neither_csv_export(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, b"{not json", b'{"data": {"num_tasks": 0}}', b'{"data": {"num_taks": 1}}'],
-    ids=["missing", "not-json", "zero-tasks", "unknown-key"],
+    [None, b"{not json", b'{"data": {"num_tasks": 0}}', b'{"data": {"num_taks": 1}}', "source"],
+    ids=["missing", "not-json", "zero-tasks", "unknown-key", "data-source"],
 )
-def test_eval_refuses_an_unreadable_experiment_config(tmp_path, capsys, content):
-    exp = small_experiment(tmp_path)
-    if content is None:
-        (exp / "config.json").unlink()
-    else:
-        (exp / "config.json").write_bytes(content)
-    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error[data]: experiment config ")
-    assert "config.json" in err
-    assert not (tmp_path / "bad").exists()
-
-
-def test_eval_refuses_an_experiment_config_that_still_holds_data_source(tmp_path, capsys):
-    # data.source repeated whether data.csv_path was set; eval reads config.json, so a
-    # directory written before the key was dropped is refused until the key is deleted.
+def test_eval_never_reads_the_experiment_config(tmp_path, content):
+    # The manifest lists what eval reads, so a config.json that is gone, garbled or
+    # refused by today's schema (data.source repeated whether data.csv_path was set,
+    # and was dropped from it) changes no byte eval writes.
     exp = trained_experiment(tmp_path, num_tasks=2)
-    config = json.loads((exp / "config.json").read_text())
-    config["data"]["source"] = "synthetic"
-    (exp / "config.json").write_text(json.dumps(config))
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "before")]) == 0
+    config = exp / "config.json"
+    if content is None:
+        config.unlink()
+    elif content == "source":
+        payload = json.loads(config.read_text())
+        payload["data"]["source"] = "synthetic"
+        config.write_text(json.dumps(payload))
+    else:
+        config.write_bytes(content)
+    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "after")]) == 0
+    for name in ("matrix.csv", "report.json"):
+        before, after = (tmp_path / run / name for run in ("before", "after"))
+        assert after.read_bytes() == before.read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, config, seed",
+    [
+        ("checkpoint_task_002.ckpt", {"data": {"num_tasks": 2}}, "2"),
+        ("heldout.ckpt", {"data": {"num_tasks": 2, "split_seed": 7}}, "1"),
+    ],
+    ids=["checkpoint-of-seed-2", "heldout-of-split-seed-7"],
+)
+def test_eval_refuses_a_well_formed_file_from_another_run(tmp_path, capsys, name, config, seed):
+    exp = trained_experiment(tmp_path, num_tasks=2)
+    other = tmp_path / "other"
+    argv = ["train", "--config", str(write_config(tmp_path, config, name="other.json"))]
+    assert main([*argv, "--out", str(other), "--seed", seed]) == 0
+    assert (other / name).read_bytes() != (exp / name).read_bytes()
+    (exp / name).write_bytes((other / name).read_bytes())  # its CRCs and reader pass
     capsys.readouterr()
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
-    assert "unknown config key data.source" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error[data]: {exp / name}: not the file manifest.json records"
+    )
     assert not (tmp_path / "bad").exists()
-    del config["data"]["source"]
-    (exp / "config.json").write_text(json.dumps(config))
-    assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "good")]) == 0
+
+
+def drop_artifact(name):
+    return lambda manifest: manifest["artifacts"].pop(name)
+
+
+def set_artifact(name, value):
+    return lambda manifest: manifest["artifacts"].__setitem__(name, value)
+
+
+UNREADABLE = "unreadable manifest {exp}/manifest.json: "
+ZEROS = "0" * 64
+MISSING, UNEXPECTED = "missing checkpoint {exp}/", "unexpected checkpoint {exp}/"
+
+
+def changed(name):
+    return "{exp}/" + name + ": not the file manifest.json records (sha256 differs)"
+
+
+# Edits of a 3-task run's manifest, and the start of eval's error for each.
+MANIFEST_EDITS = {
+    "deleted": (None, UNREADABLE + "FileNotFoundError"),
+    "not-json": (b"{", UNREADABLE + "JSONDecodeError"),
+    "undecodable": (b"\xff", UNREADABLE + "UnicodeDecodeError"),
+    "too-deep": (b"[" * 100_000, UNREADABLE + "RecursionError"),
+    "no-artifacts": (b"{}", UNREADABLE + "KeyError"),
+    "artifacts-a-list": (b'{"artifacts": []}', UNREADABLE),
+    "gap": (drop_artifact("checkpoint_task_002.ckpt"), MISSING + "checkpoint_task_002"),
+    "unlisted": (drop_artifact("checkpoint_task_003.ckpt"), UNEXPECTED + "checkpoint_task_003"),
+    "absent": (set_artifact("checkpoint_task_004.ckpt", ZEROS), MISSING + "checkpoint_task_004"),
+    "odd-name": (set_artifact("checkpoint_task_x.ckpt", ZEROS), MISSING + "checkpoint_task_004"),
+    "heldout-unlisted": (drop_artifact("heldout.ckpt"), changed("heldout.ckpt")),
+    "hash-changed": (
+        set_artifact("checkpoint_task_001.ckpt", ZEROS), changed("checkpoint_task_001.ckpt")
+    ),
+    "hash-not-a-string": (set_artifact("heldout.ckpt", None), changed("heldout.ckpt")),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MANIFEST_EDITS))
+def test_eval_reads_an_experiment_through_its_manifest(tmp_path, capsys, edit):
+    exp = trained_experiment(tmp_path)
+    path = exp / "manifest.json"
+    change, message = MANIFEST_EDITS[edit]
+    if change is None:
+        path.unlink()
+    elif isinstance(change, bytes):
+        path.write_bytes(change)
+    else:
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--exp", str(exp)]) == 3
+    assert capsys.readouterr().err.startswith("error[data]: " + message.format(exp=exp))
+    assert not (exp / "matrix.csv").exists() and not (exp / "report.json").exists()
 
 
 def test_checkpoint_meta_nested_too_deep_is_a_data_error(tmp_path, capsys):

@@ -393,11 +393,30 @@ def test_a_one_block_search_starts_no_thread_and_reads_no_cpu_count(monkeypatch,
     assert search(inputs, identity_model(5), gallery, top_n=3) == expected
 
 
-def search_peak_bytes(gallery, queries, model):
+def test_one_query_search_through_a_hidden_layer_matches_its_batched_row():
+    # Through a hidden layer extraction is gemm, whose last bits may depend on the row
+    # count (an identity model's are exact): a query extracted alone need not give its
+    # batched row's features, so its similarities may move by a few ulps, not its ids.
+    rng = np.random.default_rng(5)
+    model = init_model(
+        ModelConfig(input_dim=16, hidden_layers=(32,), feature_dim=8, nonlinearity="tanh", seed=1)
+    )
+    ids = [f"g{i:03d}" for i in range(300)]
+    gallery = index_gallery(ids, rng.normal(size=(300, 16)), model, 1)
+    queries = rng.normal(size=(40, 16))
+    for query, row in zip(queries, search(queries, model, gallery, top_n=5)):
+        (single,) = search(query[None], model, gallery, top_n=5)
+        assert [gid for gid, _ in single] == [gid for gid, _ in row]
+        np.testing.assert_array_max_ulp(
+            np.array([sim for _, sim in single]), np.array([sim for _, sim in row]), maxulp=8
+        )
+
+
+def search_peak_bytes(gallery, queries, model, top_n=1):
     """Peak traced allocation of one search above what its result keeps."""
     tracemalloc.start()
     try:
-        results = search(queries, model, gallery, top_n=1)
+        results = search(queries, model, gallery, top_n=top_n)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -421,6 +440,17 @@ def test_batched_search_memory_is_bounded_by_the_block(monkeypatch):
         # Only the query features and their norms grow with Q: 1,200 more rows of
         # 3 + 1 float64 (38 KB), against 9.6 MB more for a Q x G matrix.
         assert peak_1600 - peak_400 < 2 * 1200 * (3 + 1) * 8
+
+
+def test_exact_step_memory_is_bounded_by_the_score_block():
+    # A top_n of the whole gallery makes every entry a candidate: 4 x 2,000 of them.
+    # Gathered SCORE_BLOCK candidates at a time, the exact step holds no candidates x
+    # feature_dim array (4 MB here); holding two of them, it peaked near 8 MB.
+    gallery, queries = float_gallery(size=2000, dim=64, queries=4, seed=6)
+    model = identity_model(64)
+    search(queries[:1], model, gallery, top_n=len(gallery))  # first-call allocations
+    one_array = len(queries) * len(gallery) * 64 * 8
+    assert search_peak_bytes(gallery, queries, model, top_n=len(gallery)) < one_array / 2
 
 
 @pytest.mark.parametrize("indexed_by", [1.5, True, "2", -3, None])
