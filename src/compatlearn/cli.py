@@ -11,8 +11,8 @@ experiment outlives a config key. The held-out set and its pairs come from
 ``heldout.ckpt``; ``eval_data.csv`` and ``pairs.csv`` hold the same arrays as
 text, for readers outside the package, and ``eval`` does not read them.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (an allocation larger
-than the machine can make included), 4 numeric divergence.
+``main`` exits 0, or prints ``error[<label>]: <message>`` and exits with the error
+type's ``exit_code`` (``errors``); an ``OSError`` or ``MemoryError`` is a data error.
 """
 
 import argparse
@@ -46,14 +46,9 @@ from .data import (
     save_pairs,
     split_tasks,
 )
-from .errors import (
-    CompatLearnError,
-    ConfigError,
-    DataError,
-    DivergenceError,
-    MetricUndefinedError,
-)
+from .errors import CompatLearnError, ConfigError, DataError
 from .evalkit import (
+    METRIC_KINDS,
     CompatibilityMatrix,
     VerificationPairSet,
     build_compatibility_matrix,
@@ -63,11 +58,6 @@ from .evalkit import (
 from .gallery import load_gallery, search
 from .network import ModelConfig, TrainingHyperparams
 from .trainer import ExperimentConfig, run_sequence, write_training_log
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_DIVERGED = 4
 
 MATRIX_SCHEMA = "compat-matrix/1"
 REPORT_SCHEMA = "compat-report/1"
@@ -208,6 +198,8 @@ def read_matrix_csv(path) -> CompatibilityMatrix:
     for key in ("metric", "far_target"):
         if key not in header:
             raise DataError(f"{path}: matrix header has no {key}")
+    if header.get("tasks") != str(len(lines) - 1):
+        raise DataError(f"{path}: header tasks={header.get('tasks')} over {len(lines) - 1} rows")
     try:
         far = None if header["far_target"] == "none" else float(header["far_target"])
     except ValueError as exc:
@@ -250,7 +242,10 @@ def load_experiment(exp) -> tuple[list, VerificationPairSet]:
     """
     exp, pattern = Path(exp), CHECKPOINT_NAME.replace("{:03d}", "*")
     try:
-        artifacts = json.loads((exp / MANIFEST_NAME).read_bytes())["artifacts"]
+        manifest = json.loads((exp / MANIFEST_NAME).read_bytes())
+        artifacts, schema = manifest["artifacts"], manifest["schema"]
+        if schema != MANIFEST_SCHEMA:
+            raise ValueError(f"schema {schema!r} is not {MANIFEST_SCHEMA!r}")
         listed = {name for name in artifacts.keys() if fnmatchcase(name, pattern)}
     except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
         raise DataError(f"unreadable manifest {exp / MANIFEST_NAME}: {exc!r}") from exc
@@ -317,6 +312,15 @@ def cmd_report(matrix_csv, out_path) -> Path:
     return Path(out_path)
 
 
+# Each command run on its parsed arguments, returning the line printed on success.
+COMMANDS = {
+    "train": lambda a: f"experiment written to {cmd_train(a.config, a.out, a.seed)}",
+    "eval": lambda a: "wrote {} and {}".format(*cmd_eval(a.exp, a.metric, a.far, a.out)),
+    "search": lambda a: f"wrote {cmd_search(a.gallery, a.queries, a.checkpoint, a.top_n, a.out)}",
+    "report": lambda a: f"wrote {cmd_report(a.matrix, a.out)}",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compatlearn",
@@ -332,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="build the compatibility matrix and report")
     p_eval.add_argument("--exp", required=True, help="experiment directory from train")
-    p_eval.add_argument("--metric", choices=("accuracy", "tar_at_far"), default="accuracy")
+    p_eval.add_argument("--metric", choices=METRIC_KINDS, default="accuracy")
     p_eval.add_argument("--far", type=float, default=None, help="FAR target for tar_at_far")
     p_eval.add_argument("--out", default=None, help="output directory (default: the experiment)")
 
@@ -352,36 +356,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            out = cmd_train(args.config, args.out, seed=args.seed)
-            print(f"experiment written to {out}")
-        elif args.command == "eval":
-            matrix_path, report_path = cmd_eval(
-                args.exp,
-                metric=args.metric,
-                far=args.far,
-                out_dir=args.out,
-            )
-            print(f"wrote {matrix_path} and {report_path}")
-        elif args.command == "search":
-            out = cmd_search(args.gallery, args.queries, args.checkpoint, args.top_n, args.out)
-            print(f"wrote {out}")
-        elif args.command == "report":
-            out = cmd_report(args.matrix, args.out)
-            print(f"wrote {out}")
-    except (ConfigError, MetricUndefinedError) as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, OSError, MemoryError) as exc:
-        print(f"error[data]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"error[divergence]: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except CompatLearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
+        print(COMMANDS[args.command](args))
+    except (CompatLearnError, OSError, MemoryError) as exc:
+        error = exc if isinstance(exc, CompatLearnError) else DataError(exc)
+        print(f"error[{error.label}]: {error}", file=sys.stderr)
+        return error.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numbers
 import sys
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 NONLINEARITIES = ("relu", "tanh")
 CLASSIFIER_MODES = ("fixed_simplex", "trainable")
@@ -116,6 +116,13 @@ def check_fields(section: str, values: dict) -> None:
     if key in values and other in values and not check(values[key], values[other]):
         bound = f"{section}.{other} is {values[other]!r}"
         raise ConfigError(f"invalid value for {section}.{key}: {values[key]!r} ({bound})")
+
+
+def check_size(*shapes) -> None:
+    """A data error for a float64 array of ``shapes`` too large for numpy even to describe."""
+    for shape in [tuple(map(int, shape)) for shape in shapes]:
+        if math.prod(shape) * 8 > sys.maxsize:  # numpy raises ValueError, not MemoryError
+            raise DataError(f"Unable to allocate an array of {shape} float64 values")
 
 
 def validate_config(user: dict) -> dict:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_fields
+from .config import check_fields, check_size
 from .container import read_array, read_artifact, write_artifact, write_atomic
 from .errors import DataError, DisjointnessError
 from .evalkit import VerificationPairSet, as_int64
@@ -135,6 +135,8 @@ class SyntheticSpec:
     def __post_init__(self):
         values = {"sigma" if key == "cluster_sigma" else key: v for key, v in vars(self).items()}
         check_fields("data", values)
+        samples = (self.num_classes, self.samples_per_class, self.input_dim)
+        check_size(samples, (self.input_dim, self.intrinsic_dim or 0))  # and the means' basis
 
 
 def _draw_classes(spec: SyntheticSpec, parts) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -1,16 +1,21 @@
 """Exception hierarchy shared across the package.
 
-Errors fall into three categories that the command line maps to exit codes:
-configuration (2), data (3), numeric divergence (4).
+Each error type carries the ``label`` and the ``exit_code`` that the command line
+reports it with, and a subclass inherits both: configuration (2), data (3),
+numeric divergence (4).
 """
 
 
 class CompatLearnError(Exception):
     """Base class for all package-specific errors."""
 
+    label, exit_code = "data", 3
+
 
 class ConfigError(CompatLearnError):
     """Invalid configuration: bad capacity, inconsistent dimensions, unknown keys."""
+
+    label, exit_code = "config", 2
 
 
 class DataError(CompatLearnError):
@@ -19,6 +24,8 @@ class DataError(CompatLearnError):
 
 class DivergenceError(CompatLearnError):
     """Training produced non-finite values."""
+
+    label, exit_code = "divergence", 4
 
 
 class DegenerateFeatureError(DataError):
@@ -39,3 +46,5 @@ class UnsupportedVersionError(DataError):
 
 class MetricUndefinedError(CompatLearnError):
     """A summary metric was requested where it is mathematically undefined."""
+
+    label, exit_code = "config", 2

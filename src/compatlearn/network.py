@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, check_fields
+from .config import DEFAULT_CONFIG, check_fields, check_size
 from .errors import ConfigError, DataError, DegenerateFeatureError, DivergenceError
 
 
@@ -39,6 +39,7 @@ class ModelConfig:
         for key in ("input_dim", "feature_dim", "seed"):  # a numpy integer is no JSON int
             object.__setattr__(self, key, int(getattr(self, key)))
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        check_size(*zip(self.layer_sizes(), self.layer_sizes()[1:]))  # each weight matrix
 
     def layer_sizes(self) -> list[int]:
         return [self.input_dim, *self.hidden_layers, self.feature_dim]

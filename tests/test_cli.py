@@ -38,7 +38,14 @@ from compatlearn.data import (
     save_csv,
     save_heldout,
 )
-from compatlearn.errors import CompatLearnError, ConfigError, CorruptFileError, DataError
+from compatlearn.errors import (
+    CompatLearnError,
+    ConfigError,
+    CorruptFileError,
+    DataError,
+    DivergenceError,
+    MetricUndefinedError,
+)
 from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
 
@@ -136,6 +143,45 @@ def test_an_allocation_the_machine_cannot_make_is_a_data_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error[data]: Unable to allocate") and "Traceback" not in err
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("size", [2**62, 2**70], ids=["2**62", "2**70"])
+@pytest.mark.parametrize(
+    "section, key", [("data", "num_classes"), ("data", "samples_per_class"),
+                     ("data", "input_dim"), ("model", "hidden_layers")]
+)
+def test_an_array_past_numpys_size_limit_is_a_data_error(tmp_path, capsys, section, key, size):
+    """numpy refuses these shapes with a ValueError, not the MemoryError of a shape
+    the machine cannot hold: the size rule makes them a data error, not a traceback."""
+    payload = json.loads(json.dumps(TINY))
+    payload[section][key] = [size] if key == "hidden_layers" else size
+    config = write_config(tmp_path, payload)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "exp")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: Unable to allocate") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "error, code, label",
+    [
+        (CompatLearnError, 3, "data"),
+        (ConfigError, 2, "config"),
+        (DataError, 3, "data"),
+        (CorruptFileError, 3, "data"),
+        (DivergenceError, 4, "divergence"),
+        (MetricUndefinedError, 2, "config"),
+        (OSError, 3, "data"),
+        (MemoryError, 3, "data"),
+    ],
+)
+def test_each_error_type_carries_its_exit_code(tmp_path, capsys, monkeypatch, error, code, label):
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr("compatlearn.cli.cmd_report", fail)
+    assert main(["report", "--matrix", "m.csv", "--out", str(tmp_path / "r.json")]) == code
+    assert capsys.readouterr() == ("", f"error[{label}]: boom\n")
 
 
 SEED_KEYS = [
@@ -595,6 +641,11 @@ MANIFEST_EDITS = {
         set_artifact("checkpoint_task_001.ckpt", ZEROS), changed("checkpoint_task_001.ckpt")
     ),
     "hash-not-a-string": (set_artifact("heldout.ckpt", None), changed("heldout.ckpt")),
+    "another-schema": (
+        lambda manifest: manifest.update(schema="run-manifest/9"),
+        UNREADABLE + "ValueError(\"schema 'run-manifest/9' is not 'run-manifest/1'\")",
+    ),
+    "no-schema": (lambda manifest: manifest.pop("schema"), UNREADABLE + "KeyError('schema')"),
 }
 
 
@@ -804,6 +855,10 @@ def test_report_recomputes_from_matrix(tmp_path):
         "# schema=compat-matrix/1 metric=tar_at_far far_target=abc tasks=1",
         "# schema=compat-matrix/1 metric=tar_at_far far_target=nan tasks=1",
         "# schema=compat-matrix/1 metric=tar_at_far far_target=inf tasks=1",
+        # Before, the header's task count was never read.
+        "# schema=compat-matrix/1 metric=accuracy far_target=none tasks=7",
+        "# schema=compat-matrix/1 metric=accuracy far_target=none tasks=x",
+        "# schema=compat-matrix/1 metric=accuracy far_target=none",
     ],
 )
 def test_report_rejects_a_malformed_matrix_header(tmp_path, header):

@@ -1,13 +1,15 @@
-"""Structured mutations of every file ``eval`` and ``search`` read, run through ``cli.main``.
+"""Structured mutations of every file the commands read, run through ``cli.main``.
 
-Each example copies one small experiment (two checkpoints, the held-out set and the
-manifest), a gallery indexed by its first checkpoint and a query CSV, changes one
-file, and runs both commands on the copy. A container is changed with its CRCs
-recomputed, so the change reaches the reader: a meta value replaced or deleted, a
-section's bytes flipped or truncated, a section dropped or added, or the whole file
-taken from a sibling. Its sha256 in the manifest is recomputed too in some examples,
-so a well-formed change also reaches scoring. The manifest is changed as JSON or as
-bytes. Whatever the change, each command exits 0, 2, 3 or 4, prints no traceback and
+Each example of the first test copies one small experiment (two checkpoints, the
+held-out set and the manifest), a gallery indexed by its first checkpoint and a query
+CSV, changes one file, and runs ``eval`` and ``search`` on the copy. A container is
+changed with its CRCs recomputed, so the change reaches the reader: a meta value
+replaced or deleted, a section's bytes flipped or truncated, a section dropped or
+added, or the whole file taken from a sibling. Its sha256 in the manifest is
+recomputed too in some examples, so a well-formed change also reaches scoring. The
+manifest is changed as JSON or as bytes. The other tests run ``train`` on a changed
+tiny config, ``report`` on a changed ``matrix.csv`` and ``search`` on a changed query
+CSV. Whatever the change, each command exits 0, 2, 3 or 4, prints no traceback and
 leaves no ``.tmp`` file, and one that fails leaves no output behind.
 """
 
@@ -27,7 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, save_model
-from compatlearn.cli import main, write_manifest
+from compatlearn.cli import cmd_eval, main, write_manifest
+from compatlearn.config import DEFAULT_CONFIG
 from compatlearn.container import read_container, write_container
 from compatlearn.data import (
     HELDOUT_MAGIC,
@@ -83,6 +86,7 @@ def pristine(tmp_path_factory):
     save_gallery(gallery, root / "g.gal")
     save_gallery(index_gallery(ids[:5], other.inputs[:5], models[1], 2), root / "other.gal")
     save_csv(other, root / "q.csv")
+    cmd_eval(exp, out_dir=root / "scored")
     return root
 
 
@@ -205,3 +209,131 @@ def test_eval_and_search_exit_cleanly_on_a_mutated_file(pristine, data):
             assert "Traceback" not in err
             assert out.exists() == (code == 0), (command, err)
         assert not list(root.rglob("*.tmp"))
+
+
+def assert_exits_cleanly(root: Path, argv, out: Path) -> None:
+    code, err = run(argv)
+    assert code in {0, 2, 3, 4}, err
+    assert "Traceback" not in err
+    assert out.exists() == (code == 0), err
+    assert not list(root.rglob("*.tmp"))
+
+
+# A tiny run: 6 classes of 4 samples in 4 dimensions, two tasks of two epochs.
+TINY_CONFIG = {
+    "data": {"num_classes": 6, "samples_per_class": 4, "input_dim": 4, "sigma": 0.2,
+             "intrinsic_dim": 2, "eval_classes": 2, "num_tasks": 2},
+    "model": {"hidden_layers": [5]},
+    "training": {"epochs_per_task": 2, "batch_size": 8, "lr_milestones": [1]},
+    "memory": {"per_class": 2},
+    "pairs": {"num_pairs": 10},
+}
+# An array past numpy's size limit (2**62 samples, a 2**70-unit layer) fails before
+# any work. An epoch count passes every rule at any size and trains that long, so it
+# gets only values that a rule refuses or that are no larger than the tiny run's.
+CONFIG_VALUES = (
+    ODD_VALUES
+    | st.sampled_from([2**62, 2**70, [2**62], [2**70]])
+    | st.sampled_from([2, [1, 2], "relu", "trainable", "full_batch", "off"])
+)
+BOUNDED_KEYS = {"epochs_per_task": TINY_CONFIG["training"]["epochs_per_task"]}
+
+
+def config_value(key, data):
+    bound = BOUNDED_KEYS.get(key)
+    return data.draw(
+        CONFIG_VALUES.filter(lambda v: bound is None or type(v) is not int or v <= bound)
+    )
+
+
+def mutated_config(data) -> bytes:
+    """The tiny config with one value replaced, deleted or added, or its bytes changed."""
+    config = json.loads(json.dumps(TINY_CONFIG))
+    kind = data.draw(st.sampled_from(["replace", "delete", "add", "bytes"]))
+    if kind == "add":  # a key the tiny run leaves at its default, or an unknown one
+        section = data.draw(st.sampled_from(sorted(DEFAULT_CONFIG)) | st.just("extra"))
+        key = data.draw(st.sampled_from([*sorted(DEFAULT_CONFIG.get(section, {})), "x"]))
+        config.setdefault(section, {})[key] = config_value(key, data)
+    elif kind != "bytes":
+        path = data.draw(st.sampled_from(list(node_paths(config))))
+        parent = reduce(getitem, path[:-1], config)
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = config_value(path[-1], data)
+    text = json.dumps(config).encode("utf-8")
+    return mutate_bytes(text, data) if kind == "bytes" else text
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_train_exits_cleanly_on_a_mutated_config(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "config.json"
+        config.write_bytes(mutated_config(data))
+        out = root / "exp"
+        assert_exits_cleanly(root, ["train", "--config", str(config), "--out", str(out)], out)
+        # A run that fails leaves no staging directory either.
+        assert {p.name for p in root.iterdir()} <= {"config.json", "exp"}
+
+
+ODD_CELLS = st.sampled_from(
+    ["", "x", "-1", "0", "1", "2", "0.5", "-0.0", "nan", "inf", "1e999", "1_0", "0x1", " 1 "]
+    + ['"1"', "9" * 400, "\xe9", "tasks=3", "tasks=x", "metric=tar_at_far", "far_target=0.5"]
+)
+
+
+def mutate_lines(text: str, data) -> bytes:
+    """``text`` with a cell replaced, added or deleted, a line dropped or repeated, or its
+    bytes changed. The cells of a ``#`` header line are its space-separated tokens."""
+    kind = data.draw(st.sampled_from(["cell", "add", "delete", "line", "bytes"]))
+    if kind == "bytes":
+        return mutate_bytes(text.encode("utf-8"), data)
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "line":
+        lines[at : at + 1] = [lines[at]] * data.draw(st.sampled_from([0, 2]))
+    else:
+        sep = " " if lines[at].startswith("#") else ","
+        cells = lines[at].split(sep)
+        where = data.draw(st.integers(0, len(cells) - 1))
+        if kind == "cell":
+            cells[where] = data.draw(ODD_CELLS)
+        elif kind == "add":
+            cells.insert(where, data.draw(ODD_CELLS))
+        else:
+            del cells[where]
+        lines[at] = sep.join(cells)
+    return "\n".join(lines).encode("utf-8")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_report_exits_cleanly_on_a_mutated_matrix(pristine, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        text = (pristine / "scored/matrix.csv").read_text(encoding="utf-8")
+        (root / "matrix.csv").write_bytes(mutate_lines(text, data))
+        out = root / "report.json"
+        assert_exits_cleanly(root, ["report", "--matrix", str(root / "matrix.csv"),
+                                    "--out", str(out)], out)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_search_exits_cleanly_on_a_mutated_query_file(pristine, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        text = (pristine / "q.csv").read_text(encoding="utf-8")
+        (root / "q.csv").write_bytes(mutate_lines(text, data))
+        out = root / "r.csv"
+        argv = ["search", "--gallery", str(pristine / "g.gal"), "--queries", str(root / "q.csv"),
+                "--checkpoint", str(pristine / "exp/checkpoint_task_001.ckpt"), "--top-n", "2",
+                "--out", str(out)]
+        assert_exits_cleanly(root, argv, out)
