@@ -28,11 +28,11 @@ numbers plus the per-task backward series.
 No extraction depends on another, nor any cell, so ``on_every_cpu`` runs the
 checkpoints' extractions and then the cells on a pool, each exactly as alone
 (``pair_scores`` and then the metric): the matrix holds the same bytes on one CPU
-or many. Extraction is gemm, which runs outside the GIL. The cell kernels
-(gathers, products, sums, sorts) use no BLAS and at these sizes hold it, so
-they run about one at a time. Pooled extraction shortens eval, and it is
-affordable because a forward pass keeps one array per layer: a pass that kept
-three raised peak RSS well above serial extraction's.
+or many. Extraction is gemm, which runs outside the GIL, and numpy releases it
+in the cells' gathers, products and sums too: on 2 CPUs, 15 cells of 60,000
+pairs of 99-d features took 140 ms on the pool against 230 ms one after another.
+Pooled extraction is affordable because a forward pass keeps one array per
+layer: a pass that kept three raised peak RSS well above serial extraction's.
 """
 
 import os

@@ -5,37 +5,37 @@ inputs). Later models query it directly: query features are extracted with the
 current model and compared against the stored ones by cosine similarity, so the
 store is never re-extracted. Search is exact: it returns the top n of a full
 sort by (descending similarity, ascending id), yet gives the exact cosine only
-to candidates. A ``Gallery`` keeps its rows scaled to unit norm, so one product
-of the queries with them scores each entry's cosine times the query norm, with
-the cosine's sign, within about (dim + 2) * 2**-53 of the query norm. Cut into
-chunks of ``len(gallery) // max(SEARCH_CHUNKS, 4 * n)`` entries (one entry when
-that is under ``SEARCH_CHUNKS``), a query's scores have an n-th largest chunk
-maximum at most their n-th largest value: each of the n best chunks holds a
-score that large. Lowered by 1e-9 of the query norm, far above that error, this
-bound keeps every entry whose exact cosine is at or above the n-th largest, ties
-included, also where that cosine is near 0, as long as norm products and cosines
+to candidates a float32 screen picks. It multiplies unit rows, scaled in float64
+and rounded once to float32 (``Gallery`` keeps its own), so each score is within
+(dim + 2) * 2**-24 of its cosine. Cut into chunks of
+``len(gallery) // max(SEARCH_CHUNKS, 4 * n)`` entries (one entry when that is
+under ``SEARCH_CHUNKS``), a query's scores have an n-th largest chunk maximum at
+most their n-th largest (each of the n best chunks holds a score that large),
+itself at most the n-th largest exact cosine plus that error. Lowered by
+(dim + 2) * 2**-22, twice the two errors, this bound keeps each entry at or
+above the n-th largest exact cosine, ties included. Float32 underflow costs a
+score dim * 2**-149 at most; the exact step needs norm products and cosines that
 are normal floats (norms above about 1e-154). A candidate's exact cosine is the
-element-wise sum of its feature products over the product of the two norms,
-clipped to [-1, 1] by ``evalkit.gathered_cosines``, as a matrix cell's are: it
-depends on that query and that entry alone. Only ``Gallery`` decides what a
-gallery holds, however it is built: at least one entry, unique ``str`` ids, an
-``indexed_by`` that is a non-negative int, one feature row and one int64 label
-(if any) per id, and stored norms that pass ``network.feature_norms``, as query
-norms must.
+element-wise sum of its feature products over the two norms' product, clipped to
+[-1, 1] by ``evalkit.gathered_cosines``, as a matrix cell's are: it depends on
+that query and entry alone. Only ``Gallery`` decides what a gallery holds,
+however it is built: at least one entry, unique ``str`` ids, an ``indexed_by``
+that is a non-negative int, one feature row and one int64 label (if any) per id,
+and stored norms that pass ``network.feature_norms``, as query norms must.
 
 A batched search extracts every query's features once and scores them in
 blocks of ``rows = max(1, SEARCH_BLOCK_CELLS // len(gallery))`` queries, inline
 when one block holds them all. Otherwise ``evalkit.on_every_cpu`` runs at most
 ``rows`` workers on blocks of ``rows // workers`` queries, with scratch the
-calling thread allocates, so the blocks in flight hold one block's 16 MB of
-scores. Unlike the matrix cells, which use no BLAS, blocks call gemm
+calling thread allocates, so the blocks in flight hold one block's 8 MB of
+float32 scores. Unlike the matrix cells, which use no BLAS, blocks call gemm
 concurrently. Since no exact cosine comes from that product, a query's result
 depends on its features alone, not on its block: any blocking on any number of
 CPUs gives the same bits. A one-query search gives the bits of its row in a
 batched one where extraction gives the query the same features, which its gemm
 need not: their last bits may depend on the row count.
 
-On disk features are float32; in memory and in all similarity computations
+On disk features are float32; in memory, and in every similarity search returns,
 they are float64. A ``Gallery`` holds them on the float32 grid, copied there
 only when off it, so a save/load cycle is bit-exact.
 
@@ -62,7 +62,7 @@ from .network import FeatureExtractorState, extract_features, feature_norms
 
 GALLERY_MAGIC = b"FGALLERY"
 GALLERY_VERSION = 2
-# Similarities scored at once by a batched search: 2**21 float64 cells, 16 MB.
+# Similarities screened at once by a batched search: 2**21 float32 cells, 8 MB.
 SEARCH_BLOCK_CELLS = 2**21
 # The least count of chunks, and of entries per chunk, in a search's candidate bound.
 SEARCH_CHUNKS = 64
@@ -103,7 +103,7 @@ class Gallery:
                 raise DataError("labels, when given, must be one int64 integer per id")
             object.__setattr__(self, "labels", tuple(labels.tolist()))
         norms = feature_norms(features, lambda i: f"stored feature of gallery id {self.ids[i]!r}")
-        units = features * (1 / norms)[:, None]
+        units = (features / norms[:, None]).astype(np.float32)  # the search screen's
         for name, array in (("features", features), ("norms", norms), ("units", units)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -163,7 +163,7 @@ def search(
     workers = min(evalkit._cpu_count(), rows)
     step = rows // workers
     starts = range(0, count, step)
-    scratch = np.empty((workers, step, len(gallery)))  # per worker, from the calling thread
+    scratch = np.empty((workers, step, len(gallery)), np.float32)  # allocated by the caller
     results = [None] * count
 
     def rank(worker):
@@ -177,16 +177,16 @@ def search(
 
 
 def _rank_block(features, norms, gallery, top_n, approx):
-    """Each query's ranked (id, similarity) list, for one block of queries, scored in
-    ``approx`` (numpy allocates where None)."""
+    """Each query's ranked (id, similarity) list for a block, screened in float32 ``approx``."""
     ids, size = gallery.ids, len(gallery)
-    approx = np.matmul(features, gallery.units.T, out=approx)  # cosine times query norm
+    units = (features / norms[:, None]).astype(np.float32)  # rounded once, as the gallery's
+    approx = np.matmul(units, gallery.units.T, out=approx)  # cosines within (dim + 2) * 2**-24
     step = size // max(SEARCH_CHUNKS, 4 * top_n)  # so more than top_n chunks
     # Below SEARCH_CHUNKS entries a chunk saves less than its reduction costs: use one each.
     peaks = approx if step < SEARCH_CHUNKS else np.maximum.reduceat(
         approx, np.arange(0, size, step), 1)
     bound = np.partition(peaks, -top_n)[:, -top_n, None]
-    flat = np.flatnonzero(approx >= bound - 1e-9 * norms[:, None])
+    flat = np.flatnonzero(approx >= bound - (gallery.feature_dim + 2) * 2**-22)
     rows, cols = np.divmod(flat, size)
     # The exact cosine, by the element-wise formula of a full sort, for the candidates only.
     sims = evalkit.gathered_cosines((features, norms), rows, (gallery.features, gallery.norms),

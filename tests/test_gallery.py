@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import struct
 import sys
@@ -268,6 +269,83 @@ def test_search_matches_a_full_sort_where_the_nth_best_cosine_is_near_zero(
         for top_n in (1, 5, size):
             expected = full_sort_reference(queries, model, gallery, top_n)
             assert search(queries, model, gallery, top_n) == expected
+
+
+def assert_search_matches_a_full_sort(gallery, queries, model, top_ns):
+    """Batched and one query at a time, as ``full_sort_reference`` ranks them."""
+    for top_n in top_ns:
+        assert search(queries, model, gallery, top_n) == full_sort_reference(
+            queries, model, gallery, top_n
+        )
+        for query in queries[:, None]:
+            assert search(query, model, gallery, top_n) == full_sort_reference(
+                query, model, gallery, top_n
+            )
+
+
+def near_tie_case(size, seed):
+    """8-d rows 2**21 * v + e with v = (2, 2, 1, 1, -1, -1, -1, -1), e being (3000, -3000)
+    on one pair of coordinates and (b, -b) on another, each up to sign, and random rows,
+    against queries along (1, ..., 1). Such a row's cosine is 2 / sqrt(112) times
+    (1 + |e|**2 / (14 * 2**42)) ** -0.5: eight placements of b = 20000 tie at the top, and
+    60 rows follow whose cosines step down by 1e-10 to 1e-9, where float32 resolves 1.5e-8.
+    """
+    rng = np.random.default_rng(seed)
+    b = np.concatenate([np.full(8, 20000), 20000 + np.cumsum(rng.integers(1, 8, size=60))])
+    planted = np.tile(2.0**21 * np.array([2, 2, 1, 1, -1, -1, -1, -1]), (len(b), 1))
+    pairs = itertools.permutations(range(0, 8, 2), 2)  # first coordinates of two pairs
+    placements = list(itertools.product(pairs, (1, -1), (1, -1)))
+    order = rng.permutation(len(placements))  # the tied rows take distinct placements
+    for row, step, k in zip(planted, b, order[np.arange(len(b)) % len(order)]):
+        (i, j), sign_a, sign_b = placements[k]
+        row[i : i + 2] += sign_a * 3000, -sign_a * 3000
+        row[j : j + 2] += sign_b * step, -sign_b * step
+    rest = 2.0**21 * (rng.normal(size=(size - len(b), 8)) - 2)  # cosines far below
+    features = rng.permutation(np.vstack([planted, rest]))
+    names = [f"g{i:03d}" for i in rng.permutation(size)]
+    queries = np.vstack([np.outer([1.0, 3.0, 2.0**-10], np.ones(8)), rng.normal(size=(2, 8))])
+    return index_gallery(names, features, identity_model(8), 1), queries
+
+
+@pytest.mark.parametrize("chunks", [1, 4, 64])
+def test_search_matches_a_full_sort_on_near_ties_below_float32_resolution(monkeypatch, chunks):
+    # The float32 screen cannot order these entries: its margin alone keeps every one
+    # that may reach the top n. At 300 entries the default SEARCH_CHUNKS cuts no chunks.
+    monkeypatch.setattr(gallery_module, "SEARCH_CHUNKS", chunks)
+    model = identity_model(8)
+    for seed in range(3):
+        gallery, queries = near_tie_case(300, seed)
+        (ranked,) = full_sort_reference(queries[:1], model, gallery, 68)
+        sims = np.array([sim for _, sim in ranked])
+        assert (sims[:8] == sims[0]).all()
+        assert (-np.diff(sims[7:]) >= 1e-10).all() and (-np.diff(sims[7:]) <= 1e-9).all()
+        assert_search_matches_a_full_sort(gallery, queries, model, (1, 5, 8))
+
+
+@pytest.mark.parametrize("chunks", [4, 64])
+def test_search_matches_a_full_sort_on_near_ties_in_1024_dimensions(monkeypatch, chunks):
+    # The margin grows with the dimension, to (1024 + 2) * 2**-22 (2.4e-4) here. Along
+    # an integer query q, rows 2**14 * q + a * (e_i - e_j) with q_i = q_j have a cosine
+    # of about 1 - a**2 / (2**28 * |q|**2): six tie at a = 1000, 40 step down by 2.7e-10
+    # to 5.7e-10 below them, and 100 more lie within the margin; 500 random rows follow.
+    monkeypatch.setattr(gallery_module, "SEARCH_CHUNKS", chunks)
+    rng = np.random.default_rng(7)
+    q = rng.integers(1, 9, size=1024)
+    a = np.concatenate([np.full(6, 1000), 1000 + np.cumsum(rng.integers(1, 3, size=40)),
+                        rng.integers(2000, 20000, size=100)])
+    planted = np.tile(2.0**14 * q, (len(a), 1))
+    for row, step in zip(planted, a):
+        i, j = rng.choice(np.flatnonzero(q == q[0]), 2, replace=False)
+        row[[i, j]] += step, -step
+    features = rng.permutation(np.vstack([planted, rng.normal(size=(500, 1024))]))
+    names = [f"g{i:03d}" for i in rng.permutation(len(features))]
+    model = identity_model(1024)
+    gallery = index_gallery(names, features, model, 1)
+    queries = np.vstack([q, 0.5 * q, rng.normal(size=(2, 1024))])
+    (ranked,) = full_sort_reference(queries[:1], model, gallery, 46)
+    sims = np.array([sim for _, sim in ranked])
+    assert (sims[:6] == sims[0]).all() and (-np.diff(sims[5:]) >= 1e-10).all()
+    assert_search_matches_a_full_sort(gallery, queries, model, (1, 5, 6))
 
 
 def test_batched_search_equals_single_queries():
