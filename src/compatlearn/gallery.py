@@ -6,8 +6,10 @@ current model and compared against the stored ones by cosine similarity, so the
 store is never re-extracted. Search is exact: it returns the top n of a full
 sort by (descending similarity, ascending id), yet gives the exact cosine only
 to candidates a float32 screen picks. It multiplies unit rows, scaled in float64
-and rounded once to float32 (``Gallery`` keeps its own), so each score is within
-(dim + 2) * 2**-24 of its cosine. Cut into chunks of
+and rounded once to float32. ``Gallery`` keeps its own feature-major, since one
+contiguous pass per feature costs less than a short dot product per entry. Each
+score is within (dim + 2) * 2**-24 of its cosine in any summation order, so
+neither the layout nor the BLAS kernel can change a result. Cut into chunks of
 ``len(gallery) // max(SEARCH_CHUNKS, 4 * n)`` entries (one entry when that is
 under ``SEARCH_CHUNKS``), a query's scores have an n-th largest chunk maximum at
 most their n-th largest (each of the n best chunks holds a score that large),
@@ -103,7 +105,7 @@ class Gallery:
                 raise DataError("labels, when given, must be one int64 integer per id")
             object.__setattr__(self, "labels", tuple(labels.tolist()))
         norms = feature_norms(features, lambda i: f"stored feature of gallery id {self.ids[i]!r}")
-        units = (features / norms[:, None]).astype(np.float32)  # the search screen's
+        units = (features / norms[:, None]).astype(np.float32).T.copy()  # screen's, feature-major
         for name, array in (("features", features), ("norms", norms), ("units", units)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -180,7 +182,9 @@ def _rank_block(features, norms, gallery, top_n, approx):
     """Each query's ranked (id, similarity) list for a block, screened in float32 ``approx``."""
     ids, size = gallery.ids, len(gallery)
     units = (features / norms[:, None]).astype(np.float32)  # rounded once, as the gallery's
-    approx = np.matmul(units, gallery.units.T, out=approx)  # cosines within (dim + 2) * 2**-24
+    # One streaming pass per feature of the feature-major gallery, not a dot product per
+    # entry. In any summation order a score is within (dim + 2) * 2**-24 of its cosine.
+    approx = np.matmul(units, gallery.units, out=approx)
     step = size // max(SEARCH_CHUNKS, 4 * top_n)  # so more than top_n chunks
     # Below SEARCH_CHUNKS entries a chunk saves less than its reduction costs: use one each.
     peaks = approx if step < SEARCH_CHUNKS else np.maximum.reduceat(

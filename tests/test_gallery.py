@@ -322,13 +322,12 @@ def test_search_matches_a_full_sort_on_near_ties_below_float32_resolution(monkey
         assert_search_matches_a_full_sort(gallery, queries, model, (1, 5, 8))
 
 
-@pytest.mark.parametrize("chunks", [4, 64])
-def test_search_matches_a_full_sort_on_near_ties_in_1024_dimensions(monkeypatch, chunks):
-    # The margin grows with the dimension, to (1024 + 2) * 2**-22 (2.4e-4) here. Along
-    # an integer query q, rows 2**14 * q + a * (e_i - e_j) with q_i = q_j have a cosine
-    # of about 1 - a**2 / (2**28 * |q|**2): six tie at a = 1000, 40 step down by 2.7e-10
-    # to 5.7e-10 below them, and 100 more lie within the margin; 500 random rows follow.
-    monkeypatch.setattr(gallery_module, "SEARCH_CHUNKS", chunks)
+def wide_near_tie_case():
+    """1024-d rows 2**14 * q + a * (e_i - e_j) with q_i = q_j along an integer query q,
+    and random rows. Such a row's cosine is about 1 - a**2 / (2**28 * |q|**2): six tie at
+    a = 1000, 40 step down by 2.7e-10 to 5.7e-10 below them, and 100 more lie within the
+    margin, (1024 + 2) * 2**-22 (2.4e-4) here; 500 random rows follow.
+    """
     rng = np.random.default_rng(7)
     q = rng.integers(1, 9, size=1024)
     a = np.concatenate([np.full(6, 1000), 1000 + np.cumsum(rng.integers(1, 3, size=40)),
@@ -339,13 +338,42 @@ def test_search_matches_a_full_sort_on_near_ties_in_1024_dimensions(monkeypatch,
         row[[i, j]] += step, -step
     features = rng.permutation(np.vstack([planted, rng.normal(size=(500, 1024))]))
     names = [f"g{i:03d}" for i in rng.permutation(len(features))]
+    gallery = index_gallery(names, features, identity_model(1024), 1)
+    return gallery, np.vstack([q, 0.5 * q, rng.normal(size=(2, 1024))])
+
+
+@pytest.mark.parametrize("chunks", [4, 64])
+def test_search_matches_a_full_sort_on_near_ties_in_1024_dimensions(monkeypatch, chunks):
+    # The margin grows with the dimension: the screen may not order these entries either.
+    monkeypatch.setattr(gallery_module, "SEARCH_CHUNKS", chunks)
     model = identity_model(1024)
-    gallery = index_gallery(names, features, model, 1)
-    queries = np.vstack([q, 0.5 * q, rng.normal(size=(2, 1024))])
+    gallery, queries = wide_near_tie_case()
     (ranked,) = full_sort_reference(queries[:1], model, gallery, 46)
     sims = np.array([sim for _, sim in ranked])
     assert (sims[:6] == sims[0]).all() and (-np.diff(sims[5:]) >= 1e-10).all()
     assert_search_matches_a_full_sort(gallery, queries, model, (1, 5, 6))
+
+
+def nudge_screen(gallery, seed):
+    """Move every float32 value of ``gallery``'s screen one ulp, up or down at random."""
+    away = np.random.default_rng(seed).choice(np.float32([-np.inf, np.inf]), gallery.units.shape)
+    nudged = np.nextafter(gallery.units, away)
+    assert nudged.dtype == np.float32 and (nudged != gallery.units).all()
+    nudged.setflags(write=False)
+    object.__setattr__(gallery, "units", nudged)
+
+
+@pytest.mark.parametrize("chunks", [1, 4, 64])
+def test_no_rounding_of_the_screen_reaches_a_search_result(monkeypatch, chunks):
+    # Whatever order or kernel sums the screen's products, each score stays within
+    # (dim + 2) * 2**-24 of its cosine. A stored value one ulp off moves a score by at
+    # most 2**-23 more, and the margin of (dim + 2) * 2**-22 is at least twice the sum.
+    monkeypatch.setattr(gallery_module, "SEARCH_CHUNKS", chunks)
+    cases = [near_tie_case(300, seed) + (8,) for seed in range(3)] + [wide_near_tie_case() + (6,)]
+    for seed, (gallery, queries, ties) in enumerate(cases):
+        nudge_screen(gallery, seed)
+        model = identity_model(gallery.feature_dim)
+        assert_search_matches_a_full_sort(gallery, queries, model, (1, 5, ties))
 
 
 def test_batched_search_equals_single_queries():
@@ -614,6 +642,18 @@ def test_gallery_norms_are_cached_bitwise():
         gallery.norms[0] = 1.0
     twin = Gallery(ids=gallery.ids, features=gallery.features, indexed_by=gallery.indexed_by)
     assert twin == gallery  # the cached norms are not compared
+
+
+def test_gallery_units_are_its_unit_rows_in_float32_feature_major(tmp_path):
+    # The screen reads one contiguous run of entries per feature.
+    gallery, _ = float_gallery(size=50, dim=7, seed=5)
+    save_gallery(gallery, tmp_path / "g")
+    for stored in (gallery, load_gallery(tmp_path / "g")):
+        units = stored.units
+        assert units.dtype == np.float32 and units.shape == (stored.feature_dim, len(stored))
+        assert units.flags.c_contiguous and not units.flags.writeable
+        expected = (stored.features / stored.norms[:, None]).astype(np.float32).T
+        assert units.tobytes() == expected.tobytes()
 
 
 def test_galleries_compare_by_value_and_are_unhashable(tmp_path):
