@@ -52,11 +52,7 @@ def save_model(state: FeatureExtractorState, path) -> None:
 
 def load_model(path) -> FeatureExtractorState:
     with read_artifact(path, MODEL_MAGIC, MODEL_VERSION, "model checkpoint") as (meta, sections):
-        # Every field is required: a default (seed, nonlinearity) must not
-        # stand in for a value the file lost.
-        if set(meta["config"]) != {f.name for f in dataclasses.fields(ModelConfig)}:
-            raise CorruptFileError(f"{path}: model config keys {sorted(meta['config'])}")
-        config = ModelConfig(**meta["config"])
+        config = ModelConfig(**meta["config"])  # no field has a default to hide a lost key
         sizes = config.layer_sizes()
         n = len(sizes) - 1
         if (

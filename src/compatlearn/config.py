@@ -49,7 +49,9 @@ def _is_seed(v):
 # of ExperimentConfig's, model ModelConfig's besides input_dim, pairs the
 # arguments of generate_pairs, and data SyntheticSpec's (sigma for
 # cluster_sigma) plus csv_path and the task split. A csv_path (a non-empty
-# string) selects the CSV reader; None selects the synthetic dataset.
+# string) selects the CSV reader; None selects the synthetic dataset. The
+# preset is valid only as a whole (a lone intrinsic_dim 8 breaks input_dim 4),
+# so the typed configs and the seeds of data preparation declare no defaults.
 _SCHEMA = {
     "data": {
         "csv_path": (None, lambda v: v is None or (isinstance(v, str) and v != "")),

@@ -128,9 +128,9 @@ class SyntheticSpec:
     samples_per_class: int
     input_dim: int
     cluster_sigma: float
-    mean_seed: int = 0
-    noise_seed: int = 1
-    intrinsic_dim: int | None = None
+    mean_seed: int
+    noise_seed: int
+    intrinsic_dim: int | None
 
     def __post_init__(self):
         values = {"sigma" if key == "cluster_sigma" else key: v for key, v in vars(self).items()}
@@ -184,10 +184,7 @@ def make_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 
 def _split_plan(all_classes, num_tasks: int, eval_class_count: int, seed: int):
     """Training class groups in arrival order, and the held-out classes ascending."""
-    if num_tasks < 1:
-        raise DataError(f"num_tasks must be >= 1, got {num_tasks}")
-    if eval_class_count < 2:
-        raise DataError(f"eval_class_count must be >= 2, got {eval_class_count}")
+    check_fields("data", dict(num_tasks=num_tasks, eval_classes=eval_class_count, split_seed=seed))
     if len(all_classes) - eval_class_count < num_tasks:
         raise DataError(
             f"{len(all_classes)} classes cannot supply {eval_class_count} evaluation "
@@ -214,7 +211,7 @@ def split_tasks(
     dataset: LabeledDataset,
     num_tasks: int,
     eval_class_count: int,
-    seed: int = 0,
+    seed: int,
 ) -> tuple[TaskSequence, LabeledDataset]:
     """Hold out evaluation classes, then partition the rest into disjoint tasks.
 
@@ -239,7 +236,7 @@ def make_synthetic_tasks(
     spec: SyntheticSpec,
     num_tasks: int,
     eval_class_count: int,
-    seed: int = 0,
+    seed: int,
 ) -> tuple[TaskSequence, LabeledDataset]:
     """``split_tasks(make_synthetic(spec), ...)`` without the whole dataset in memory.
 
@@ -258,7 +255,7 @@ def make_synthetic_tasks(
 def generate_pairs(
     dataset: LabeledDataset,
     num_pairs: int,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationPairSet:
     """Balanced verification pairs sampled without replacement, seeded.
 

@@ -17,9 +17,9 @@ carry the frozen previous model's features for its rows
 neither that model nor the memory changes within a task. A batch without
 them has its targets extracted from the previous model on the spot.
 
-All functions are pure; logits use raw dot products by default (an optional
-normalization switch exists for ablation) and the log-sum-exp trick keeps
-large logits finite.
+All functions are pure, and the log-sum-exp trick keeps large logits finite.
+A run's logit convention is ``trainer.normalize_features`` (the preset
+normalizes); ``combined_loss``'s raw-dot-product default serves loss-level use.
 """
 
 import math

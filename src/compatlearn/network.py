@@ -28,8 +28,8 @@ class ModelConfig:
     input_dim: int
     hidden_layers: tuple[int, ...]
     feature_dim: int
-    nonlinearity: str = "relu"
-    seed: int = 0
+    nonlinearity: str
+    seed: int
 
     def __post_init__(self):
         check_fields("data", {"input_dim": self.input_dim})
@@ -50,13 +50,13 @@ class TrainingHyperparams:
     """SGD schedule: base rate decayed by a fixed factor at epoch milestones."""
 
     learning_rate: float
-    lr_milestones: tuple[int, ...] = ()
-    lr_decay_factor: float = 0.1
-    weight_decay: float = 0.0
-    momentum: float = 0.9
-    epochs_per_task: int = 1
-    batch_size: int = 32
-    lambda_base: float = 0.0
+    lr_milestones: tuple[int, ...]
+    lr_decay_factor: float
+    weight_decay: float
+    momentum: float
+    epochs_per_task: int
+    batch_size: int
+    lambda_base: float
 
     def __post_init__(self):
         check_fields("training", vars(self))

@@ -64,10 +64,10 @@ class ExperimentConfig:
     model: ModelConfig
     hyperparams: TrainingHyperparams
     memory_per_class: int
-    classifier_mode: str = "fixed_simplex"
-    fd_mode: str = "memory_only"
-    train_seed: int = 0
-    normalize_features: bool = False
+    classifier_mode: str
+    fd_mode: str
+    train_seed: int
+    normalize_features: bool
 
     def __post_init__(self):
         check_fields("memory", {"per_class": self.memory_per_class})

@@ -47,9 +47,14 @@ from compatlearn.network import ModelConfig, TrainingHyperparams, ParamGrads, ap
 
 
 def trained_state(seed=3):
-    cfg = ModelConfig(input_dim=5, hidden_layers=(4, 3), feature_dim=2, seed=seed)
+    cfg = ModelConfig(
+        input_dim=5, hidden_layers=(4, 3), feature_dim=2, nonlinearity="relu", seed=seed
+    )
     state = init_model(cfg)
-    hp = TrainingHyperparams(learning_rate=0.1, momentum=0.9, weight_decay=1e-4)
+    hp = TrainingHyperparams(
+        learning_rate=0.1, lr_milestones=(), lr_decay_factor=0.1, weight_decay=1e-4,
+        momentum=0.9, epochs_per_task=1, batch_size=32, lambda_base=0.0,
+    )
     rng = np.random.default_rng(0)
     for _ in range(3):
         grads = ParamGrads(
@@ -108,11 +113,14 @@ def test_model_round_trip_twice_is_stable(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [lambda cfg: cfg.pop("seed"), lambda cfg: cfg.update(dropout=0.5)],
+    "edit, message",
+    [
+        (lambda cfg: cfg.pop("seed"), "missing 1 required positional argument: 'seed'"),
+        (lambda cfg: cfg.update(dropout=0.5), "unexpected keyword argument 'dropout'"),
+    ],
     ids=["missing-key", "unknown-key"],
 )
-def test_model_config_with_a_missing_or_unknown_key_is_refused(tmp_path, edit):
+def test_model_config_with_a_missing_or_unknown_key_is_refused(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     save_model(trained_state(), path)
     sections = read_container(path, MODEL_MAGIC, MODEL_VERSION)
@@ -120,7 +128,7 @@ def test_model_config_with_a_missing_or_unknown_key_is_refused(tmp_path, edit):
     edit(meta["config"])
     payload = [("meta", json.dumps(meta).encode("utf-8")), *sections.items()]
     write_container(path, MODEL_MAGIC, MODEL_VERSION, payload)
-    with pytest.raises(CorruptFileError, match="model config keys"):
+    with pytest.raises(CorruptFileError, match=f"malformed model checkpoint .*{message}"):
         load_model(path)
 
 
@@ -173,7 +181,9 @@ GOLDEN_SHA256 = {
 
 
 def test_every_format_keeps_its_bytes(tmp_path):
-    config = ModelConfig(input_dim=3, hidden_layers=(4,), feature_dim=2, seed=5)
+    config = ModelConfig(
+        input_dim=3, hidden_layers=(4,), feature_dim=2, nonlinearity="relu", seed=5
+    )
     save_model(init_model(config), tmp_path / "model")
     features = np.array([[1.0, -0.5], [0.25, 2.0], [-3.0, 0.125]])
     gallery = Gallery(("a", "b", "c"), features, indexed_by=2, labels=(7, 8, 7))
@@ -307,7 +317,7 @@ FAILED_WRITES = {
         def write(path, n):
             d = Path(path).parent
             if not (d / "g.gal").exists():
-                model = init_model(ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3))
+                model = init_model(ModelConfig(4, (6,), 3, nonlinearity="relu", seed=0))
                 save_model(model, d / "m.ckpt")
                 items = np.random.default_rng(0).standard_normal((200, 4))
                 save_gallery(index_gallery(range(200), items, model, 1), d / "g.gal")
@@ -424,7 +434,10 @@ def test_readers_raise_only_package_errors_on_well_formed_containers(kind, meta,
 
 
 def heldout_set(num_classes=3, samples_per_class=4, input_dim=4, num_pairs=10):
-    spec = SyntheticSpec(num_classes, samples_per_class, input_dim, cluster_sigma=0.1)
+    spec = SyntheticSpec(
+        num_classes, samples_per_class, input_dim, cluster_sigma=0.1,
+        mean_seed=0, noise_seed=1, intrinsic_dim=None,
+    )
     dataset = make_synthetic(spec)
     return dataset, generate_pairs(dataset, num_pairs, seed=0)
 

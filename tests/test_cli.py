@@ -420,7 +420,10 @@ def small_experiment(tmp_path):
     )
     save_model(model, exp / "checkpoint_task_001.ckpt")
     held_out = make_synthetic(
-        SyntheticSpec(num_classes=3, samples_per_class=4, input_dim=4, cluster_sigma=0.1)
+        SyntheticSpec(
+            num_classes=3, samples_per_class=4, input_dim=4, cluster_sigma=0.1,
+            mean_seed=0, noise_seed=1, intrinsic_dim=None,
+        )
     )
     save_heldout(held_out, generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
     write_manifest(exp, config_text, [0.0])
@@ -930,7 +933,10 @@ def test_search_reads_only_the_gallery(tmp_path):
     gallery_bytes = gal_path.read_bytes()
 
     queries = make_synthetic(
-        SyntheticSpec(num_classes=2, samples_per_class=3, input_dim=6, cluster_sigma=0.1)
+        SyntheticSpec(
+            num_classes=2, samples_per_class=3, input_dim=6, cluster_sigma=0.1,
+            mean_seed=0, noise_seed=1, intrinsic_dim=None,
+        )
     )
     from compatlearn.data import save_csv
 
@@ -1011,7 +1017,10 @@ def odd_id_gallery(tmp_path, ids):
     items = np.random.default_rng(1).standard_normal((len(ids), 6))
     save_gallery(index_gallery(ids, items, model, model_version=1), tmp_path / "g.gal")
     queries = make_synthetic(
-        SyntheticSpec(num_classes=2, samples_per_class=2, input_dim=6, cluster_sigma=0.1)
+        SyntheticSpec(
+            num_classes=2, samples_per_class=2, input_dim=6, cluster_sigma=0.1,
+            mean_seed=0, noise_seed=1, intrinsic_dim=None,
+        )
     )
     save_csv(queries, tmp_path / "q.csv")
 

@@ -1,8 +1,12 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from compatlearn import cli
 from compatlearn.config import DEFAULT_CONFIG, check_fields, validate_config
-from compatlearn.data import SyntheticSpec
+from compatlearn.data import SyntheticSpec, generate_pairs, make_synthetic_tasks, split_tasks
 from compatlearn.errors import ConfigError
 from compatlearn.network import ModelConfig, TrainingHyperparams
 from compatlearn.trainer import ExperimentConfig
@@ -19,13 +23,16 @@ def hyperparams(**fields):
 
 def spec(**fields):
     data = DEFAULT_CONFIG["data"]
-    keys = ("num_classes", "samples_per_class", "input_dim", "intrinsic_dim", "mean_seed")
+    keys = (
+        "num_classes", "samples_per_class", "input_dim", "intrinsic_dim", "mean_seed", "noise_seed"
+    )
     base = {"cluster_sigma": data["sigma"], **{key: data[key] for key in keys}}
     return SyntheticSpec(**{**base, **fields})
 
 
 def experiment(**fields):
-    return ExperimentConfig(model=model(), hyperparams=hyperparams(), memory_per_class=20, **fields)
+    base = dict(model=model(), hyperparams=hyperparams(), memory_per_class=20)
+    return ExperimentConfig(**{**base, **DEFAULT_CONFIG["trainer"], **fields})
 
 
 # (build the typed config from one field, its config section and key, the value)
@@ -64,7 +71,7 @@ def test_typed_configs_refuse_what_the_cli_refuses_with_its_message(build, secti
 
 def test_memory_per_class_is_checked_as_memory_per_class():
     with pytest.raises(ConfigError, match=r"^invalid value for memory\.per_class: -1$"):
-        ExperimentConfig(model=model(), hyperparams=hyperparams(), memory_per_class=-1)
+        experiment(memory_per_class=-1)
 
 
 def test_numpy_scalars_pass_where_json_numbers_do():
@@ -97,3 +104,43 @@ def test_a_csv_source_still_meets_the_synthetic_pair_rule():
     assert validate_config({"data": csv})["data"]["csv_path"] == "data.csv"
     with pytest.raises(ConfigError, match=r"data\.intrinsic_dim"):
         validate_config({"data": {**csv, "intrinsic_dim": 100}})
+
+
+def test_typed_configs_and_data_seeds_declare_no_default():
+    # The table's defaults are one preset, valid only as a whole: a field that took
+    # its default alone could break a pair rule (intrinsic_dim 8 > input_dim 4).
+    for typed in (ModelConfig, TrainingHyperparams, ExperimentConfig, SyntheticSpec):
+        for field in dataclasses.fields(typed):
+            assert field.default is dataclasses.MISSING, f"{typed.__name__}.{field.name}"
+            assert field.default_factory is dataclasses.MISSING, f"{typed.__name__}.{field.name}"
+    for prepare in (split_tasks, make_synthetic_tasks, generate_pairs):
+        seed = inspect.signature(prepare).parameters["seed"]
+        assert seed.default is inspect.Parameter.empty, prepare.__name__
+
+
+def test_the_preset_builds_typed_configs_holding_exactly_its_values(monkeypatch):
+    specs = []
+
+    def capture(spec, **split):
+        specs.append(spec)
+        return make_synthetic_tasks(spec, **split)
+
+    monkeypatch.setattr(cli, "make_synthetic_tasks", capture)
+    *_, experiment = cli.experiment_components(validate_config({}))
+    data = DEFAULT_CONFIG["data"]
+    built = {
+        "data": {"sigma" if k == "cluster_sigma" else k: v for k, v in vars(specs[0]).items()},
+        # input_dim comes from the data; feature_dim None is class capacity - 1.
+        "model": {k: v for k, v in vars(experiment.model).items() if k != "input_dim"},
+        "training": vars(experiment.hyperparams),
+        "memory": {"per_class": experiment.memory_per_class},
+        "trainer": {k: getattr(experiment, k) for k in DEFAULT_CONFIG["trainer"]},
+    }
+    preset = {section: dict(DEFAULT_CONFIG[section]) for section in built}
+    preset["model"]["feature_dim"] = data["num_classes"] - data["eval_classes"] - 1
+    split_keys = {"csv_path", "eval_classes", "num_tasks", "split_seed"}
+    preset["data"] = {k: v for k, v in data.items() if k not in split_keys}
+    assert experiment.model.input_dim == data["input_dim"]
+    for section, values in built.items():
+        listed = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+        assert listed == preset[section], section

@@ -28,7 +28,8 @@ from compatlearn.evalkit import VerificationPairSet
 
 def spec(**overrides):
     base = dict(
-        num_classes=6, samples_per_class=8, input_dim=5, cluster_sigma=0.2, mean_seed=1, noise_seed=2
+        num_classes=6, samples_per_class=8, input_dim=5, cluster_sigma=0.2,
+        mean_seed=1, noise_seed=2, intrinsic_dim=None,
     )
     base.update(overrides)
     return SyntheticSpec(**base)
@@ -201,15 +202,35 @@ def test_synthetic_tasks_equal_the_split_of_the_whole_dataset(
 
 def test_synthetic_tasks_reject_what_split_rejects():
     with pytest.raises(DataError, match="cannot supply"):
-        make_synthetic_tasks(spec(), num_tasks=5, eval_class_count=2)
-    with pytest.raises(DataError, match="eval_class_count"):
-        make_synthetic_tasks(spec(), num_tasks=2, eval_class_count=1)
+        make_synthetic_tasks(spec(), num_tasks=5, eval_class_count=2, seed=0)
+    with pytest.raises(ConfigError, match=r"^invalid value for data\.eval_classes: 1$"):
+        make_synthetic_tasks(spec(), num_tasks=2, eval_class_count=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "split, key",
+    [
+        (dict(num_tasks=2, eval_class_count=2, seed=-1), "split_seed"),
+        (dict(num_tasks=2, eval_class_count=2, seed=1.5), "split_seed"),
+        (dict(num_tasks=2.0, eval_class_count=2, seed=0), "num_tasks"),
+        (dict(num_tasks=0, eval_class_count=2, seed=0), "num_tasks"),
+    ],
+    ids=["negative-seed", "fractional-seed", "float-num-tasks", "no-tasks"],
+)
+def test_split_settings_meet_the_config_rules(split, key):
+    # Before, a negative or fractional seed escaped as numpy's error and 2.0 tasks passed.
+    ds = make_synthetic(spec())
+    with pytest.raises(ConfigError, match=rf"^invalid value for data\.{key}: "):
+        split_tasks(ds, **split)
+    with pytest.raises(ConfigError, match=rf"^invalid value for data\.{key}: "):
+        make_synthetic_tasks(spec(), **split)
 
 
 def eval_dataset():
     return make_synthetic(
         SyntheticSpec(
-            num_classes=10, samples_per_class=30, input_dim=4, cluster_sigma=0.1, mean_seed=4, noise_seed=5
+            num_classes=10, samples_per_class=30, input_dim=4, cluster_sigma=0.1,
+            mean_seed=4, noise_seed=5, intrinsic_dim=None,
         )
     )
 

@@ -60,7 +60,7 @@ def brute_force_tar(scores, genuine, far_target):
 
 def identity_model(dim=3):
     """A linear model whose features equal its inputs."""
-    cfg = ModelConfig(input_dim=dim, hidden_layers=(), feature_dim=dim, seed=0)
+    cfg = ModelConfig(input_dim=dim, hidden_layers=(), feature_dim=dim, nonlinearity="relu", seed=0)
     state = init_model(cfg)
     state.weights[0][:] = np.eye(dim)
     state.biases[0][:] = 0.0
@@ -163,7 +163,9 @@ def test_pair_set_takes_any_integer_ids_and_0_1_flags():
 
 def test_pair_scores_rejects_models_of_different_feature_dimensions():
     pairs = make_pairs(np.eye(3)[:2], np.eye(3)[1:], [True, False])
-    narrow = init_model(ModelConfig(input_dim=3, hidden_layers=(), feature_dim=2, seed=0))
+    narrow = init_model(
+        ModelConfig(input_dim=3, hidden_layers=(), feature_dim=2, nonlinearity="relu", seed=0)
+    )
     with pytest.raises(DataError, match="feature dimensions"):
         pair_scores(pairs, identity_model(), narrow)
 

@@ -67,16 +67,24 @@ def pristine(tmp_path_factory):
     exp = root / "exp"
     exp.mkdir()
     models = [
-        init_model(ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3, seed=seed))
+        init_model(
+            ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3, nonlinearity="relu", seed=seed)
+        )
         for seed in (0, 1)
     ]
     for task, model in enumerate(models, start=1):
         save_model(model, exp / f"checkpoint_task_{task:03d}.ckpt")
     held_out = make_synthetic(
-        SyntheticSpec(num_classes=3, samples_per_class=4, input_dim=4, cluster_sigma=0.1)
+        SyntheticSpec(
+            num_classes=3, samples_per_class=4, input_dim=4, cluster_sigma=0.1,
+            mean_seed=0, noise_seed=1, intrinsic_dim=None,
+        )
     )
     save_heldout(held_out, generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
-    spec = SyntheticSpec(num_classes=3, samples_per_class=5, input_dim=4, cluster_sigma=0.2)
+    spec = SyntheticSpec(
+        num_classes=3, samples_per_class=5, input_dim=4, cluster_sigma=0.2,
+        mean_seed=0, noise_seed=1, intrinsic_dim=None,
+    )
     other = make_synthetic(dataclasses.replace(spec, mean_seed=1))
     save_heldout(other, generate_pairs(other, 12, seed=1), root / "other.ckpt")
     (exp / "config.json").write_text("{}")

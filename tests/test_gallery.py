@@ -35,7 +35,7 @@ from compatlearn.network import ModelConfig, extract_features, init_model
 
 
 def identity_model(dim=3):
-    cfg = ModelConfig(input_dim=dim, hidden_layers=(), feature_dim=dim, seed=0)
+    cfg = ModelConfig(input_dim=dim, hidden_layers=(), feature_dim=dim, nonlinearity="relu", seed=0)
     state = init_model(cfg)
     state.weights[0][:] = np.eye(dim)
     state.biases[0][:] = 0.0

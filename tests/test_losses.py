@@ -235,8 +235,12 @@ def make_batch(rng, n=10, dim=6, capacity=4, memory_fraction=0.4):
 
 
 def small_models(seed_a=1, seed_b=2):
-    cfg_a = ModelConfig(input_dim=6, hidden_layers=(5,), feature_dim=3, seed=seed_a)
-    cfg_b = ModelConfig(input_dim=6, hidden_layers=(5,), feature_dim=3, seed=seed_b)
+    cfg_a = ModelConfig(
+        input_dim=6, hidden_layers=(5,), feature_dim=3, nonlinearity="relu", seed=seed_a
+    )
+    cfg_b = ModelConfig(
+        input_dim=6, hidden_layers=(5,), feature_dim=3, nonlinearity="relu", seed=seed_b
+    )
     return init_model(cfg_a), init_model(cfg_b)
 
 

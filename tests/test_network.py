@@ -28,6 +28,15 @@ def small_config(seed=0, nonlinearity="tanh"):
     )
 
 
+def hyperparams(learning_rate, **fields):
+    """SGD at ``learning_rate`` for one epoch, no milestones or distillation, ``fields`` over it."""
+    base = dict(
+        lr_milestones=(), lr_decay_factor=0.1, weight_decay=0.0, momentum=0.9,
+        epochs_per_task=1, batch_size=32, lambda_base=0.0,
+    )
+    return TrainingHyperparams(learning_rate=learning_rate, **{**base, **fields})
+
+
 def zero_grads(state):
     return ParamGrads(
         weights=[np.zeros_like(w) for w in state.weights],
@@ -48,7 +57,7 @@ def test_different_seed_different_parameters():
 
 
 def test_no_hidden_layers_is_a_linear_map():
-    cfg = ModelConfig(input_dim=4, hidden_layers=(), feature_dim=2, seed=0)
+    cfg = ModelConfig(input_dim=4, hidden_layers=(), feature_dim=2, nonlinearity="relu", seed=0)
     state = init_model(cfg)
     x = np.random.default_rng(0).standard_normal((3, 4))
     feats = extract_features(state, x)
@@ -96,7 +105,7 @@ def test_bad_input_dimension_rejected():
 def test_zero_gradient_step_is_identity():
     state = init_model(small_config())
     before = parameter_checksum(state)
-    hp = TrainingHyperparams(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
+    hp = hyperparams(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
     apply_gradients(state, zero_grads(state), hp, epoch=0)
     assert parameter_checksum(state) == before
     assert state.step == 1
@@ -104,7 +113,7 @@ def test_zero_gradient_step_is_identity():
 
 def test_single_step_matches_definition():
     state = init_model(small_config(seed=5))
-    hp = TrainingHyperparams(learning_rate=0.2, momentum=0.0, weight_decay=0.01)
+    hp = hyperparams(learning_rate=0.2, momentum=0.0, weight_decay=0.01)
     grads = zero_grads(state)
     rng = np.random.default_rng(11)
     for g in grads.weights + grads.biases:
@@ -141,7 +150,7 @@ def test_sgd_update_is_bitwise_the_textbook_step(seed, shape, lr, momentum, weig
 
 
 def test_milestone_schedule():
-    hp = TrainingHyperparams(
+    hp = hyperparams(
         learning_rate=0.1, lr_milestones=(50, 64), lr_decay_factor=0.1, epochs_per_task=70
     )
     assert hp.effective_lr(0) == pytest.approx(0.1)
@@ -152,10 +161,10 @@ def test_milestone_schedule():
 
 
 def test_momentum_accumulates():
-    cfg = ModelConfig(input_dim=1, hidden_layers=(), feature_dim=1, seed=0)
+    cfg = ModelConfig(input_dim=1, hidden_layers=(), feature_dim=1, nonlinearity="relu", seed=0)
     state = init_model(cfg)
     state.weights[0][:] = 0.0
-    hp = TrainingHyperparams(learning_rate=1.0, momentum=0.5, weight_decay=0.0)
+    hp = hyperparams(learning_rate=1.0, momentum=0.5, weight_decay=0.0)
     grads = ParamGrads(weights=[np.ones((1, 1))], biases=[np.zeros(1)])
     apply_gradients(state, grads, hp, epoch=0)  # v=1, w=-1
     apply_gradients(state, grads, hp, epoch=0)  # v=1.5, w=-2.5
@@ -166,7 +175,7 @@ def test_non_finite_gradient_names_the_layer():
     state = init_model(small_config())
     grads = zero_grads(state)
     grads.weights[1][0, 0] = np.inf
-    hp = TrainingHyperparams(learning_rate=0.1)
+    hp = hyperparams(learning_rate=0.1)
     with pytest.raises(DivergenceError, match=r"weights\[1\]"):
         apply_gradients(state, grads, hp, epoch=0)
 
@@ -181,7 +190,7 @@ def test_divergent_gradient_names_its_array_and_changes_nothing(name, layer, val
     before = state.copy()
     grads = zero_grads(state)
     getattr(grads, name)[layer][...] = value  # every entry: 1e200 squared overflows the sum
-    hp = TrainingHyperparams(learning_rate=0.1)
+    hp = hyperparams(learning_rate=0.1)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=rf"{name}\[{layer}\]"):
         apply_gradients(state, grads, hp, epoch=0)
     assert parameter_checksum(state) == parameter_checksum(before)
@@ -192,7 +201,7 @@ def test_finite_gradient_that_fits_is_applied():
     state = init_model(small_config())
     grads = zero_grads(state)
     grads.weights[0][...] = 1e150  # squares near 1e300 still sum to a finite norm
-    hp = TrainingHyperparams(learning_rate=1e-160, momentum=0.0, weight_decay=0.0)
+    hp = hyperparams(learning_rate=1e-160, momentum=0.0, weight_decay=0.0)
     apply_gradients(state, grads, hp, epoch=0)
     assert state.step == 1
 
@@ -202,18 +211,18 @@ def test_gradient_of_the_wrong_shape_is_a_data_error():
     grads = zero_grads(state)
     grads.biases[1] = np.zeros(7)
     with pytest.raises(DataError, match=r"biases\[1\]"):
-        apply_gradients(state, grads, TrainingHyperparams(learning_rate=0.1), epoch=0)
+        apply_gradients(state, grads, hyperparams(learning_rate=0.1), epoch=0)
 
 
 def test_invalid_hyperparams_rejected():
     with pytest.raises(ConfigError):
-        TrainingHyperparams(learning_rate=0.0)
+        hyperparams(learning_rate=0.0)
     with pytest.raises(ConfigError):
-        TrainingHyperparams(learning_rate=0.1, momentum=1.0)
+        hyperparams(learning_rate=0.1, momentum=1.0)
     with pytest.raises(ConfigError):
-        TrainingHyperparams(learning_rate=0.1, lr_milestones=(5, 3), epochs_per_task=10)
+        hyperparams(learning_rate=0.1, lr_milestones=(5, 3), epochs_per_task=10)
     with pytest.raises(ConfigError):
-        TrainingHyperparams(learning_rate=0.1, lr_milestones=(9,), epochs_per_task=9)
+        hyperparams(learning_rate=0.1, lr_milestones=(9,), epochs_per_task=9)
 
 
 def ce_loss_fn(prototypes, labels):
@@ -263,7 +272,7 @@ def test_extraction_allocates_one_array_per_layer():
     # The forward pass keeps one activation per layer and makes no temporaries;
     # it used to keep h @ w + b and its tanh apart (and h @ w for a moment), 20 MB here.
     rows, width = 2000, 256
-    state = init_model(ModelConfig(width, (width, width), width, nonlinearity="tanh"))
+    state = init_model(ModelConfig(width, (width, width), width, nonlinearity="tanh", seed=0))
     x = np.random.default_rng(0).standard_normal((rows, width))
     tracemalloc.start()
     try:

@@ -35,6 +35,7 @@ def tiny_sequence(num_tasks=2, num_classes=10, eval_classes=4, samples=12, seed=
             cluster_sigma=0.15,
             mean_seed=seed,
             noise_seed=seed + 1,
+            intrinsic_dim=None,
         )
     )
     return split_tasks(dataset, num_tasks=num_tasks, eval_class_count=eval_classes, seed=seed)
@@ -63,6 +64,7 @@ def tiny_config(total_classes, **overrides):
         classifier_mode="fixed_simplex",
         fd_mode="memory_only",
         train_seed=11,
+        normalize_features=True,
     )
     params.update(overrides)
     return ExperimentConfig(**params)
@@ -117,12 +119,14 @@ def test_prototypes_survive_training_bitwise(monkeypatch):
 
 
 def test_sequence_is_bitwise_reproducible():
-    checksums = []
-    for _ in range(2):
-        sequence, _ = tiny_sequence(num_tasks=3)
-        timeline = run_sequence(tiny_config(sequence.total_classes), sequence)
-        checksums.append([parameter_checksum(c) for c in timeline.checkpoints])
-    assert checksums[0] == checksums[1]
+    for normalize_features in (True, False):  # the preset's convention, then raw dot products
+        checksums = []
+        for _ in range(2):
+            sequence, _ = tiny_sequence(num_tasks=3)
+            config = tiny_config(sequence.total_classes, normalize_features=normalize_features)
+            timeline = run_sequence(config, sequence)
+            checksums.append([parameter_checksum(c) for c in timeline.checkpoints])
+        assert checksums[0] == checksums[1]
 
 
 def test_checkpoints_are_frozen_and_distinct():
@@ -178,7 +182,10 @@ def test_fixed_mode_requires_matching_feature_dim():
 
 def test_tasks_of_another_width_than_the_model_are_refused_before_training(monkeypatch):
     sequence, _ = tiny_sequence(num_tasks=2)
-    model = ModelConfig(input_dim=DIM + 1, hidden_layers=(10,), feature_dim=sequence.total_classes - 1)
+    model = ModelConfig(
+        input_dim=DIM + 1, hidden_layers=(10,), feature_dim=sequence.total_classes - 1,
+        nonlinearity="relu", seed=0,
+    )
     monkeypatch.setattr(trainer, "run_task", lambda *args: pytest.fail("a task was trained"))
     with pytest.raises(DataError, match=f"tasks have {DIM} input columns, the model expects {DIM + 1}"):
         run_sequence(tiny_config(sequence.total_classes, model=model), sequence)
@@ -190,6 +197,8 @@ def test_divergence_is_reported_with_context():
         sequence.total_classes,
         hyperparams=TrainingHyperparams(
             learning_rate=1e200,
+            lr_milestones=(),
+            lr_decay_factor=0.1,
             weight_decay=1e-4,  # lr * wd blows the parameters past float range
             momentum=0.9,
             epochs_per_task=4,
@@ -209,7 +218,10 @@ def test_divergent_classifier_gradient_is_refused_before_the_step(value):
     classifier.grow(4, np.random.default_rng(0))
     before = classifier.weights.copy()
     grads = np.full_like(classifier.weights, value)  # 1e200 squared overflows
-    hp = TrainingHyperparams(learning_rate=0.1)
+    hp = TrainingHyperparams(
+        learning_rate=0.1, lr_milestones=(), lr_decay_factor=0.1, weight_decay=0.0,
+        momentum=0.9, epochs_per_task=1, batch_size=32, lambda_base=0.0,
+    )
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="classifier weights"):
         classifier.apply_gradients(grads, hp, epoch=0)
     assert np.array_equal(classifier.weights, before)
@@ -305,7 +317,10 @@ def test_no_teacher_without_distillation(monkeypatch, num_tasks, fd_mode):
 def test_cached_teacher_matches_the_per_batch_reference(classifier_mode, fd_scope):
     sequence, _ = tiny_sequence(num_tasks=2)
     first, second = sequence.tasks
-    config = ModelConfig(input_dim=DIM, hidden_layers=(10,), feature_dim=sequence.total_classes - 1)
+    config = ModelConfig(
+        input_dim=DIM, hidden_layers=(10,), feature_dim=sequence.total_classes - 1,
+        nonlinearity="relu", seed=0,
+    )
     previous = init_model(dataclasses.replace(config, seed=1)).freeze()
     current = init_model(dataclasses.replace(config, seed=2))
     empty = LabeledDataset(inputs=np.zeros((0, DIM)), labels=np.zeros(0, np.int64))
