@@ -2,8 +2,8 @@
 
 A pair set holds indices into the held-out inputs, not copies of them: pair
 ``i`` compares sample ``ids_a[i]`` with sample ``ids_b[i]``. Scoring extracts
-each model's features once per distinct sample the pairs touch and computes
-each feature's norm once, which is where a zero or non-finite norm is refused
+each model's features once over every held-out row and computes each feature's
+norm once, which is where a zero or non-finite norm is refused
 (``network.feature_norms``, the rule gallery search applies to its queries):
 once per model, not once per cell. Both are then gathered by pair index: the
 first sample of every pair is seen by the query-side model, the second by the
@@ -23,7 +23,7 @@ cells above the diagonal are fixed to zero because evaluating an older model
 against a newer gallery has no reliable interpretation. Every checkpoint is
 extracted once, however many cells it takes part in. The summary report
 condenses the matrix into the average, backward, and forward compatibility
-numbers plus the per-task backward series.
+numbers, the per-task backward series and the lower triangle's mean (AM).
 
 No extraction depends on another, nor any cell, so ``on_every_cpu`` runs the
 checkpoints' extractions and then the cells on a pool, each exactly as alone
@@ -35,6 +35,7 @@ Pooled extraction is affordable because a forward pass keeps one array per
 layer: a pass that kept three raised peak RSS well above serial extraction's.
 """
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,6 +75,9 @@ def check_metric(metric: str, far_target: float | None) -> None:
         raise DataError(f"metric must be one of {METRIC_KINDS}, got {metric!r}")
     if (metric == "tar_at_far") != (far_target is not None):
         raise DataError(f"{metric} with far_target {far_target}: tar_at_far alone takes one")
+    real = isinstance(far_target, numbers.Real) and not isinstance(far_target, bool)
+    if far_target is not None and not real:  # as in the config rules, a bool is no number
+        raise DataError(f"far_target must be a number, got {far_target!r}")
     if far_target is not None and not 0.0 < far_target <= 1.0:  # NaN fails too
         raise DataError(f"far_target must be in (0, 1], got {far_target}")
 
@@ -146,6 +150,8 @@ class CompatibilityMatrix:
             raise DataError("compatibility matrix entries must lie in [0, 1]")
         check_metric(self.metric, self.far_target)
         object.__setattr__(self, "values", values)
+        if self.far_target is not None:  # a numpy scalar's repr would reach matrix.csv
+            object.__setattr__(self, "far_target", float(self.far_target))
 
     @property
     def num_tasks(self) -> int:
@@ -156,32 +162,22 @@ class CompatibilityMatrix:
 class CompatibilityReport:
     """Summary numbers derived from a compatibility matrix.
 
+    ``am`` is the mean of the T(T + 1)/2 cells on and below the diagonal.
     ``bc_series[i]`` is the backward compatibility after task ``i + 2``; its
     last element equals ``bc``.
     """
 
     ac: float
+    am: float
     bc: float
     fc: float
     bc_series: tuple[float, ...]
 
 
-class _SampleRows:
-    """The distinct samples a pair set touches, and each pair side's row among them."""
-
-    def __init__(self, pairs: VerificationPairSet):
-        n = len(pairs)
-        self.distinct, rows = np.unique(
-            np.concatenate((pairs.ids_a, pairs.ids_b)), return_inverse=True
-        )
-        self.inputs = pairs.inputs[self.distinct]
-        self.rows_a = rows[:n]
-        self.rows_b = rows[n:]
-
-    def features(self, model: FeatureExtractorState) -> tuple[np.ndarray, np.ndarray]:
-        """One model's features for every distinct sample, with their norms."""
-        feats = extract_features(model, self.inputs)
-        return feats, feature_norms(feats, lambda i: f"feature of held-out row {self.distinct[i]}")
+def _heldout_features(model: FeatureExtractorState, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """One model's features for every held-out row, with their norms."""
+    feats = extract_features(model, pairs.inputs)
+    return feats, feature_norms(feats, lambda i: f"feature of held-out row {i}")
 
 
 def gathered_cosines(side_a, rows_a, side_b, rows_b) -> np.ndarray:
@@ -208,9 +204,8 @@ def pair_scores(
     gallery_model: FeatureExtractorState,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cosine score of every pair: query model on side A, gallery model on side B."""
-    samples = _SampleRows(pairs)
-    query, gallery = samples.features(query_model), samples.features(gallery_model)
-    return gathered_cosines(query, samples.rows_a, gallery, samples.rows_b), pairs.genuine.copy()
+    query, gallery = _heldout_features(query_model, pairs), _heldout_features(gallery_model, pairs)
+    return gathered_cosines(query, pairs.ids_a, gallery, pairs.ids_b), pairs.genuine.copy()
 
 
 def _scored_pairs(scores, genuine) -> tuple[np.ndarray, np.ndarray]:
@@ -321,19 +316,18 @@ def build_compatibility_matrix(
     (t, k) with t > k scores queries from the newer model against galleries
     from the older one; the diagonal holds self-tests; cells above the
     diagonal stay zero. The same static pair set is used for every cell, and
-    each model is extracted once over the distinct samples it touches. The
-    extractions, then the cells, run on ``on_every_cpu``.
+    each model is extracted once over every held-out row. The extractions, then
+    the cells, run on ``on_every_cpu``.
     """
     models = list(models)
     if len(models) < 1:
         raise DataError("need at least one checkpoint to build a compatibility matrix")
     check_metric(metric, far_target)
     t_count = len(models)
-    samples = _SampleRows(pairs)
 
     def extract(t):
         try:
-            return samples.features(models[t])
+            return _heldout_features(models[t], pairs)
         except DegenerateFeatureError as exc:
             raise DegenerateFeatureError(f"checkpoint of task {t + 1}: {exc}") from None
 
@@ -341,7 +335,7 @@ def build_compatibility_matrix(
 
     def score(cell) -> MetricResult:
         t, k = cell
-        scores = gathered_cosines(features[t], samples.rows_a, features[k], samples.rows_b)
+        scores = gathered_cosines(features[t], pairs.ids_a, features[k], pairs.ids_b)
         if metric == "accuracy":
             return verification_accuracy(scores, pairs.genuine)
         return tar_at_far(scores, pairs.genuine, far_target)
@@ -361,7 +355,8 @@ def compatibility_report(matrix: CompatibilityMatrix) -> CompatibilityReport:
     """Condense a compatibility matrix into its summary numbers.
 
     Average compatibility counts how often a cross-test strictly beats the
-    corresponding self-test, normalized by the number of comparisons.
+    corresponding self-test, normalized by the number of comparisons; a tie is
+    a loss. Average multi-model accuracy is the mean of the lower triangle.
     Backward compatibility after task t averages (row t minus the diagonal)
     over the earlier tasks; the scalar value is the series at the final task.
     Forward compatibility averages (first subdiagonal minus diagonal).
@@ -379,6 +374,7 @@ def compatibility_report(matrix: CompatibilityMatrix) -> CompatibilityReport:
             if c[t, k] > c[k, k]:
                 wins += 1
     ac = 2.0 * wins / (t_count * (t_count - 1))
+    am = float(c[np.tril_indices(t_count)].mean())
 
     bc_series = []
     for t in range(1, t_count):
@@ -387,4 +383,4 @@ def compatibility_report(matrix: CompatibilityMatrix) -> CompatibilityReport:
     bc = bc_series[-1]
 
     fc = sum(c[k, k - 1] - c[k, k] for k in range(1, t_count)) / (t_count - 1)
-    return CompatibilityReport(ac=ac, bc=bc, fc=fc, bc_series=tuple(bc_series))
+    return CompatibilityReport(ac=ac, am=am, bc=bc, fc=fc, bc_series=tuple(bc_series))

@@ -25,6 +25,7 @@ from compatlearn.cli import (
     read_matrix_csv,
     validate_config,
     write_manifest,
+    write_matrix_csv,
 )
 from compatlearn.checkpoint import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from compatlearn.container import read_container, write_artifact, write_container
@@ -46,6 +47,7 @@ from compatlearn.errors import (
     DivergenceError,
     MetricUndefinedError,
 )
+from compatlearn.evalkit import CompatibilityMatrix
 from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
 
@@ -846,8 +848,34 @@ def test_report_recomputes_from_matrix(tmp_path):
     cmd_report(matrix_path, out)
     full = json.loads(report_path.read_text())
     recomputed = json.loads(out.read_text())
-    for key in ("ac", "bc", "fc", "bc_series", "metric", "tasks"):
+    for key in ("ac", "am", "bc", "fc", "bc_series", "metric", "tasks"):
         assert recomputed[key] == full[key]
+
+
+@pytest.mark.parametrize("far", [np.float64(0.1), np.float32(0.1)])
+def test_a_numpy_far_target_round_trips_through_matrix_csv(tmp_path, far):
+    # Before, the header read far_target=np.float64(0.1), which the reader refused.
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(CompatibilityMatrix(np.eye(2) * 0.5, "tar_at_far", far), path)
+    assert path.read_text().startswith(f"# schema=compat-matrix/1 metric=tar_at_far "
+                                       f"far_target={float(far)!r} tasks=2\n")
+    matrix = read_matrix_csv(path)
+    assert type(matrix.far_target) is float and matrix.far_target == float(far)
+
+
+def test_eval_at_a_numpy_far_target_writes_what_report_reads(tmp_path):
+    exp = cmd_train(write_config(tmp_path), tmp_path / "exp", seed=5)
+    matrix_path, report_path = cmd_eval(exp, "tar_at_far", np.float64(0.1), tmp_path / "np")
+    plain_matrix, plain_report = cmd_eval(exp, "tar_at_far", 0.1, tmp_path / "plain")
+    assert matrix_path.read_bytes() == plain_matrix.read_bytes()
+    assert report_path.read_bytes() == plain_report.read_bytes()
+    cmd_report(matrix_path, tmp_path / "report.json")
+    recomputed = json.loads((tmp_path / "report.json").read_text())
+    assert recomputed["far_target"] == 0.1
+    for far in (True, np.True_):
+        with pytest.raises(ConfigError, match="far_target must be a number, got"):
+            cmd_eval(exp, "tar_at_far", far, tmp_path / "bool")
+    assert not (tmp_path / "bool").exists()
 
 
 @pytest.mark.parametrize(

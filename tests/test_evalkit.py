@@ -114,7 +114,7 @@ def test_pair_scores_zero_norm_feature_reports_index(row, kind):
 
 
 def test_degenerate_feature_names_the_held_out_row_and_the_task():
-    # The pairs touch rows 0 and 2 only; row 2 is the second distinct sample.
+    # The pairs touch rows 0 and 2 only; row 2 holds the zero feature.
     inputs = np.array([[1.0, 0.0, 0.0], [5.0, 5.0, 5.0], [0.0, 0.0, 0.0]])
     pairs = VerificationPairSet(inputs=inputs, ids_a=[0, 2], ids_b=[2, 0], genuine=[True, False])
     shifted = identity_model()
@@ -122,6 +122,18 @@ def test_degenerate_feature_names_the_held_out_row_and_the_task():
     with pytest.raises(DegenerateFeatureError, match="zero-norm feature of held-out row 2$"):
         pair_scores(pairs, identity_model(), identity_model())
     with pytest.raises(DegenerateFeatureError, match="^checkpoint of task 2: .* held-out row 2$"):
+        build_compatibility_matrix([shifted, identity_model()], pairs)
+
+
+def test_a_degenerate_feature_on_a_row_no_pair_touches_is_refused():
+    # Every held-out row is extracted and norm-checked, the rows no pair touches too.
+    inputs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    pairs = VerificationPairSet(inputs=inputs, ids_a=[0, 2], ids_b=[2, 0], genuine=[True, False])
+    with pytest.raises(DegenerateFeatureError, match="zero-norm feature of held-out row 1$"):
+        pair_scores(pairs, identity_model(), identity_model())
+    shifted = identity_model()
+    shifted.biases[0][:] = 1.0  # row 1's feature is (1, 1, 1)
+    with pytest.raises(DegenerateFeatureError, match="^checkpoint of task 2: .* held-out row 1$"):
         build_compatibility_matrix([shifted, identity_model()], pairs)
 
 
@@ -385,7 +397,7 @@ def tanh_models(count):
     ]
 
 
-def test_matrix_extracts_each_distinct_sample_once_per_checkpoint(monkeypatch):
+def test_matrix_extracts_every_held_out_row_once_per_checkpoint(monkeypatch):
     pairs = shared_sample_pairs(np.random.default_rng(8))
     models = tanh_models(3)
     extracted = []
@@ -397,9 +409,8 @@ def test_matrix_extracts_each_distinct_sample_once_per_checkpoint(monkeypatch):
 
     monkeypatch.setattr(evalkit, "extract_features", counting)
     build_compatibility_matrix(models, pairs)
-    distinct = len(np.union1d(pairs.ids_a, pairs.ids_b))
-    assert distinct < len(pairs.inputs)  # some input rows are in no pair
-    assert extracted == [distinct] * len(models)
+    assert len(np.union1d(pairs.ids_a, pairs.ids_b)) < len(pairs.inputs)  # rows in no pair
+    assert extracted == [len(pairs.inputs)] * len(models)
 
 
 @pytest.mark.parametrize("metric, far", [("accuracy", None), ("tar_at_far", 0.2)])
@@ -500,9 +511,8 @@ def test_pair_scores_match_scoring_each_pair_on_its_own():
 def test_pair_scores_do_not_depend_on_the_score_block(monkeypatch, block):
     pairs = shared_sample_pairs(np.random.default_rng(11), n=41)
     query, gallery = tanh_models(2)
-    samples = evalkit._SampleRows(pairs)
-    (fq, nq), (fg, ng) = samples.features(query), samples.features(gallery)
-    a, b = samples.rows_a, samples.rows_b
+    (fq, nq), (fg, ng) = (evalkit._heldout_features(model, pairs) for model in (query, gallery))
+    a, b = pairs.ids_a, pairs.ids_b
     # the whole pair set gathered at once
     expected = np.clip(np.sum(fq[a] * fg[b], axis=1) / (nq[a] * ng[b]), -1.0, 1.0)
     monkeypatch.setattr(evalkit, "SCORE_BLOCK", block)
@@ -525,7 +535,9 @@ def brute_force_report(c):
     series = [
         sum(c[tt, k] - c[k, k] for k in range(tt)) / tt for tt in range(1, t)
     ]
-    return ac, bc, fc, series
+    cells = [c[tt, k] for tt in range(t) for k in range(tt + 1)]
+    am = sum(cells) / (t * (t + 1) / 2)
+    return ac, am, bc, fc, series
 
 
 def test_report_all_cross_tests_above_self_tests():
@@ -571,8 +583,9 @@ def test_report_matches_brute_force_on_random_matrices():
         t = int(rng.integers(2, 9))
         matrix = lower_triangular(rng, t)
         report = compatibility_report(matrix)
-        ac, bc, fc, series = brute_force_report(matrix.values)
+        ac, am, bc, fc, series = brute_force_report(matrix.values)
         assert abs(report.ac - ac) < 1e-12
+        assert abs(report.am - am) < 1e-12
         assert abs(report.bc - bc) < 1e-12
         assert abs(report.fc - fc) < 1e-12
         assert len(report.bc_series) == len(series)
@@ -590,6 +603,7 @@ def test_report_ranges_hold_for_any_valid_matrix(t, seed):
     matrix = lower_triangular(np.random.default_rng(seed), t)
     report = compatibility_report(matrix)
     assert 0.0 <= report.ac <= 1.0
+    assert 0.0 <= report.am <= 1.0
     assert -1.0 <= report.bc <= 1.0
     assert -1.0 <= report.fc <= 1.0
 
@@ -658,6 +672,9 @@ def test_the_label_and_flag_rules_return_int64_and_bool_arrays_as_they_are():
         ("tar_at_far", 5.0, r"far_target must be in \(0, 1\], got 5.0"),
         ("tar_at_far", 0.0, r"far_target must be in \(0, 1\], got 0.0"),
         ("tar_at_far", float("nan"), r"far_target must be in \(0, 1\], got nan"),
+        ("tar_at_far", True, "far_target must be a number, got True"),
+        ("tar_at_far", np.True_, r"far_target must be a number, got np.True_"),
+        ("tar_at_far", "0.1", "far_target must be a number, got '0.1'"),
         ("auc", None, r"metric must be one of \('accuracy', 'tar_at_far'\), got 'auc'"),
     ],
 )
