@@ -57,7 +57,7 @@ from .evalkit import (
 )
 from .gallery import load_gallery, search
 from .network import ModelConfig, TrainingHyperparams
-from .trainer import ExperimentConfig, run_sequence, write_training_log
+from .trainer import ExperimentConfig, train_tasks, write_training_log
 
 MATRIX_SCHEMA = "compat-matrix/1"
 REPORT_SCHEMA = "compat-report/1"
@@ -144,7 +144,10 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     if not ancestor.is_dir():
         raise ConfigError(f"--out {out} lies under {ancestor}, which is not a directory")
     sequence, eval_dataset, pairs, experiment = experiment_components(config)
-    timeline = run_sequence(experiment, sequence)
+    # Drawn up front, a task's data lives only while it trains: train_tasks empties this list.
+    tasks, total_classes = list(sequence.tasks), sequence.total_classes
+    del sequence
+    timeline = train_tasks(experiment, tasks, total_classes)
 
     # Written after training into a hidden sibling renamed onto ``out`` once
     # complete, so a run that fails leaves nothing to block its rerun.

@@ -7,7 +7,7 @@ replacement, at most the per-class budget) is appended. Existing rows are
 never touched, so the memory only grows and earlier tasks stay represented by
 the exact samples first drawn for them. The budget and the seed are the
 config's ``memory.per_class`` and ``trainer.train_seed``, which
-``trainer.run_sequence`` passes in.
+``trainer.train_tasks`` passes in.
 """
 
 from typing import Iterator

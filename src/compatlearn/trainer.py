@@ -5,9 +5,12 @@ rehearsal memory, minimizing cross-entropy plus the weighted distillation term
 against the frozen previous checkpoint. When the task finishes, the model is
 snapshotted into an immutable checkpoint, the memory absorbs a sample of the
 task's data, and the next task warm-starts from the current parameters. The
-memory is a ``LabeledDataset``; ``run_sequence`` starts it empty at the
+memory is a ``LabeledDataset``; ``train_tasks`` starts it empty at the
 model's input width and grows it with ``memory.per_class`` samples per class,
-drawn with ``trainer.train_seed``.
+drawn with ``trainer.train_seed``. ``train_tasks`` pops each task off its list
+in turn and drops it, memory sample drawn, when it takes the next:
+``cli.cmd_train`` hands over its only list, so it holds one task's data at a
+time; ``run_sequence`` passes a copy.
 
 The frozen previous checkpoint and the memory stay fixed for a whole task, so
 the checkpoint's features for the rows in the distillation scope are computed
@@ -22,7 +25,7 @@ Two ablation axes are exposed: the classifier is the fixed simplex (the
 proper procedure) or a trainable per-class weight matrix grown at every task
 (the plain experience-replay baseline), and distillation covers memory samples
 only, the whole batch, or nothing. ``ExperimentConfig`` meets the ``config``
-rules; ``run_sequence`` checks the simplex's dimension (capacity - 1) and the
+rules; ``train_tasks`` checks the simplex's dimension (capacity - 1) and the
 tasks' input width first.
 Only ``write_training_log`` writes a file; ``cli.cmd_train`` calls it.
 """
@@ -224,7 +227,12 @@ def run_task(
 
 
 def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimeline:
-    """Fold task training over the whole sequence and collect the timeline.
+    """``train_tasks`` over the sequence's tasks, which stay whole for the caller."""
+    return train_tasks(config, list(sequence.tasks), sequence.total_classes)
+
+
+def train_tasks(config: ExperimentConfig, tasks: list[Task], total_classes: int) -> ModelTimeline:
+    """Fold task training over ``tasks``, emptying the list, and collect the timeline.
 
     Each task's model starts from the previous task's final parameters
     (incremental fine-tuning); momentum buffers are cleared at task
@@ -232,15 +240,15 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
     """
     fixed_mode = config.classifier_mode == "fixed_simplex"
     if fixed_mode:
-        classifier = build_simplex(sequence.total_classes)
+        classifier = build_simplex(total_classes)
         if config.model.feature_dim != classifier.dim:
             raise ConfigError(
                 f"feature_dim {config.model.feature_dim} does not match class capacity "
-                f"{sequence.total_classes} (expected {classifier.dim})"
+                f"{total_classes} (expected {classifier.dim})"
             )
     else:
         classifier = TrainableClassifier(config.model.feature_dim)
-    widths = {task.data.input_dim for task in sequence.tasks} - {config.model.input_dim}
+    widths = {task.data.input_dim for task in tasks} - {config.model.input_dim}
     if widths:
         raise DataError(
             f"tasks have {widths.pop()} input columns, the model expects {config.model.input_dim}"
@@ -249,7 +257,8 @@ def run_sequence(config: ExperimentConfig, sequence: TaskSequence) -> ModelTimel
     memory = LabeledDataset(np.zeros((0, config.model.input_dim)), np.zeros(0, np.int64))
     timeline = ModelTimeline()
     previous: FeatureExtractorState | None = None
-    for task in sequence.tasks:
+    while tasks:
+        task = tasks.pop(0)
         started = time.perf_counter()
         if not fixed_mode:
             grow_rng = np.random.default_rng([config.train_seed, 7919, task.index])

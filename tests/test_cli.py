@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from compatlearn import cli, trainer
 from compatlearn.cli import (
     DEFAULT_CONFIG,
     apply_master_seed,
@@ -20,6 +22,7 @@ from compatlearn.cli import (
     cmd_report,
     cmd_search,
     cmd_train,
+    experiment_components,
     load_config,
     main,
     read_matrix_csv,
@@ -50,6 +53,7 @@ from compatlearn.errors import (
 from compatlearn.evalkit import CompatibilityMatrix
 from compatlearn.gallery import GALLERY_MAGIC, GALLERY_VERSION, index_gallery, save_gallery
 from compatlearn.network import ModelConfig, init_model
+from compatlearn.trainer import run_sequence, write_training_log
 
 TINY = {
     "data": {
@@ -362,6 +366,44 @@ def test_train_refuses_an_output_under_a_regular_file(tmp_path, capsys, monkeypa
         assert err.startswith("error[config]: ") and "--out" in err
     assert afile.read_bytes() == b"keep me"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
+def test_train_writes_what_the_library_path_writes(tmp_path):
+    config_path = write_config(tmp_path)
+    out = cmd_train(config_path, tmp_path / "exp", seed=1)
+    config = apply_master_seed(load_config(config_path), 1)
+    sequence, eval_dataset, pairs, experiment = experiment_components(config)
+    timeline = run_sequence(experiment, sequence)
+    library = tmp_path / "library"
+    library.mkdir()
+    for task, checkpoint in enumerate(timeline.checkpoints, start=1):
+        save_model(checkpoint, library / f"checkpoint_task_{task:03d}.ckpt")
+    rows = [row for task_rows in timeline.logs for row in task_rows]
+    write_training_log(rows, library / "training_log.csv")
+    save_heldout(eval_dataset, pairs, library / "heldout.ckpt")
+    names = sorted(path.name for path in library.iterdir())
+    assert len(names) == TINY["data"]["num_tasks"] + 2
+    for name in names:
+        assert (out / name).read_bytes() == (library / name).read_bytes(), name
+
+
+def test_train_frees_each_task_once_it_is_trained(tmp_path, monkeypatch):
+    build, run_task = cli.experiment_components, trainer.run_task
+    inputs, alive = [], []  # weakrefs to each task's inputs; which live at each task's start
+
+    def building(config):
+        components = build(config)
+        inputs.extend(weakref.ref(task.data.inputs) for task in components[0].tasks)
+        return components
+
+    def spying(state, task, *rest):
+        alive.append([ref() is not None for ref in inputs])
+        return run_task(state, task, *rest)
+
+    monkeypatch.setattr(cli, "experiment_components", building)
+    monkeypatch.setattr(trainer, "run_task", spying)
+    cmd_train(write_config(tmp_path), tmp_path / "exp", seed=1)
+    assert alive == [[True, True, True], [False, True, True], [False, False, True]]
 
 
 def test_csv_source_trains_like_the_synthetic_preset(tmp_path):

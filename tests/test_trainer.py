@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +179,10 @@ def test_fixed_mode_requires_matching_feature_dim():
     sequence, _ = tiny_sequence(num_tasks=2)
     with pytest.raises(ConfigError):
         run_sequence(tiny_config(sequence.total_classes + 1), sequence)
+    tasks = list(sequence.tasks)
+    with pytest.raises(ConfigError):
+        trainer.train_tasks(tiny_config(sequence.total_classes + 1), tasks, sequence.total_classes)
+    assert len(tasks) == 2  # refused before any task was taken
 
 
 def test_tasks_of_another_width_than_the_model_are_refused_before_training(monkeypatch):
@@ -187,8 +192,45 @@ def test_tasks_of_another_width_than_the_model_are_refused_before_training(monke
         nonlinearity="relu", seed=0,
     )
     monkeypatch.setattr(trainer, "run_task", lambda *args: pytest.fail("a task was trained"))
-    with pytest.raises(DataError, match=f"tasks have {DIM} input columns, the model expects {DIM + 1}"):
-        run_sequence(tiny_config(sequence.total_classes, model=model), sequence)
+    config = tiny_config(sequence.total_classes, model=model)
+    message = f"tasks have {DIM} input columns, the model expects {DIM + 1}"
+    with pytest.raises(DataError, match=message):
+        run_sequence(config, sequence)
+    with pytest.raises(DataError, match=message):
+        trainer.train_tasks(config, list(sequence.tasks), sequence.total_classes)
+
+
+def test_the_task_loop_frees_each_task_once_it_is_trained(monkeypatch):
+    sequence, _ = tiny_sequence(num_tasks=3)
+    config = tiny_config(sequence.total_classes)
+    tasks, total_classes = list(sequence.tasks), sequence.total_classes
+    del sequence
+    inputs = [weakref.ref(task.data.inputs) for task in tasks]
+    alive = []  # per run_task call, which tasks' inputs still exist
+    original = trainer.run_task
+
+    def spying(state, task, *rest):
+        alive.append([ref() is not None for ref in inputs])
+        return original(state, task, *rest)
+
+    monkeypatch.setattr(trainer, "run_task", spying)
+    timeline = trainer.train_tasks(config, tasks, total_classes)
+    assert tasks == [] and len(timeline.checkpoints) == 3
+    assert alive == [[True, True, True], [False, True, True], [False, False, True]]
+    assert all(ref() is None for ref in inputs)
+
+
+def test_run_sequence_keeps_the_callers_tasks_and_trains_as_the_consuming_loop():
+    sequence, _ = tiny_sequence(num_tasks=3)
+    config = tiny_config(sequence.total_classes)
+    tasks = sequence.tasks
+    kept = run_sequence(config, sequence)
+    assert sequence.tasks is tasks and len(tasks) == 3
+    consumed = trainer.train_tasks(config, list(tasks), sequence.total_classes)
+    assert [parameter_checksum(c) for c in kept.checkpoints] == [
+        parameter_checksum(c) for c in consumed.checkpoints
+    ]
+    assert kept.logs == consumed.logs
 
 
 def test_divergence_is_reported_with_context():
