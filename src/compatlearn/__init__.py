@@ -13,6 +13,7 @@ from .data import (
     SyntheticSpec,
     Task,
     TaskSequence,
+    VerificationPairSet,
     generate_pairs,
     load_csv,
     make_synthetic,
@@ -32,7 +33,6 @@ from .errors import (
 from .evalkit import (
     CompatibilityMatrix,
     CompatibilityReport,
-    VerificationPairSet,
     build_compatibility_matrix,
     compatibility_report,
     pair_scores,

@@ -37,6 +37,7 @@ from .config import DEFAULT_CONFIG, check_fields, load_config, validate_config  
 from .container import write_atomic
 from .data import (
     SyntheticSpec,
+    VerificationPairSet,
     generate_pairs,
     load_csv,
     load_heldout,
@@ -50,7 +51,6 @@ from .errors import CompatLearnError, ConfigError, DataError
 from .evalkit import (
     METRIC_KINDS,
     CompatibilityMatrix,
-    VerificationPairSet,
     build_compatibility_matrix,
     check_metric,
     compatibility_report,
@@ -114,7 +114,7 @@ def experiment_components(config: dict):
     return sequence, eval_dataset, pairs, experiment
 
 
-def write_manifest(out_dir: Path, config_text: str, task_seconds: list[float]) -> None:
+def write_manifest(out_dir: Path, task_seconds: list[float]) -> None:
     artifacts = {}
     for path in sorted(out_dir.iterdir()):
         if path.name == MANIFEST_NAME or not path.is_file():
@@ -123,7 +123,6 @@ def write_manifest(out_dir: Path, config_text: str, task_seconds: list[float]) -
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "tool_version": __version__,
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
         "artifacts": artifacts,
         "task_seconds": task_seconds,
         "created_unix": time.time(),
@@ -143,7 +142,7 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     ancestor = next(p for p in out.absolute().parents if p.exists())
     if not ancestor.is_dir():
         raise ConfigError(f"--out {out} lies under {ancestor}, which is not a directory")
-    sequence, eval_dataset, pairs, experiment = experiment_components(config)
+    sequence, _, pairs, experiment = experiment_components(config)
     # Drawn up front, a task's data lives only while it trains: train_tasks empties this list.
     tasks, total_classes = list(sequence.tasks), sequence.total_classes
     del sequence
@@ -158,16 +157,15 @@ def cmd_train(config_path, out_dir, seed: int | None = None) -> Path:
     stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
     try:
         stage.chmod(0o777 & ~umask)  # the mode of a plain mkdir, not mkdtemp's 0o700
-        config_text = canonical_json(config)
-        write_atomic(stage / "config.json", [config_text.encode("utf-8")])
+        write_atomic(stage / "config.json", [canonical_json(config).encode("utf-8")])
         for task, checkpoint in enumerate(timeline.checkpoints, start=1):
             save_model(checkpoint, stage / CHECKPOINT_NAME.format(task))
         log_rows = [row for rows in timeline.logs for row in rows]
         write_training_log(log_rows, stage / "training_log.csv")
-        save_csv(eval_dataset, stage / "eval_data.csv")
+        save_csv(pairs.dataset, stage / "eval_data.csv")
         save_pairs(pairs, stage / "pairs.csv")
-        save_heldout(eval_dataset, pairs, stage / HELDOUT_NAME)
-        write_manifest(stage, config_text, timeline.task_seconds)
+        save_heldout(pairs, stage / HELDOUT_NAME)
+        write_manifest(stage, timeline.task_seconds)
         os.replace(stage, target)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)

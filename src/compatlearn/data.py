@@ -10,6 +10,13 @@ the input columns. The readers parse all data rows of a CSV in one numpy pass
 (``np.loadtxt``) and check them as whole arrays; a file is read again line by
 line only to name the first bad line of a file that fails.
 
+A pair set (``VerificationPairSet``) holds the held-out ``LabeledDataset`` and
+index pairs into its rows, not copies of them: pair ``i`` compares sample
+``ids_a[i]`` with sample ``ids_b[i]``. Wherever the package reads labels or ids
+they meet ``as_int64``, and flags ``as_flags``: the checked array or a
+DataError, never a cast (a label 1.7 or a flag 2 is refused), and no value
+scan of a bool or signed-integer array.
+
 The held-out set and its pairs are stored as one ``container.py`` container
 (``save_heldout``/``load_heldout``, magic ``HELDOUTS``), which reads back
 bitwise with no text to parse: a JSON meta of ``rows``, ``input_dim`` and
@@ -26,7 +33,6 @@ import numpy as np
 from .config import check_fields, check_size
 from .container import read_array, read_artifact, write_artifact, write_atomic
 from .errors import DataError, DisjointnessError
-from .evalkit import VerificationPairSet, as_int64
 
 HELDOUT_MAGIC = b"HELDOUTS"
 HELDOUT_VERSION = 1
@@ -39,6 +45,24 @@ _HELDOUT_SECTIONS = (
     ("ids_b", "<i8", ("pairs",)),
     ("genuine", "u1", ("pairs",)),
 )
+
+
+def as_int64(values, name: str) -> np.ndarray:
+    """``values`` as int64 if they are integers that int64 holds, else a DataError."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "i" or (kind == "u" and not (array > np.iinfo(np.int64).max).any()):
+        return array.astype(np.int64, copy=False)
+    raise DataError(f"{name} must be integers that fit int64, got {array.dtype}")
+
+
+def as_flags(values, name: str) -> np.ndarray:
+    """``values`` as bools if they are bools or integers 0 and 1, else a DataError."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "b" or (kind in "iu" and ((array == 0) | (array == 1)).all()):
+        return array.astype(bool, copy=False)
+    raise DataError(f"{name} must be bools, or integers with none other than 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -76,6 +100,46 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
+class VerificationPairSet:
+    """Static (A, B, genuine) verification pairs over held-out classes.
+
+    Pair ``i`` compares rows ``ids_a[i]`` and ``ids_b[i]`` of ``dataset``, the
+    held-out rows themselves (never a gathered copy). Nothing is cast: ids are
+    integers that fit int64, ``genuine`` holds bools or integers 0 and 1.
+    """
+
+    dataset: LabeledDataset
+    ids_a: np.ndarray
+    ids_b: np.ndarray
+    genuine: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.dataset, LabeledDataset):
+            raise DataError(f"pairs index a LabeledDataset, got {type(self.dataset).__name__}")
+        for side in ("ids_a", "ids_b"):
+            object.__setattr__(self, side, as_int64(getattr(self, side), side))
+        object.__setattr__(self, "genuine", as_flags(self.genuine, "genuine"))
+        n = len(self.genuine)
+        if n == 0:
+            raise DataError("verification pair set is empty")
+        if not self.genuine.shape == self.ids_a.shape == self.ids_b.shape == (n,):
+            raise DataError("pair set fields have inconsistent lengths")
+        rows = len(self.dataset)
+        for side, ids in (("a", self.ids_a), ("b", self.ids_b)):
+            bad = np.flatnonzero((ids < 0) | (ids >= rows))
+            if bad.size:
+                raise DataError(
+                    f"pair {bad[0]} side {side} indexes row {ids[bad[0]]}, "
+                    f"but the dataset has {rows} rows"
+                )
+        if not self.genuine.any() or self.genuine.all():
+            raise DataError("pair set needs at least one genuine and one impostor pair")
+
+    def __len__(self) -> int:
+        return len(self.genuine)
+
+
+@dataclass(frozen=True)
 class Task:
     """One step of a task sequence: its data, whose labels are the classes it introduces."""
 
@@ -104,10 +168,9 @@ class TaskSequence:
             if overlap:
                 raise DisjointnessError(f"task {task.index} reuses classes {sorted(overlap)}")
             seen.update(task.classes)
-        if len(seen) > self.total_classes:
-            raise DataError(
-                f"{len(seen)} classes exceed the declared capacity {self.total_classes}"
-            )
+        outside = sorted(c for c in seen if not 0 <= c < self.total_classes)
+        if outside:
+            raise DataError(f"labels {outside} lie outside the capacity [0, {self.total_classes})")
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -261,8 +324,8 @@ def generate_pairs(
 
     Half the pairs are genuine (two distinct samples of one class), half are
     impostor (samples of two different classes). Pair identities are sample
-    index pairs into ``dataset.inputs``, which the pair set shares without
-    copying; no unordered pair repeats.
+    index pairs into ``dataset``, which the pair set holds without copying;
+    no unordered pair repeats.
     """
     check_fields("pairs", {"num_pairs": num_pairs, "seed": seed})
     n = len(dataset)
@@ -296,12 +359,7 @@ def generate_pairs(
     imp_b -= starts[cls[imp_a]]
     ids_a, ids_b = np.concatenate([gen_a, imp_a]), np.concatenate([gen_b, imp_b])
     genuine = np.concatenate([np.ones(want, dtype=bool), np.zeros(want, dtype=bool)])
-    return VerificationPairSet(
-        inputs=dataset.inputs,
-        ids_a=ids_a,
-        ids_b=ids_b,
-        genuine=genuine,
-    )
+    return VerificationPairSet(dataset, ids_a=ids_a, ids_b=ids_b, genuine=genuine)
 
 
 def _unrank(counts: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +382,7 @@ def load_pairs(path, dataset: LabeledDataset) -> VerificationPairSet:
     Every data row must hold exactly three integers, and both ids must index
     into ``dataset``; the first offending row is reported with its line
     number. A nonzero ``genuine`` cell marks a genuine pair. The pair set
-    shares ``dataset.inputs``; no input row is copied.
+    holds ``dataset`` itself; no input row is copied.
     """
     with _open_csv(path) as (fh, header, first_line):
         if header != ["id_a", "id_b", "genuine"]:
@@ -336,17 +394,16 @@ def load_pairs(path, dataset: LabeledDataset) -> VerificationPairSet:
         line_no = first_line + int(np.flatnonzero(outside.any(axis=1))[0])
         raise DataError(f"{path}:{line_no}: pair index out of range")
     return VerificationPairSet(
-        inputs=dataset.inputs,
+        dataset,
         ids_a=np.ascontiguousarray(rows[:, 0]),
         ids_b=np.ascontiguousarray(rows[:, 1]),
         genuine=rows[:, 2] != 0,
     )
 
 
-def save_heldout(dataset: LabeledDataset, pairs: VerificationPairSet, path) -> None:
-    """Write the held-out ``dataset`` and the ``pairs`` over its rows as one container."""
-    if pairs.inputs is not dataset.inputs:
-        raise DataError("the pairs must index the rows of the dataset saved with them")
+def save_heldout(pairs: VerificationPairSet, path) -> None:
+    """Write ``pairs`` and the held-out dataset whose rows they index as one container."""
+    dataset = pairs.dataset
     meta = {"rows": len(dataset), "input_dim": dataset.input_dim, "pairs": len(pairs)}
     arrays = (dataset.inputs, dataset.labels, pairs.ids_a, pairs.ids_b, pairs.genuine)
     sections = [
@@ -357,7 +414,7 @@ def save_heldout(dataset: LabeledDataset, pairs: VerificationPairSet, path) -> N
 
 
 def load_heldout(path) -> VerificationPairSet:
-    """The pair set of ``save_heldout``'s file, over its rows checked as a ``LabeledDataset``.
+    """The pair set of ``save_heldout``'s file, over its rows and labels as a ``LabeledDataset``.
 
     A section whose length does not match the meta's counts, and rows or pairs that
     break the ``LabeledDataset`` or ``VerificationPairSet`` rules (a ``genuine`` byte
@@ -369,8 +426,7 @@ def load_heldout(path) -> VerificationPairSet:
             read_array(sections, name, dtype, [meta[key] for key in dims])
             for name, dtype, dims in _HELDOUT_SECTIONS
         )
-        dataset = LabeledDataset(inputs=inputs, labels=labels)
-        return VerificationPairSet(dataset.inputs, ids_a=ids_a, ids_b=ids_b, genuine=genuine)
+        return VerificationPairSet(LabeledDataset(inputs, labels), ids_a, ids_b, genuine)
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

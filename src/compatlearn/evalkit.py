@@ -1,20 +1,16 @@
 """Verification metrics and cross-model compatibility summaries.
 
-A pair set holds indices into the held-out inputs, not copies of them: pair
-``i`` compares sample ``ids_a[i]`` with sample ``ids_b[i]``. Scoring extracts
-each model's features once over every held-out row and computes each feature's
-norm once, which is where a zero or non-finite norm is refused
-(``network.feature_norms``, the rule gallery search applies to its queries):
-once per model, not once per cell. Both are then gathered by pair index: the
-first sample of every pair is seen by the query-side model, the second by the
-gallery-side model, and the score is their cosine similarity. From the scored
-pairs two metrics are available: best-threshold verification accuracy and the
-true acceptance rate at a false acceptance rate target.
-
-Wherever the package reads labels or ids they meet ``as_int64``, and flags
-``as_flags``: the checked array or a DataError, never a cast (a label 1.7 or a
-flag 2 is refused), and no value scan of a bool or signed-integer array.
-``check_metric`` is the one rule for a metric and its far target.
+A pair set (``data.VerificationPairSet``) holds index pairs into the held-out
+rows it carries. Scoring extracts each model's features once over every
+held-out row and computes each feature's norm once, which is where a zero or
+non-finite norm is refused (``network.feature_norms``, the rule gallery search
+applies to its queries): once per model, not once per cell. Both are then
+gathered by pair index: the first sample of every pair is seen by the
+query-side model, the second by the gallery-side model, and the score is their
+cosine similarity. From the scored pairs two metrics are available:
+best-threshold verification accuracy and the true acceptance rate at a false
+acceptance rate target. ``check_metric`` is the one rule for a metric and its
+far target.
 
 Scoring every (newer model, older model) combination of a training timeline
 on one static pair set fills the lower triangle of the compatibility matrix:
@@ -42,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import VerificationPairSet, as_flags
 from .errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
@@ -49,24 +46,6 @@ METRIC_KINDS = ("accuracy", "tar_at_far")
 # Pairs whose gathered feature rows ``gathered_cosines`` holds at once. Every worker
 # holds its own block; larger blocks raised peak RSS at the same speed.
 SCORE_BLOCK = 512
-
-
-def as_int64(values, name: str) -> np.ndarray:
-    """``values`` as int64 if they are integers that int64 holds, else a DataError."""
-    array = np.asarray(values)
-    kind = array.dtype.kind
-    if kind == "i" or (kind == "u" and not (array > np.iinfo(np.int64).max).any()):
-        return array.astype(np.int64, copy=False)
-    raise DataError(f"{name} must be integers that fit int64, got {array.dtype}")
-
-
-def as_flags(values, name: str) -> np.ndarray:
-    """``values`` as bools if they are bools or integers 0 and 1, else a DataError."""
-    array = np.asarray(values)
-    kind = array.dtype.kind
-    if kind == "b" or (kind in "iu" and ((array == 0) | (array == 1)).all()):
-        return array.astype(bool, copy=False)
-    raise DataError(f"{name} must be bools, or integers with none other than 0 or 1")
 
 
 def check_metric(metric: str, far_target: float | None) -> None:
@@ -80,47 +59,6 @@ def check_metric(metric: str, far_target: float | None) -> None:
         raise DataError(f"far_target must be a number, got {far_target!r}")
     if far_target is not None and not 0.0 < far_target <= 1.0:  # NaN fails too
         raise DataError(f"far_target must be in (0, 1], got {far_target}")
-
-
-@dataclass(frozen=True)
-class VerificationPairSet:
-    """Static (A, B, genuine) verification pairs over held-out classes.
-
-    ``inputs`` is the held-out input array itself (never a gathered copy);
-    pair ``i`` compares rows ``ids_a[i]`` and ``ids_b[i]`` of it. Nothing is cast:
-    ids are integers that fit int64, ``genuine`` holds bools or integers 0 and 1.
-    """
-
-    inputs: np.ndarray
-    ids_a: np.ndarray
-    ids_b: np.ndarray
-    genuine: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
-        for side in ("ids_a", "ids_b"):
-            object.__setattr__(self, side, as_int64(getattr(self, side), side))
-        object.__setattr__(self, "genuine", as_flags(self.genuine, "genuine"))
-        if self.inputs.ndim != 2:
-            raise DataError(f"pair inputs must be a 2-d array, got shape {self.inputs.shape}")
-        n = len(self.genuine)
-        if n == 0:
-            raise DataError("verification pair set is empty")
-        if not self.genuine.shape == self.ids_a.shape == self.ids_b.shape == (n,):
-            raise DataError("pair set fields have inconsistent lengths")
-        rows = len(self.inputs)
-        for side, ids in (("a", self.ids_a), ("b", self.ids_b)):
-            bad = np.flatnonzero((ids < 0) | (ids >= rows))
-            if bad.size:
-                raise DataError(
-                    f"pair {bad[0]} side {side} indexes row {ids[bad[0]]}, "
-                    f"but the inputs have {rows} rows"
-                )
-        if not self.genuine.any() or self.genuine.all():
-            raise DataError("pair set needs at least one genuine and one impostor pair")
-
-    def __len__(self) -> int:
-        return len(self.genuine)
 
 
 @dataclass(frozen=True)
@@ -176,7 +114,7 @@ class CompatibilityReport:
 
 def _heldout_features(model: FeatureExtractorState, pairs) -> tuple[np.ndarray, np.ndarray]:
     """One model's features for every held-out row, with their norms."""
-    feats = extract_features(model, pairs.inputs)
+    feats = extract_features(model, pairs.dataset.inputs)
     return feats, feature_norms(feats, lambda i: f"feature of held-out row {i}")
 
 

@@ -59,6 +59,7 @@ import numpy as np
 
 from . import evalkit
 from .container import read_array, read_artifact, write_artifact
+from .data import as_int64
 from .errors import ConfigError, DataError
 from .network import FeatureExtractorState, extract_features, feature_norms
 
@@ -100,7 +101,7 @@ class Gallery:
         stored = features.astype(np.float32)  # the file's grid; a copy only when off it
         features = features if np.array_equal(stored, features) else stored.astype(np.float64)
         if self.labels is not None:
-            labels = evalkit.as_int64(self.labels, "labels")
+            labels = as_int64(self.labels, "labels")
             if labels.shape != (len(self.ids),):
                 raise DataError("labels, when given, must be one int64 integer per id")
             object.__setattr__(self, "labels", tuple(labels.tolist()))
@@ -214,7 +215,7 @@ def recall_at_1(
         raise DataError("recall@1 needs a gallery with labels")
     if len(query_inputs) == 0:
         raise DataError("recall@1 needs at least one query")
-    labels = evalkit.as_int64(query_labels, "query labels")
+    labels = as_int64(query_labels, "query labels")
     if labels.shape != (len(query_inputs),):
         raise DataError(f"{labels.size} query labels for {len(query_inputs)} queries")
     ranked = search(query_inputs, query_model, gallery, top_n=1)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_flags, as_int64
 from .errors import ConfigError, DataError, DegenerateFeatureError
-from .evalkit import as_flags, as_int64
 from .network import (
     FeatureExtractorState,
     ParamGrads,

@@ -19,6 +19,7 @@ from compatlearn.data import (
     HELDOUT_MAGIC,
     HELDOUT_VERSION,
     LabeledDataset,
+    VerificationPairSet,
     generate_pairs,
     load_csv,
     load_heldout,
@@ -35,7 +36,6 @@ from compatlearn.errors import (
     DataError,
     UnsupportedVersionError,
 )
-from compatlearn.evalkit import VerificationPairSet
 from compatlearn.gallery import (
     GALLERY_MAGIC,
     GALLERY_VERSION,
@@ -190,8 +190,8 @@ def test_every_format_keeps_its_bytes(tmp_path):
     save_gallery(gallery, tmp_path / "gallery")
     data = LabeledDataset(np.arange(12.0).reshape(4, 3) - 5.0, np.array([0, 0, 1, 1]))
     genuine = np.array([True, False, True])
-    pairs = VerificationPairSet(data.inputs, np.array([0, 1, 2]), np.array([1, 2, 3]), genuine)
-    save_heldout(data, pairs, tmp_path / "heldout")
+    pairs = VerificationPairSet(data, np.array([0, 1, 2]), np.array([1, 2, 3]), genuine)
+    save_heldout(pairs, tmp_path / "heldout")
     for name, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -274,22 +274,21 @@ FAILED_WRITES = {
     """,
     "save_pairs": """
         import numpy as np
-        from compatlearn.data import save_pairs
-        from compatlearn.evalkit import VerificationPairSet
+        from compatlearn.data import LabeledDataset, VerificationPairSet, save_pairs
 
         def write(path, n):
+            data = LabeledDataset(np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
             ids = np.arange(n)
-            save_pairs(VerificationPairSet(np.zeros((n, 1)), ids, ids[::-1], ids % 2 == 0), path)
+            save_pairs(VerificationPairSet(data, ids, ids[::-1], ids % 2 == 0), path)
     """,
     "save_heldout": """
         import numpy as np
-        from compatlearn.data import LabeledDataset, save_heldout
-        from compatlearn.evalkit import VerificationPairSet
+        from compatlearn.data import LabeledDataset, VerificationPairSet, save_heldout
 
         def write(path, n):
             data = LabeledDataset(np.ones((n, 4)), np.zeros(n, dtype=np.int64))
             ids = np.arange(n)
-            save_heldout(data, VerificationPairSet(data.inputs, ids, ids[::-1], ids % 2 == 0), path)
+            save_heldout(VerificationPairSet(data, ids, ids[::-1], ids % 2 == 0), path)
     """,
     "write_training_log": """
         from compatlearn.trainer import EpochLog, write_training_log
@@ -438,45 +437,40 @@ def heldout_set(num_classes=3, samples_per_class=4, input_dim=4, num_pairs=10):
         num_classes, samples_per_class, input_dim, cluster_sigma=0.1,
         mean_seed=0, noise_seed=1, intrinsic_dim=None,
     )
-    dataset = make_synthetic(spec)
-    return dataset, generate_pairs(dataset, num_pairs, seed=0)
+    return generate_pairs(make_synthetic(spec), num_pairs, seed=0)
 
 
 def test_heldout_round_trip_is_bitwise_the_csv_round_trip(tmp_path):
-    dataset, pairs = heldout_set(num_classes=6, samples_per_class=9, input_dim=7, num_pairs=40)
-    save_heldout(dataset, pairs, tmp_path / "heldout.ckpt")
-    save_csv(dataset, tmp_path / "eval_data.csv")
+    pairs = heldout_set(num_classes=6, samples_per_class=9, input_dim=7, num_pairs=40)
+    save_heldout(pairs, tmp_path / "heldout.ckpt")
+    save_csv(pairs.dataset, tmp_path / "eval_data.csv")
     save_pairs(pairs, tmp_path / "pairs.csv")
     loaded = load_heldout(tmp_path / "heldout.ckpt")
     from_csv = load_csv(tmp_path / "eval_data.csv")
     csv_pairs = load_pairs(tmp_path / "pairs.csv", from_csv)
     for got, want in [
-        (loaded.inputs, from_csv.inputs),
+        (loaded.dataset.inputs, from_csv.inputs),
         (loaded.ids_a, csv_pairs.ids_a),
         (loaded.ids_b, csv_pairs.ids_b),
         (loaded.genuine, csv_pairs.genuine),
     ]:
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    # eval discards the labels, but the file keeps them bitwise too.
+    # The file keeps the labels bitwise too.
     labels = read_container(tmp_path / "heldout.ckpt", HELDOUT_MAGIC, HELDOUT_VERSION)["labels"]
     assert labels == from_csv.labels.astype("<i8").tobytes()
 
 
-@pytest.mark.parametrize("rows", ["fewer", "copied"])
-def test_save_heldout_refuses_pairs_over_other_rows_than_it_writes(tmp_path, rows):
-    # Before, pairs drawn over 24 rows saved beside 12 of them, in a file that
-    # load_heldout refused ("pair 0 side a indexes row 18, but the inputs have 12 rows").
-    wide, pairs = heldout_set(num_classes=6, samples_per_class=4, num_pairs=20)
-    inputs = wide.inputs[:12] if rows == "fewer" else wide.inputs.copy()
-    dataset = LabeledDataset(inputs, wide.labels[: len(inputs)])
-    with pytest.raises(DataError, match="the pairs must index the rows of the dataset"):
-        save_heldout(dataset, pairs, tmp_path / "heldout.ckpt")
-    assert not (tmp_path / "heldout.ckpt").exists()
+def test_load_heldout_returns_the_labels_it_stores(tmp_path):
+    # Before, load_heldout checked the stored labels and then dropped them.
+    pairs = heldout_set(num_classes=5, samples_per_class=3, num_pairs=12)
+    save_heldout(pairs, tmp_path / "heldout.ckpt")
+    labels = load_heldout(tmp_path / "heldout.ckpt").dataset.labels
+    assert (labels.dtype, labels.tobytes()) == (np.int64, pairs.dataset.labels.tobytes())
 
 
 def test_load_heldout_refuses_a_genuine_byte_other_than_0_or_1(tmp_path):
     path = tmp_path / "heldout.ckpt"
-    save_heldout(*heldout_set(), path)
+    save_heldout(heldout_set(), path)
     sections = read_container(path, HELDOUT_MAGIC, HELDOUT_VERSION)
     sections["genuine"] = b"\x02" + sections["genuine"][1:]
     write_container(path, HELDOUT_MAGIC, HELDOUT_VERSION, list(sections.items()))  # valid CRCs
@@ -486,7 +480,7 @@ def test_load_heldout_refuses_a_genuine_byte_other_than_0_or_1(tmp_path):
 
 def test_every_single_byte_corruption_of_a_heldout_set_is_rejected(tmp_path):
     path = tmp_path / "heldout.ckpt"
-    save_heldout(*heldout_set(num_classes=2, samples_per_class=2, input_dim=2, num_pairs=2), path)
+    save_heldout(heldout_set(num_classes=2, samples_per_class=2, input_dim=2, num_pairs=2), path)
     blob = path.read_bytes()
     corrupt = tmp_path / "corrupt.ckpt"
     for offset in range(len(blob)):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -126,8 +127,6 @@ def test_train_writes_a_complete_experiment(tmp_path):
     assert log[0] == "task,epoch,ce,fd,lambda,total"
     assert len(log) == 1 + 3 * 3  # header + tasks * epochs
     # the recorded hashes verify
-    import hashlib
-
     for name, digest in manifest["artifacts"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -373,6 +372,7 @@ def test_train_writes_what_the_library_path_writes(tmp_path):
     out = cmd_train(config_path, tmp_path / "exp", seed=1)
     config = apply_master_seed(load_config(config_path), 1)
     sequence, eval_dataset, pairs, experiment = experiment_components(config)
+    assert pairs.dataset is eval_dataset
     timeline = run_sequence(experiment, sequence)
     library = tmp_path / "library"
     library.mkdir()
@@ -380,7 +380,7 @@ def test_train_writes_what_the_library_path_writes(tmp_path):
         save_model(checkpoint, library / f"checkpoint_task_{task:03d}.ckpt")
     rows = [row for task_rows in timeline.logs for row in task_rows]
     write_training_log(rows, library / "training_log.csv")
-    save_heldout(eval_dataset, pairs, library / "heldout.ckpt")
+    save_heldout(pairs, library / "heldout.ckpt")
     names = sorted(path.name for path in library.iterdir())
     assert len(names) == TINY["data"]["num_tasks"] + 2
     for name in names:
@@ -457,8 +457,7 @@ def small_experiment(tmp_path):
     """An experiment directory with one checkpoint, a valid held-out set and a manifest."""
     exp = tmp_path / "exp"
     exp.mkdir()
-    config_text = json.dumps({"data": {"num_tasks": 1}})
-    (exp / "config.json").write_text(config_text)
+    (exp / "config.json").write_text(json.dumps({"data": {"num_tasks": 1}}))
     model = init_model(
         ModelConfig(input_dim=4, hidden_layers=(6,), feature_dim=3, nonlinearity="tanh", seed=0)
     )
@@ -469,9 +468,18 @@ def small_experiment(tmp_path):
             mean_seed=0, noise_seed=1, intrinsic_dim=None,
         )
     )
-    save_heldout(held_out, generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
-    write_manifest(exp, config_text, [0.0])
+    save_heldout(generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
+    write_manifest(exp, [0.0])
     return exp
+
+
+def test_the_manifest_records_the_config_hash_once(tmp_path):
+    # Before, config_sha256 repeated the hash of config.json that "artifacts" records.
+    exp = small_experiment(tmp_path)
+    manifest = json.loads((exp / "manifest.json").read_text())
+    assert set(manifest) == {"schema", "tool_version", "artifacts", "task_seconds", "created_unix"}
+    digest = hashlib.sha256((exp / "config.json").read_bytes()).hexdigest()
+    assert manifest["artifacts"]["config.json"] == digest
 
 
 def edit_heldout(path, edit):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import tempfile
 import tracemalloc
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import compatlearn
 from compatlearn.data import (
     LabeledDataset,
     SyntheticSpec,
     Task,
     TaskSequence,
+    VerificationPairSet,
     generate_pairs,
     load_csv,
     load_pairs,
@@ -23,7 +26,6 @@ from compatlearn.data import (
     split_tasks,
 )
 from compatlearn.errors import CompatLearnError, ConfigError, DataError, DisjointnessError
-from compatlearn.evalkit import VerificationPairSet
 
 
 def spec(**overrides):
@@ -159,6 +161,21 @@ def test_task_sequence_refuses_tasks_that_share_a_label_before_any_training():
     assert [task.classes for task in tasks] == [(0, 1), (1, 2)]
     with pytest.raises(DisjointnessError, match=r"task 2 reuses classes \[1\]"):
         TaskSequence(tasks=tasks, total_classes=3)
+
+
+def test_task_sequence_refuses_a_label_outside_its_capacity_before_any_training():
+    # Before, only the class count was checked: labels {0, 1} then {2, 7} at capacity 4
+    # made a sequence, and run_sequence refused label 7 only after task 1 trained.
+    rng = np.random.default_rng(0)
+    tasks = tuple(
+        Task(t, LabeledDataset(rng.standard_normal((4, 3)), labels))
+        for t, labels in ((1, [0, 1, 0, 1]), (2, [2, 7, 2, 7]))
+    )
+    with pytest.raises(DataError, match=r"labels \[7\] lie outside the capacity \[0, 4\)"):
+        TaskSequence(tasks=tasks, total_classes=4)
+    with pytest.raises(DataError, match=r"labels \[-1\] lie outside"):
+        TaskSequence(tasks=(Task(1, LabeledDataset(np.eye(2), [-1, 0])),), total_classes=2)
+    assert TaskSequence(tasks=tasks, total_classes=8).total_classes == 8
 
 
 def test_split_is_seeded():
@@ -319,8 +336,8 @@ def test_pair_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.ids_a, pairs.ids_a)
     assert np.array_equal(loaded.ids_b, pairs.ids_b)
     assert np.array_equal(loaded.genuine, pairs.genuine)
-    assert np.array_equal(loaded.inputs[loaded.ids_a], pairs.inputs[pairs.ids_a])
-    assert np.array_equal(loaded.inputs[loaded.ids_b], pairs.inputs[pairs.ids_b])
+    assert np.array_equal(loaded.dataset.inputs[loaded.ids_a], pairs.dataset.inputs[pairs.ids_a])
+    assert np.array_equal(loaded.dataset.inputs[loaded.ids_b], pairs.dataset.inputs[pairs.ids_b])
 
 
 def test_pair_sets_share_the_dataset_inputs(tmp_path):
@@ -329,8 +346,53 @@ def test_pair_sets_share_the_dataset_inputs(tmp_path):
     path = tmp_path / "pairs.csv"
     save_pairs(pairs, path)
     for pair_set in (pairs, load_pairs(path, ds)):
-        assert np.shares_memory(pair_set.inputs, ds.inputs)
-        assert pair_set.inputs.shape == ds.inputs.shape
+        assert pair_set.dataset is ds
+
+
+def test_a_pair_set_indexes_a_labeled_dataset_of_finite_rows():
+    # Before, a pair set held a bare inputs array: any 2-d array, NaN rows included.
+    fields = dict(ids_a=[0, 1], ids_b=[1, 0], genuine=[True, False])
+    with pytest.raises(DataError, match="pairs index a LabeledDataset, got ndarray"):
+        VerificationPairSet(np.eye(2), **fields)
+    with pytest.raises(DataError, match="non-finite"):
+        VerificationPairSet(LabeledDataset(np.array([[0.0], [np.nan]]), [0, 1]), **fields)
+    assert not hasattr(VerificationPairSet(LabeledDataset(np.eye(2), [0, 1]), **fields), "inputs")
+
+
+def package_imports() -> dict[str, set[str]]:
+    """Each module of the package, and the package modules it imports (``from .``)."""
+    package = Path(compatlearn.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            if node.module:
+                imported.add(node.module.partition(".")[0])
+            else:  # ``from . import x``: module x, or a name of the package's __init__
+                imported.update(a.name if a.name in modules else "__init__" for a in node.names)
+        graph[name] = imported
+    return graph
+
+
+def test_data_sits_below_the_metrics_and_the_package_imports_form_no_cycle():
+    # Before, data imported evalkit for the pair set and the label rules.
+    graph = package_imports()
+    assert graph["data"] <= {"config", "container", "errors"}
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, f"import cycle {' -> '.join(path[path.index(name):] + [name])}"
+        if name not in done:
+            path.append(name)
+            for imported in sorted(graph[name]):
+                visit(imported)
+            done.add(path.pop())
+
+    for name in sorted(graph):
+        visit(name)
 
 
 def test_load_pairs_rejects_out_of_range_ids(tmp_path):
@@ -438,9 +500,7 @@ def datasets_and_pairs(draw):
     count = draw(st.integers(2, 12))
     ids = st.lists(st.integers(0, rows - 1), min_size=count, max_size=count)
     genuine = [True, False] + draw(st.lists(st.booleans(), min_size=count - 2, max_size=count - 2))
-    pairs = VerificationPairSet(
-        inputs=dataset.inputs, ids_a=draw(ids), ids_b=draw(ids), genuine=genuine
-    )
+    pairs = VerificationPairSet(dataset, ids_a=draw(ids), ids_b=draw(ids), genuine=genuine)
     return dataset, pairs
 
 

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compatlearn import evalkit
+from compatlearn.data import LabeledDataset, VerificationPairSet, as_flags, as_int64
 from compatlearn.errors import DataError, DegenerateFeatureError, MetricUndefinedError
 from compatlearn.evalkit import (
     CompatibilityMatrix,
-    VerificationPairSet,
     _threshold_sweep,
-    as_flags,
-    as_int64,
     build_compatibility_matrix,
     compatibility_report,
     pair_scores,
@@ -67,11 +65,16 @@ def identity_model(dim=3):
     return state
 
 
+def heldout(inputs):
+    """The held-out rows ``inputs``, all of one label."""
+    return LabeledDataset(inputs, np.zeros(len(inputs), dtype=np.int64))
+
+
 def make_pairs(inputs_a, inputs_b, genuine):
     """Pair i compares row i of inputs_a with row i of inputs_b, as indices."""
     n = len(genuine)
     return VerificationPairSet(
-        inputs=np.concatenate([inputs_a, inputs_b]).astype(float),
+        dataset=heldout(np.concatenate([inputs_a, inputs_b]).astype(float)),
         ids_a=np.arange(n),
         ids_b=np.arange(n, 2 * n),
         genuine=np.asarray(genuine, dtype=bool),
@@ -116,7 +119,7 @@ def test_pair_scores_zero_norm_feature_reports_index(row, kind):
 def test_degenerate_feature_names_the_held_out_row_and_the_task():
     # The pairs touch rows 0 and 2 only; row 2 holds the zero feature.
     inputs = np.array([[1.0, 0.0, 0.0], [5.0, 5.0, 5.0], [0.0, 0.0, 0.0]])
-    pairs = VerificationPairSet(inputs=inputs, ids_a=[0, 2], ids_b=[2, 0], genuine=[True, False])
+    pairs = VerificationPairSet(heldout(inputs), ids_a=[0, 2], ids_b=[2, 0], genuine=[True, False])
     shifted = identity_model()
     shifted.biases[0][:] = 1.0  # row 2's feature is (1, 1, 1)
     with pytest.raises(DegenerateFeatureError, match="zero-norm feature of held-out row 2$"):
@@ -128,7 +131,7 @@ def test_degenerate_feature_names_the_held_out_row_and_the_task():
 def test_a_degenerate_feature_on_a_row_no_pair_touches_is_refused():
     # Every held-out row is extracted and norm-checked, the rows no pair touches too.
     inputs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    pairs = VerificationPairSet(inputs=inputs, ids_a=[0, 2], ids_b=[2, 0], genuine=[True, False])
+    pairs = VerificationPairSet(heldout(inputs), ids_a=[0, 2], ids_b=[2, 0], genuine=[True, False])
     with pytest.raises(DegenerateFeatureError, match="zero-norm feature of held-out row 1$"):
         pair_scores(pairs, identity_model(), identity_model())
     shifted = identity_model()
@@ -141,9 +144,9 @@ def test_pair_set_rejects_ids_outside_the_inputs():
     inputs = np.eye(3)
     for ids_a, ids_b, where in (([0, 3], [1, 2], "pair 1 side a"), ([0, 1], [-1, 2], "pair 0 side b")):
         with pytest.raises(DataError, match=where):
-            VerificationPairSet(inputs=inputs, ids_a=ids_a, ids_b=ids_b, genuine=[True, False])
+            VerificationPairSet(heldout(inputs), ids_a=ids_a, ids_b=ids_b, genuine=[True, False])
     with pytest.raises(DataError, match="inconsistent"):
-        VerificationPairSet(inputs=inputs, ids_a=[0, 1], ids_b=[1], genuine=[True, False])
+        VerificationPairSet(heldout(inputs), ids_a=[0, 1], ids_b=[1], genuine=[True, False])
 
 
 @pytest.mark.parametrize(
@@ -160,14 +163,14 @@ def test_pair_set_rejects_ids_outside_the_inputs():
 )
 def test_pair_set_refuses_ids_and_flags_it_used_to_cast(field, values, message):
     # Before, ids [0.9, 1.5] became rows [0, 1] and a genuine of 2 became True.
-    fields = dict(inputs=np.eye(3), ids_a=[0, 1], ids_b=[1, 2], genuine=[True, False])
+    fields = dict(dataset=heldout(np.eye(3)), ids_a=[0, 1], ids_b=[1, 2], genuine=[True, False])
     with pytest.raises(DataError, match=message):
         VerificationPairSet(**{**fields, field: values})
 
 
 def test_pair_set_takes_any_integer_ids_and_0_1_flags():
     pairs = VerificationPairSet(
-        np.eye(3), np.array([0, 1], np.uint8), np.array([1, 2], np.int32), np.array([1, 0])
+        heldout(np.eye(3)), np.array([0, 1], np.uint8), np.array([1, 2], np.int32), np.array([1, 0])
     )
     assert (pairs.ids_a.dtype, pairs.ids_b.dtype, pairs.genuine.dtype) == (np.int64, np.int64, bool)
     assert pairs.genuine.tolist() == [True, False]
@@ -387,7 +390,7 @@ def shared_sample_pairs(rng, samples=12, n=40, dim=3):
     genuine = rng.random(n) < 0.5
     genuine[0], genuine[1] = True, False
     inputs = rng.standard_normal((samples + 5, dim)) + 0.5
-    return VerificationPairSet(inputs=inputs, ids_a=ids[0], ids_b=ids[1], genuine=genuine)
+    return VerificationPairSet(heldout(inputs), ids_a=ids[0], ids_b=ids[1], genuine=genuine)
 
 
 def tanh_models(count):
@@ -409,8 +412,8 @@ def test_matrix_extracts_every_held_out_row_once_per_checkpoint(monkeypatch):
 
     monkeypatch.setattr(evalkit, "extract_features", counting)
     build_compatibility_matrix(models, pairs)
-    assert len(np.union1d(pairs.ids_a, pairs.ids_b)) < len(pairs.inputs)  # rows in no pair
-    assert extracted == [len(pairs.inputs)] * len(models)
+    assert len(np.union1d(pairs.ids_a, pairs.ids_b)) < len(pairs.dataset.inputs)  # rows in no pair
+    assert extracted == [len(pairs.dataset.inputs)] * len(models)
 
 
 @pytest.mark.parametrize("metric, far", [("accuracy", None), ("tar_at_far", 0.2)])
@@ -501,8 +504,8 @@ def test_pair_scores_match_scoring_each_pair_on_its_own():
     query, gallery = tanh_models(2)
     scores, _ = pair_scores(pairs, query, gallery)
     for i, (a, b) in enumerate(zip(pairs.ids_a, pairs.ids_b)):
-        fa = extract_features(query, pairs.inputs[a : a + 1])[0]
-        fb = extract_features(gallery, pairs.inputs[b : b + 1])[0]
+        fa = extract_features(query, pairs.dataset.inputs[a : a + 1])[0]
+        fb = extract_features(gallery, pairs.dataset.inputs[b : b + 1])[0]
         cosine = fa @ fb / (np.linalg.norm(fa) * np.linalg.norm(fb))
         assert scores[i] == pytest.approx(cosine, abs=1e-12)
 

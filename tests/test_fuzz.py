@@ -80,15 +80,15 @@ def pristine(tmp_path_factory):
             mean_seed=0, noise_seed=1, intrinsic_dim=None,
         )
     )
-    save_heldout(held_out, generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
+    save_heldout(generate_pairs(held_out, 10, seed=0), exp / "heldout.ckpt")
     spec = SyntheticSpec(
         num_classes=3, samples_per_class=5, input_dim=4, cluster_sigma=0.2,
         mean_seed=0, noise_seed=1, intrinsic_dim=None,
     )
     other = make_synthetic(dataclasses.replace(spec, mean_seed=1))
-    save_heldout(other, generate_pairs(other, 12, seed=1), root / "other.ckpt")
+    save_heldout(generate_pairs(other, 12, seed=1), root / "other.ckpt")
     (exp / "config.json").write_text("{}")
-    write_manifest(exp, "{}", [0.0, 0.0])
+    write_manifest(exp, [0.0, 0.0])
     ids = [f"item{i}" for i in range(len(held_out))]
     gallery = index_gallery(ids, held_out.inputs, models[0], 1, held_out.labels)
     save_gallery(gallery, root / "g.gal")
