@@ -1,10 +1,12 @@
 """Serialization of model checkpoints.
 
 A checkpoint is a container from ``container.py`` with a JSON "meta" section
-describing shapes and little-endian float64 blobs for the parameters, which
-makes round trips bit-exact. Writes are atomic and refuse a step that is not a
-non-negative int (a DataError). On reading, such a step, malformed meta and
-non-finite weights or biases become a ``CorruptFileError``.
+holding the model config and the step, and little-endian float64 blobs for the
+parameters, whose shapes follow from the config's layer sizes; round trips are
+bit-exact. Writes are atomic and refuse a step that is not a non-negative int
+(a DataError). On reading, such a step, malformed meta, a config whose layer
+sizes do not fit the sections and non-finite weights or biases become a
+``CorruptFileError``.
 """
 
 import dataclasses
@@ -18,12 +20,12 @@ from .network import FeatureExtractorState, ModelConfig
 MODEL_MAGIC = b"MODLCKPT"
 MODEL_VERSION = 1
 # A model's parameter sections in file order, as (section prefix, state
-# attribute, meta key of the per-layer shapes); section "w0" is weights[0].
+# attribute, shape kind: "w" weights or "b" biases); section "w0" is weights[0].
 _MODEL_SECTIONS = (
-    ("w", "weights", "weight_shapes"),
-    ("b", "biases", "bias_shapes"),
-    ("vw", "velocity_w", "weight_shapes"),
-    ("vb", "velocity_b", "bias_shapes"),
+    ("w", "weights", "w"),
+    ("b", "biases", "b"),
+    ("vw", "velocity_w", "w"),
+    ("vb", "velocity_b", "b"),
 )
 
 
@@ -35,13 +37,7 @@ def _check_step(step) -> None:
 
 def save_model(state: FeatureExtractorState, path) -> None:
     _check_step(state.step)
-    meta = {
-        "config": dataclasses.asdict(state.config),
-        "step": state.step,
-        "num_layers": len(state.weights),
-        "weight_shapes": [list(w.shape) for w in state.weights],
-        "bias_shapes": [list(b.shape) for b in state.biases],
-    }
+    meta = {"config": dataclasses.asdict(state.config), "step": state.step}
     sections = [
         (f"{prefix}{i}", np.ascontiguousarray(array, dtype="<f8").tobytes())
         for prefix, attr, _ in _MODEL_SECTIONS
@@ -54,17 +50,13 @@ def load_model(path) -> FeatureExtractorState:
     with read_artifact(path, MODEL_MAGIC, MODEL_VERSION, "model checkpoint") as (meta, sections):
         config = ModelConfig(**meta["config"])  # no field has a default to hide a lost key
         sizes = config.layer_sizes()
-        n = len(sizes) - 1
-        if (
-            meta["num_layers"] != n
-            or meta["weight_shapes"] != [list(shape) for shape in zip(sizes, sizes[1:])]
-            or meta["bias_shapes"] != [[size] for size in sizes[1:]]
-        ):
-            raise CorruptFileError(f"{path}: stored layer shapes do not match layer sizes {sizes}")
+        shapes = {"w": list(zip(sizes, sizes[1:])), "b": [(size,) for size in sizes[1:]]}
+        if len(sections) != 1 + len(_MODEL_SECTIONS) * (len(sizes) - 1):  # meta + parameters
+            raise CorruptFileError(f"{path}: {len(sections) - 1} sections do not fit {sizes}")
         arrays = {
-            attr: [read_array(sections, f"{prefix}{i}", "<f8", meta[shapes][i]).astype(np.float64)
-                   for i in range(n)]
-            for prefix, attr, shapes in _MODEL_SECTIONS
+            attr: [read_array(sections, f"{prefix}{i}", "<f8", shape).astype(np.float64)
+                   for i, shape in enumerate(shapes[kind])]
+            for prefix, attr, kind in _MODEL_SECTIONS
         }
         _check_step(meta["step"])
         state = FeatureExtractorState(config, **arrays, step=meta["step"])

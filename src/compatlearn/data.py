@@ -65,7 +65,7 @@ def as_flags(values, name: str) -> np.ndarray:
     raise DataError(f"{name} must be bools, or integers with none other than 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Immutable array-backed dataset: inputs (n, D) and integer labels (n,)."""
 
@@ -99,7 +99,7 @@ class LabeledDataset:
         return tuple(int(c) for c in np.unique(self.labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationPairSet:
     """Static (A, B, genuine) verification pairs over held-out classes.
 
@@ -119,6 +119,8 @@ class VerificationPairSet:
         for side in ("ids_a", "ids_b"):
             object.__setattr__(self, side, as_int64(getattr(self, side), side))
         object.__setattr__(self, "genuine", as_flags(self.genuine, "genuine"))
+        for array in (self.ids_a, self.ids_b, self.genuine):
+            array.setflags(write=False)
         n = len(self.genuine)
         if n == 0:
             raise DataError("verification pair set is empty")

@@ -67,7 +67,7 @@ class MetricResult:
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibilityMatrix:
     """Lower-triangular matrix of self-tests (diagonal) and cross-tests."""
 

@@ -5,7 +5,9 @@ of vertices of a regular simplex: ``n`` maximally separated vectors living in
 ``n - 1`` dimensions, one row per class slot (already seen classes and slots
 reserved for future ones). The matrix is built once in closed form, is never
 trained, and is shared by every model in a training sequence. Its ``loss``
-is the softmax cross-entropy the trainable baseline classifier also uses.
+is the softmax cross-entropy the trainable baseline classifier also uses. The
+record holds the vertices alone: the dimension is ``vertices.shape[1]``, and
+``build_simplex``'s ``alpha`` is ``vertices[-1, 0]``.
 """
 
 import math
@@ -17,16 +19,11 @@ from .errors import ConfigError
 from .losses import softmax_cross_entropy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexPrototypes:
-    """Immutable prototype matrix: one row per class slot.
+    """Immutable, read-only ``(n, n - 1)`` prototype matrix: one row per class slot."""
 
-    ``vertices`` has shape ``(dim + 1, dim)`` and is read-only; trainers must never modify it.
-    """
-
-    dim: int
     vertices: np.ndarray
-    alpha: float
 
     def loss(self, features, labels, normalize_features: bool):
         """Cross-entropy against every prototype row: (loss, dloss/dfeatures, None).
@@ -55,4 +52,4 @@ def build_simplex(total_classes: int) -> SimplexPrototypes:
     vertices[:dim, :] = np.eye(dim, dtype=np.float64)
     vertices[dim, :] = alpha
     vertices.setflags(write=False)
-    return SimplexPrototypes(dim=dim, vertices=vertices, alpha=alpha)
+    return SimplexPrototypes(vertices)

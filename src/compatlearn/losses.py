@@ -39,7 +39,7 @@ from .network import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledBatch:
     """Inputs, class labels, and a per-sample flag marking rehearsal samples.
 

@@ -68,7 +68,7 @@ class TrainingHyperparams:
         return self.learning_rate * self.lr_decay_factor**passed
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamGrads:
     """Gradients shaped like the parameters of a FeatureExtractorState.
 

@@ -241,10 +241,10 @@ def train_tasks(config: ExperimentConfig, tasks: list[Task], total_classes: int)
     fixed_mode = config.classifier_mode == "fixed_simplex"
     if fixed_mode:
         classifier = build_simplex(total_classes)
-        if config.model.feature_dim != classifier.dim:
+        if config.model.feature_dim != total_classes - 1:
             raise ConfigError(
                 f"feature_dim {config.model.feature_dim} does not match class capacity "
-                f"{total_classes} (expected {classifier.dim})"
+                f"{total_classes} (expected {total_classes - 1})"
             )
     else:
         classifier = TrainableClassifier(config.model.feature_dim)

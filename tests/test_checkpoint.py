@@ -104,6 +104,21 @@ def test_model_config_with_numpy_integers_round_trips(tmp_path, config):
     assert all(type(v) is int for v in (config.input_dim, config.feature_dim, config.seed))
 
 
+def test_a_checkpoint_that_also_stores_its_layer_shapes_loads_the_same(tmp_path):
+    # Files written before the meta dropped its shape keys: the reader ignores them.
+    state = trained_state()
+    save_model(state, tmp_path / "new.ckpt")
+    sections = read_container(tmp_path / "new.ckpt", MODEL_MAGIC, MODEL_VERSION)
+    meta = json.loads(sections.pop("meta"))
+    assert sorted(meta) == ["config", "step"]
+    meta["num_layers"] = len(state.weights)
+    meta["weight_shapes"] = [list(w.shape) for w in state.weights]
+    meta["bias_shapes"] = [list(b.shape) for b in state.biases]
+    write_artifact(tmp_path / "old.ckpt", MODEL_MAGIC, MODEL_VERSION, meta, list(sections.items()))
+    old, new = load_model(tmp_path / "old.ckpt"), load_model(tmp_path / "new.ckpt")
+    assert states_bitwise_equal(old, new) and states_bitwise_equal(old, state)
+
+
 def test_model_round_trip_twice_is_stable(tmp_path):
     state = trained_state()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -174,7 +189,7 @@ def test_a_section_given_twice_is_refused(tmp_path):
 # come from rng.uniform alone, the gallery's features are float32-exact and the
 # held-out arrays are integer-valued: no digest depends on the CPU or the BLAS.
 GOLDEN_SHA256 = {
-    "model": "53632258c0ab37ff95742cc6a087817976365d60398166f426d2ae8f5aa44158",
+    "model": "c648c0d61b7ec662706431f6d44dc1e24689ed241026c7382977659f369b62e9",
     "gallery": "2edfc8c6cc8ba6dcfef5d0cc388a5080a1b43a9ef81d3168ac3efc09b2fcc84d",
     "heldout": "09422c6bd6c20de0baa1349ff1e26e8dd0da2c1bab62c07da67787bb42661126",
 }

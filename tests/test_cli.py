@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -732,22 +733,33 @@ def test_checkpoint_meta_nested_too_deep_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+# Each case forges the stored config (valid CRCs) so that its layer sizes no longer fit
+# the 4 -> 6 -> 3 sections; the first three ids name the shape fact each case breaks,
+# which the meta once also stated beside the config.
 @pytest.mark.parametrize(
-    "key, value",
-    [("weight_shapes", [[2, 12], [6, 3]]), ("bias_shapes", [[6], [2]]), ("num_layers", 1)],
+    "hidden_layers, feature_dim, message",
+    [
+        pytest.param([5], 3, "malformed model checkpoint", id="weight_shapes-value0"),
+        pytest.param([6, 6], 3, "8 sections do not fit [4, 6, 6, 3]", id="bias_shapes-value1"),
+        pytest.param([], 3, "8 sections do not fit [4, 3]", id="num_layers-1"),
+        # fits the first layer's sections but would leave the second layer's unread
+        pytest.param([], 6, "8 sections do not fit [4, 6]", id="num_layers-1-feature_dim-6"),
+    ],
 )
-def test_checkpoint_with_wrong_layer_shapes_is_a_data_error(tmp_path, capsys, key, value):
+def test_checkpoint_with_wrong_layer_shapes_is_a_data_error(
+    tmp_path, capsys, hidden_layers, feature_dim, message
+):
     exp = small_experiment(tmp_path)
     path = exp / "checkpoint_task_001.ckpt"
     sections = read_container(path, MODEL_MAGIC, MODEL_VERSION)
     meta = json.loads(sections.pop("meta"))
-    meta[key] = value
+    meta["config"].update(hidden_layers=hidden_layers, feature_dim=feature_dim)
     payload = [("meta", json.dumps(meta).encode("utf-8")), *sections.items()]
     write_container(path, MODEL_MAGIC, MODEL_VERSION, payload)
-    with pytest.raises(CorruptFileError, match="layer shapes"):
+    with pytest.raises(CorruptFileError, match=re.escape(message)):
         load_model(path)
     assert main(["eval", "--exp", str(exp), "--out", str(tmp_path / "bad")]) == 3
-    assert capsys.readouterr().err.startswith("error[data]: ")
+    assert capsys.readouterr().err.startswith(f"error[data]: {path}: {message}")
     assert not (tmp_path / "bad").exists()
 
 

@@ -26,6 +26,10 @@ from compatlearn.data import (
     split_tasks,
 )
 from compatlearn.errors import CompatLearnError, ConfigError, DataError, DisjointnessError
+from compatlearn.evalkit import CompatibilityMatrix
+from compatlearn.geometry import build_simplex
+from compatlearn.losses import LabeledBatch
+from compatlearn.network import ParamGrads
 
 
 def spec(**overrides):
@@ -357,6 +361,34 @@ def test_a_pair_set_indexes_a_labeled_dataset_of_finite_rows():
     with pytest.raises(DataError, match="non-finite"):
         VerificationPairSet(LabeledDataset(np.array([[0.0], [np.nan]]), [0, 1]), **fields)
     assert not hasattr(VerificationPairSet(LabeledDataset(np.eye(2), [0, 1]), **fields), "inputs")
+
+
+def test_a_pair_set_is_read_only_and_its_caller_cannot_write_through_it():
+    # Before, ids_a[0] = 99 after construction made scoring raise a bare IndexError.
+    ids_a, ids_b, genuine = np.array([0, 1]), np.array([1, 0]), np.array([True, False])
+    pairs = VerificationPairSet(LabeledDataset(np.eye(2), [0, 1]), ids_a, ids_b, genuine)
+    for array in (pairs.ids_a, pairs.ids_b, pairs.genuine, ids_a, ids_b, genuine):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LabeledDataset(np.eye(2), [0, 1]),
+        lambda: VerificationPairSet(LabeledDataset(np.eye(2), [0, 1]), [0, 1], [1, 0], [1, 0]),
+        lambda: CompatibilityMatrix(np.eye(2), "accuracy"),
+        lambda: LabeledBatch(np.eye(2), [0, 1], [False, True]),
+        lambda: build_simplex(3),
+        lambda: ParamGrads([np.eye(2)], [np.zeros(2)]),
+    ],
+    ids=["dataset", "pairs", "matrix", "batch", "simplex", "grads"],
+)
+def test_records_holding_arrays_compare_by_identity(make):
+    # Before, == compared the arrays field by field and raised numpy's "truth value
+    # of an array ... is ambiguous" ValueError.
+    record = make()
+    assert record == record and record != make()
 
 
 def package_imports() -> dict[str, set[str]]:

@@ -18,7 +18,7 @@ def brute_force_distances(vertices):
 
 def test_two_classes_exact_vertices():
     p = build_simplex(2)
-    assert p.dim == 1
+    assert p.vertices.shape[1] == 1
     assert p.vertices[0, 0] == 1.0
     assert p.vertices[1, 0] == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-15)
     (dist,) = brute_force_distances(p.vertices)
@@ -27,9 +27,10 @@ def test_two_classes_exact_vertices():
 
 def test_three_classes_matches_closed_form():
     p = build_simplex(3)
-    assert p.alpha == pytest.approx((1.0 - math.sqrt(3.0)) / 2.0, abs=1e-15)
-    assert p.alpha == pytest.approx(-0.36603, abs=1e-5)
-    expected = np.array([[1.0, 0.0], [0.0, 1.0], [p.alpha, p.alpha]])
+    alpha = p.vertices[-1, 0]
+    assert alpha == pytest.approx((1.0 - math.sqrt(3.0)) / 2.0, abs=1e-15)
+    assert alpha == pytest.approx(-0.36603, abs=1e-5)
+    expected = np.array([[1.0, 0.0], [0.0, 1.0], [alpha, alpha]])
     assert np.array_equal(p.vertices, expected)
     for dist in brute_force_distances(p.vertices):
         assert dist == pytest.approx(math.sqrt(2.0), abs=1e-12)
